@@ -16,7 +16,6 @@ from cssgates import (
     reed_muller_set,
     rref_basis,
     schur_power,
-    star,
     star_family,
 )
 
@@ -31,7 +30,7 @@ v = BitVector.from_string("011010")
 print(f"u        = {u.to_string()}  (weight {u.weight})")
 print(f"v        = {v.to_string()}")
 print(f"u xor v  = {(u ^ v).to_string()}")
-print(f"u star v = {star(u, v).to_string()}   <- support is the intersection")
+print(f"u star v = {(u & v).to_string()}   <- support is the intersection")
 
 show("A two-qubit nested pair")
 c1 = rref_basis([BitVector.from_string("11"), BitVector.from_string("10")], n=2)
@@ -63,7 +62,7 @@ show("Star powers of a code (Schur powers)")
 sq = schur_power(big.c1, 2)
 print(f"dim C1 = {big.c1.k}; dim C1^(star 2) = {sq.k}")
 print("The square contains products like ev(x1)*ev(x2) = ev(x1x2):")
-prod = star(evaluate(4, 1), evaluate(4, 2))
+prod = evaluate(4, 1) & evaluate(4, 2)
 print("  ev(x1) star ev(x2) in C1^2:", sq.contains(prod))
 
 show("Star families: r-fold products of aligned basis rows")

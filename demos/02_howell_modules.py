@@ -12,7 +12,6 @@ import numpy as np
 from cssgates import (
     howell_form,
     kernel_perp,
-    module_length,
     module_sum,
     scale_lift,
     zvector_to_text,

@@ -19,7 +19,6 @@ __all__ = [
     "NestedCodePair",
     "rref_basis",
     "dual_basis",
-    "star",
     "star_family",
     "schur_power",
     "aligned_bases",
@@ -113,11 +112,6 @@ class BitVector:
 
     def __str__(self) -> str:
         return self.to_string()
-
-
-def star(u: BitVector, v: BitVector) -> BitVector:
-    """Componentwise product. Commutative, associative, star(u, u) = u."""
-    return u & v
 
 
 def _rref(masks: Iterable[int]) -> list[int]:

@@ -40,9 +40,8 @@ from .gates import (
     build_css,
     decompose_action,
     fixing_group,
-    identity_group,
+    gate_groups,
     phase_profile,
-    transversal_group,
 )
 from .monomial import (
     HypothesisError,
@@ -219,12 +218,7 @@ def _module_entry(mod: ZModule) -> dict:
 
 
 def _groups(job: Job) -> dict[str, ZModule]:
-    code = job.code
-    return {
-        "H": fixing_group(code, job.ell),
-        "T": transversal_group(code, job.ell),
-        "Id": identity_group(code, job.ell),
-    }
+    return dict(zip(("H", "T", "Id"), gate_groups(job.code, job.ell)))
 
 
 def _task_groups(job: Job) -> dict:
@@ -317,30 +311,36 @@ def _task_closed_form(job: Job) -> dict:
     generic = _groups(job)
     report: dict = {}
 
-    def theorem_entry(key: str, build) -> None:
-        try:
-            mod = build()
-        except HypothesisError as exc:
+    def theorem_entry(key: str, outcome: ZModule | HypothesisError) -> None:
+        if isinstance(outcome, HypothesisError):
             entry = _module_entry(generic[key])
             entry.update(
                 fallback=True,
-                reason=exc.code,
-                reason_level=exc.level,
+                reason=outcome.code,
+                reason_level=outcome.level,
                 matches_generic=None,
             )
             report[key] = entry
             return
-        if mod != generic[key]:
+        if outcome != generic[key]:
             raise ConsistencyError(
                 f"closed form for {key} disagrees with the kernel computation"
             )
-        entry = _module_entry(mod)
+        entry = _module_entry(outcome)
         entry.update(fallback=False, matches_generic=True)
         report[key] = entry
 
-    theorem_entry("H", lambda: closed_form_fixing_group(spec, ell))
-    theorem_entry("T", lambda: closed_form_transversal_identity(spec, ell)[0])
-    theorem_entry("Id", lambda: closed_form_transversal_identity(spec, ell)[1])
+    try:
+        h_mod = closed_form_fixing_group(spec, ell)
+    except HypothesisError as exc:
+        h_mod = exc
+    theorem_entry("H", h_mod)
+    try:
+        t_mod, id_mod = closed_form_transversal_identity(spec, ell)
+    except HypothesisError as exc:
+        t_mod = id_mod = exc
+    theorem_entry("T", t_mod)
+    theorem_entry("Id", id_mod)
 
     try:
         general = closed_form_fixing_group_general(spec)

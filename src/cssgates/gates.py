@@ -2,23 +2,29 @@
 
 A CSS code here is a nested pair (C2 inside C1) plus two sign characters
 y_x, y_z. The physical gates considered are U(b) = prod_i diag(1, w^{b_i})
-with w = exp(2 pi i / 2^ell). Three nested groups of exponent vectors b are
-computed, each as the kernel of an explicit constraint stream:
+with w = exp(2 pi i / 2^ell). Three nested groups of exponent vectors b
+are computed as one kernel chain, each group solved inside the previous
+one from an explicit constraint stream:
 
-* fixing_group: U(b) preserves the code space (phases constant on each
-  coset of C2 inside C1);
-* transversal_group: U(b) additionally acts on the logical qubits as a
-  tensor product of single-qubit diagonal factors;
-* identity_group: U(b) acts as the exact identity on the code space.
+* fixing_group (H): U(b) preserves the code space (phases constant on
+  each coset of C2 inside C1);
+* transversal_group (T): U(b) additionally acts on the logical qubits as
+  a tensor product of single-qubit diagonal factors;
+* identity_group (Id): U(b) acts as the exact identity on the code space.
 
-Group computations operate on the zero-character code; conjugate_by_yz
-transfers memberships and actions to nonzero y_z.
+gate_groups returns all three. The constraints of T and of Id are also
+derived a second, independent way; over Z/2^ell two constraint spans are
+equal exactly when their kernels are, so the two derivations are
+cross-checked by comparing Howell forms of their spans, and a mismatch
+raises ConsistencyError. A nonzero y_z enters by flipping the signs of
+the constraint rows on its support; conjugate_by_yz transfers single
+memberships and actions the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -38,7 +44,6 @@ from .zmod import ZModule, dot_mod, howell_form, kernel_perp, module_sum, scale_
 __all__ = [
     "ConsistencyError",
     "CssCode",
-    "DiagonalGate",
     "PhaseProfile",
     "ControlledFactor",
     "LogicalDecomposition",
@@ -47,6 +52,7 @@ __all__ = [
     "css_from_pair",
     "stabilizer_constraints",
     "fixing_group",
+    "gate_groups",
     "transversal_group",
     "identity_group",
     "logical_phase",
@@ -81,25 +87,6 @@ class CssCode:
     @property
     def num_logical(self) -> int:
         return self.pair.num_logical
-
-
-@dataclass(frozen=True)
-class DiagonalGate:
-    """Exponent vector of a transversal diagonal gate at a given level."""
-
-    ell: int
-    phases: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        N = 1 << self.ell
-        object.__setattr__(self, "phases", tuple(int(p) for p in self.phases))
-        if not self.phases:
-            raise ValueError("gate must act on at least one qubit")
-        if any(not 0 <= p < N for p in self.phases):
-            raise ValueError("phase exponents out of range for the level")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.phases, dtype=np.int64)
 
 
 def build_css(
@@ -207,6 +194,13 @@ def fixing_group(code, ell: int) -> ZModule:
     return kernel_perp(rows, ell, n=pair.n)
 
 
+def _transversal_rows_extra(pair: NestedCodePair, ell: int) -> Iterator[np.ndarray]:
+    # products of j >= 2 distinct outer basis vectors that reach outside
+    # the inner basis; the inner-only ones already follow from the fixing
+    # constraints
+    return _distinct_product_rows(pair, ell, range(2, ell + 1), need_outside=True)
+
+
 def _transversal_rows_direct(pair: NestedCodePair, ell: int) -> Iterator[np.ndarray]:
     # inner basis at scale 1, then all distinct products of j >= 2 outer
     # basis vectors at scale 2^(j-1)
@@ -215,76 +209,81 @@ def _transversal_rows_direct(pair: NestedCodePair, ell: int) -> Iterator[np.ndar
     yield from _distinct_product_rows(pair, ell, range(2, ell + 1), need_outside=False)
 
 
-def _transversal_rows_refined(pair: NestedCodePair, ell: int) -> Iterator[np.ndarray]:
-    # fixing constraints, plus the products of j >= 2 distinct outer basis
-    # vectors that reach outside the inner basis
-    yield from stabilizer_constraints(pair, ell)
-    yield from _distinct_product_rows(pair, ell, range(2, ell + 1), need_outside=True)
+def _identity_rows_direct(pair: NestedCodePair, ell: int) -> Iterator[np.ndarray]:
+    # all distinct products of j >= 1 outer basis vectors at scale 2^(j-1)
+    return _distinct_product_rows(pair, ell, range(1, ell + 1), need_outside=False)
+
+
+def _check_span(group: str, direct: ZModule, refined: ZModule) -> None:
+    # over Z/2^ell two constraint spans are equal exactly when their
+    # kernels are, so comparing the spans checks the two derivations of
+    # the group without solving either system
+    if direct != refined:
+        raise ConsistencyError(
+            f"{group} group: the two constraint systems disagree "
+            f"(constraint span lengths {direct.length} vs {refined.length})"
+        )
+
+
+def gate_groups(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
+    """The fixing, transversal and identity groups, as one kernel chain.
+
+    H is the kernel of the stabilizer constraints. T is H cut down by the
+    products of outer basis vectors that reach outside the inner basis,
+    and Id is T cut down by the extension vectors (and by y_z itself when
+    the code carries a Z shift). Each group is thus solved once, inside
+    the one before it.
+
+    T and Id also have direct constraint systems derived independently of
+    this chain. Their spans are compared with the spans of the refined
+    systems on the unshifted pair; a disagreement raises ConsistencyError
+    naming the group. With no logical qubits T equals H and has no
+    separate direct system.
+    """
+    pair = _pair_of(code)
+    n = pair.n
+    flip = _flip_vector(code)
+    refined_t = howell_form(
+        chain(stabilizer_constraints(pair, ell), _transversal_rows_extra(pair, ell)), ell, n=n
+    )
+    if pair.num_logical:
+        direct_t = howell_form(_transversal_rows_direct(pair, ell), ell, n=n)
+        _check_span("transversal", direct_t, refined_t)
+    ext_rows = [w.to_array() for w in pair.beta1_ext]
+    _check_span(
+        "identity",
+        howell_form(_identity_rows_direct(pair, ell), ell, n=n),
+        module_sum(refined_t, howell_form(ext_rows, ell, n=n)),
+    )
+
+    fixing = fixing_group(code, ell)
+    transversal = kernel_perp(
+        _conjugated(_transversal_rows_extra(pair, ell), flip, ell), ell, within=fixing
+    )
+    id_rows = ext_rows if flip is None else ext_rows + [code.y_z.to_array()]
+    identity = kernel_perp(_conjugated(id_rows, flip, ell), ell, within=transversal)
+    return fixing, transversal, identity
 
 
 def transversal_group(code, ell: int) -> ZModule:
     """Exponent vectors acting as a tensor product on the logical qubits.
 
-    Computed twice from independently derived constraint systems; a
-    disagreement raises ConsistencyError. With no logical qubits every
+    The middle link of the gate_groups kernel chain, whose constraint
+    spans are cross-checked there. With no logical qubits every
     code-preserving gate qualifies.
     """
-    pair = _pair_of(code)
-    if pair.num_logical == 0:
-        return fixing_group(code, ell)
-    direct = kernel_perp(_transversal_rows_direct(pair, ell), ell, n=pair.n)
-    refined = kernel_perp(_transversal_rows_refined(pair, ell), ell, n=pair.n)
-    if direct != refined:
-        raise ConsistencyError(
-            "transversal group: the two constraint systems disagree "
-            f"(lengths {direct.length} vs {refined.length})"
-        )
-    flip = _flip_vector(code)
-    if flip is None:
-        return direct
-    rows = _conjugated(_transversal_rows_direct(pair, ell), flip, ell)
-    return kernel_perp(rows, ell, n=pair.n)
+    return gate_groups(code, ell)[1]
 
 
 def identity_group(code, ell: int) -> ZModule:
     """Exponent vectors acting as the exact identity on the code space.
 
     For unshifted codes this depends only on the outer code; a nonzero Z
-    shift additionally forces a zero phase on the shift itself. Also
-    computed along two routes, the second refining the transversal
-    constraints by the extension vectors.
+    shift additionally forces a zero phase on the shift itself. The last
+    link of the gate_groups kernel chain, whose constraint spans are
+    cross-checked there.
     """
-    pair = _pair_of(code)
-    direct = kernel_perp(
-        _distinct_product_rows(pair, ell, range(1, ell + 1), need_outside=False),
-        ell,
-        n=pair.n,
-    )
-
-    def refined_rows() -> Iterator[np.ndarray]:
-        yield from _transversal_rows_refined(pair, ell)
-        for w in pair.beta1_ext:
-            yield w.to_array()
-
-    refined = kernel_perp(refined_rows(), ell, n=pair.n)
-    if direct != refined:
-        raise ConsistencyError(
-            "identity group: the two constraint systems disagree "
-            f"(lengths {direct.length} vs {refined.length})"
-        )
-    flip = _flip_vector(code)
-    if flip is None:
-        return direct
-
-    def shifted_rows() -> Iterator[np.ndarray]:
-        yield from _conjugated(
-            _distinct_product_rows(pair, ell, range(1, ell + 1), need_outside=False),
-            flip,
-            ell,
-        )
-        yield code.y_z.to_array()
-
-    return kernel_perp(shifted_rows(), ell, n=pair.n)
+    return gate_groups(code, ell)[2]
 
 
 def _as_bitmask(v, num_logical: int) -> int:
@@ -539,13 +538,7 @@ def all_ones_report(
     dual of the (ell-1)-th power of the outer code.
     """
     pair = _pair_of(code)
-    if groups is None:
-        groups = (
-            fixing_group(pair, ell),
-            transversal_group(pair, ell),
-            identity_group(pair, ell),
-        )
-    fixing, transversal, identity = groups
+    fixing, transversal, identity = groups if groups is not None else gate_groups(pair, ell)
     ones = np.ones(pair.n, dtype=np.int64)
     in_h = fixing.contains(ones)
     in_t = transversal.contains(ones)

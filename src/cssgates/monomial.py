@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bincode import BitVector, rref_basis, NestedCodePair
-from .gates import CssCode, PhaseProfile, css_from_pair, fixing_group, phase_profile, transversal_group
+from .gates import CssCode, PhaseProfile, css_from_pair, fixing_group, gate_groups, phase_profile
 from .zmod import MAX_LEVEL, ZModule, howell_form, module_sum, scale_lift
 
 __all__ = [
@@ -666,8 +666,7 @@ def monomial_action(spec: MonomialCodeSpec, ell: int, u) -> MonomialActionResult
         dtype=np.int64,
     )
     css = spec.induced_css()
-    fixing = fixing_group(css, ell)
-    transversal = transversal_group(css, ell)
+    fixing, transversal, _ = gate_groups(css, ell)
     b = evaluate(spec.m, mono.mask).to_array()
     return MonomialActionResult(
         monomial=mono,

@@ -27,7 +27,6 @@ __all__ = [
     "ZModule",
     "howell_form",
     "kernel_perp",
-    "module_length",
     "module_sum",
     "scale_lift",
     "dot_mod",
@@ -201,10 +200,6 @@ def howell_form(rows, ell: int, *, n: int | None = None) -> ZModule:
     return ZModule(mat.shape[1], ell, _howell(mat, ell))
 
 
-def module_length(mod: ZModule) -> int:
-    return mod.length
-
-
 def module_sum(a: ZModule, b: ZModule) -> ZModule:
     if (a.n, a.ell) != (b.n, b.ell):
         raise ValueError("modules live in different ambient spaces")
@@ -247,11 +242,15 @@ def _residual(cons: np.ndarray, gens: np.ndarray, N: int) -> np.ndarray:
     return (cons[:, None, :] * gens[None, :, :] % N).sum(axis=2) % N
 
 
-def kernel_perp(rows, ell: int, *, n: int | None = None, chunk: int = 256) -> ZModule:
-    """All b with b . r = 0 mod 2^ell for every constraint row r.
+_BATCH = 256
 
-    Constraints are consumed as a stream: the solution module starts as the
-    full space and is intersected with one hyperplane kernel at a time.
+
+def kernel_perp(rows, ell: int, *, n: int | None = None, within: ZModule | None = None) -> ZModule:
+    """All b in `within` with b . r = 0 mod 2^ell for every constraint row r.
+
+    Constraints are consumed as a stream: the solution module starts as
+    `within`, or the full space when it is None, and is intersected with
+    one hyperplane kernel at a time.
     For a constraint r with generator residuals d_i = g_i . r, writing
     a = min valuation of the nonzero d_i and picking a witness row p with
     valuation a, the rows g_i - (d_i >> a) * inv * g_p (i != p) together
@@ -261,6 +260,10 @@ def kernel_perp(rows, ell: int, *, n: int | None = None, chunk: int = 256) -> ZM
     """
     _check_level(ell)
     N = 1 << ell
+    if within is not None:
+        if within.ell != ell or n not in (None, within.n):
+            raise ValueError("starting module lives in a different ambient space")
+        n = within.n
     iterator = iter(rows)
     first: np.ndarray | None = None
     if n is None:
@@ -269,7 +272,7 @@ def kernel_perp(rows, ell: int, *, n: int | None = None, chunk: int = 256) -> ZM
         except StopIteration:
             raise ValueError("ambient length required for an empty constraint stream")
         n = first.shape[0]
-    gens = np.eye(n, dtype=np.int64)
+    gens = np.eye(n, dtype=np.int64) if within is None else within.gens
 
     def feed() -> Iterator[np.ndarray]:
         if first is not None:
@@ -282,7 +285,7 @@ def kernel_perp(rows, ell: int, *, n: int | None = None, chunk: int = 256) -> ZM
         if row.shape != (n,):
             raise ValueError("constraint row length mismatch")
         batch.append(row)
-        if len(batch) >= chunk:
+        if len(batch) >= _BATCH:
             gens = _consume(np.vstack(batch), gens, ell)
             batch = []
     if batch:

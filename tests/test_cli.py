@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import shutil
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 import cssgates
-from cssgates import GateClass, fixing_group, howell_form
-from cssgates.cli import main
+from cssgates import ConsistencyError, GateClass, fixing_group, howell_form
+from cssgates.cli import Job, main
 from cssgates.oracle import OracleResult
 
 
@@ -383,3 +384,23 @@ class TestConsistencyGuard:
         assert rc == 2
         assert out == ""
         assert err.startswith("inconsistency:")
+
+    @pytest.mark.parametrize(
+        "rows, group",
+        [("_transversal_rows_direct", "transversal"), ("_identity_rows_direct", "identity")],
+    )
+    def test_constraint_span_disagreement_exits_two(self, capsys, monkeypatch, rows, group):
+        from cssgates import gates
+
+        # the first direct row is an inner or outer basis vector at scale 1,
+        # which no other row spans, so dropping it changes the span
+        direct = getattr(gates, rows)
+        monkeypatch.setattr(
+            gates, rows, lambda pair, ell: itertools.islice(direct(pair, ell), 1, None)
+        )
+        with pytest.raises(ConsistencyError, match=f"^{group} group"):
+            gates.gate_groups(Job(EX2_JOB).code, EX2_JOB["ell"])
+        rc, out, err = run_cli(capsys, monkeypatch, ["groups", "-i", "-"], EX2_JOB)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"inconsistency: {group} group")

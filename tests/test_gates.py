@@ -6,7 +6,6 @@ import pytest
 from cssgates import (
     BitVector,
     ConsistencyError,
-    DiagonalGate,
     Monomial,
     NestedCodePair,
     all_ones_report,
@@ -323,13 +322,6 @@ class TestRebase:
 
 
 class TestValidation:
-    def test_diagonal_gate_bounds(self):
-        DiagonalGate(2, (0, 3))
-        with pytest.raises(ValueError):
-            DiagonalGate(2, (0, 4))
-        with pytest.raises(ValueError):
-            DiagonalGate(2, ())
-
     def test_css_character_lengths(self, pair2_css):
         with pytest.raises(ValueError):
             build_css(pair2_css.pair.c1, pair2_css.pair.c2, y_z=BitVector(3))

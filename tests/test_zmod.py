@@ -12,7 +12,6 @@ from cssgates import (
     dot_mod,
     howell_form,
     kernel_perp,
-    module_length,
     module_sum,
     scale_lift,
     zvector_from_text,
@@ -158,13 +157,32 @@ class TestKernel:
         )
         ker = kernel_perp(rows, ell, n=n)
         assert points(ker.elements()) == brute_kernel(rows, ell, n)
+        start = data.draw(
+            st.lists(st.lists(st.integers(0, N - 1), min_size=n, max_size=n), max_size=3)
+        )
+        within = howell_form(start, ell, n=n)
+        inside = kernel_perp(rows, ell, within=within)
+        assert points(inside.elements()) == points(within.elements()) & brute_kernel(rows, ell, n)
 
-    def test_streaming_chunks_agree(self):
-        rng = random.Random(5)
-        rows = [[rng.randrange(8) for _ in range(6)] for _ in range(7)]
-        full = kernel_perp(rows, 3, n=6)
-        assert kernel_perp(rows, 3, n=6, chunk=1) == full
-        assert kernel_perp(rows, 3, n=6, chunk=2) == full
+    def test_stream_across_batches_matches_canonical_rows(self):
+        # more than two full batches of 256 constraints; each batch
+        # constrains its own block of coordinates, so every batch matters,
+        # and even entries off column 0 keep the kernel nontrivial
+        rng = np.random.default_rng(5)
+        rows = np.zeros((2 * 256 + 37, 40), dtype=np.int64)
+        for lo, hi, cols in ((0, 256, slice(0, 20)), (256, 512, slice(20, 30)), (512, None, slice(30, 40))):
+            rows[lo:hi, cols] = rng.integers(0, 8, size=rows[lo:hi, cols].shape)
+        rows[:, 1:] &= ~1
+        ker = kernel_perp(rows, 3, n=40)
+        assert ker.length == 39
+        assert ker == kernel_perp(howell_form(rows, 3).gens, 3, n=40)
+
+    def test_within_must_share_the_ambient_space(self):
+        within = howell_form([[1, 0]], 3, n=2)
+        with pytest.raises(ValueError):
+            kernel_perp([[1, 1]], 2, within=within)
+        with pytest.raises(ValueError):
+            kernel_perp([[1, 1, 1]], 3, n=3, within=within)
 
     def test_length_pairing(self):
         rng = random.Random(9)
@@ -176,7 +194,7 @@ class TestKernel:
                 [rng.randrange(N) for _ in range(n)] for _ in range(rng.randrange(4))
             ]
             mod = howell_form(rows, ell, n=n)
-            assert module_length(mod) + module_length(module_perp(mod)) == n * ell
+            assert mod.length + module_perp(mod).length == n * ell
 
     def test_double_perp_is_identity(self):
         rng = random.Random(13)
