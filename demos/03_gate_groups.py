@@ -21,11 +21,9 @@ from cssgates import (
     Monomial,
     decompose_action,
     evaluate,
-    fixing_group,
-    identity_group,
+    gate_groups,
     logical_phase,
     phase_profile,
-    transversal_group,
 )
 
 spec = MonomialCodeSpec(
@@ -42,19 +40,17 @@ def show(title):
 
 show("Group lengths across levels on the [16, 5] fixture")
 print(f"{'level':>5} {'modulus':>8} {'H':>4} {'T':>4} {'Id':>4}")
-for ell in (1, 2, 3):
-    h = fixing_group(css, ell)
-    t = transversal_group(css, ell)
-    i = identity_group(css, ell)
+groups = {ell: gate_groups(css, ell) for ell in (1, 2, 3)}
+for ell, (h, t, i) in groups.items():
     assert h.contains_module(t) and t.contains_module(i)
     print(f"{ell:>5} {1 << ell:>8} {h.length:>4} {t.length:>4} {i.length:>4}")
 print("Id <= T <= H holds at every level (asserted above).")
 
 show("The uniform gate at level 3 (a pi/8-type gate on every qubit)")
 ones = evaluate(4, 0).to_array()  # ev(1) = all ones
-h8 = fixing_group(css, 3)
+h8, t8, id8 = groups[3]
 print("ev(1) in H_8:", bool(h8.contains(ones)))
-print("ev(1) in T_8:", bool(transversal_group(css, 3).contains(ones)))
+print("ev(1) in T_8:", bool(t8.contains(ones)))
 
 show("Its logical action, factor by factor")
 dec = decompose_action(css, 3, ones, group=h8)
@@ -78,8 +74,6 @@ print(f"sum of factors on v=10100 gives omega^{expect}")
 print(f"logical_phase reports        omega^{logical_phase(css, 3, ones, v)}")
 
 show("A genuinely transversal member, from the T group's own generators")
-t8 = transversal_group(css, 3)
-id8 = identity_group(css, 3)
 sample = next(g for g in t8.gens if not id8.contains(g))
 dec2 = decompose_action(css, 3, sample, group=h8)
 print("generator:", [int(x) for x in sample])

@@ -18,11 +18,10 @@ from cssgates import (
     decreasing_span_monomials,
     evaluate,
     fixing_group,
-    identity_group,
+    gate_groups,
     monomial_action,
     reed_muller_degrees,
     reed_muller_fixing_monomials,
-    transversal_group,
     validate_fixing_hypotheses,
 )
 from cssgates.monomial import _fixing_recursion
@@ -44,11 +43,11 @@ css = rm.induced_css()
 for ell in (1, 2, 3):
     validate_fixing_hypotheses(rm, ell)  # raises if out of scope
     closed = closed_form_fixing_group(rm, ell)
-    generic = fixing_group(css, ell)
+    h_gen, t_gen, id_gen = gate_groups(css, ell)
     t_mod, id_mod = closed_form_transversal_identity(rm, ell)
-    print(f"level {ell}: H match {closed == generic}, "
-          f"T match {t_mod == transversal_group(css, ell)}, "
-          f"Id match {id_mod == identity_group(css, ell)}")
+    print(f"level {ell}: H match {closed == h_gen}, "
+          f"T match {t_mod == t_gen}, "
+          f"Id match {id_mod == id_gen}")
 
 show("A spec where the recursion is wrong - and gets caught")
 gap = spec_of(4, ["1", "x1", "x4"], ["1", "x1"])

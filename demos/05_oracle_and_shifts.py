@@ -21,8 +21,8 @@ from cssgates import (
     dual_basis,
     enumerate_group,
     fixing_group,
+    gate_groups,
     rref_basis,
-    transversal_group,
 )
 from cssgates.oracle import amplitude_fix_check
 
@@ -79,8 +79,9 @@ ones = np.ones(7, dtype=np.int64)
 print("n=7, K =", steane.num_logical, "| all-ones gate at level 2 (S on every qubit)")
 oracle = coset_phase_check(steane, 2, ones)
 print("oracle class:", oracle.gate_class.value)
-dec = decompose_action(steane, 2, ones, group=fixing_group(steane, 2))
+h4, t4, _ = gate_groups(steane, 2)
+dec = decompose_action(steane, 2, ones, group=h4)
 (factor,) = dec.factors
 print(f"logical action: omega^{factor.phase} on logical qubit {factor.qubits[0]}"
       f"  (odd -> a genuine phase gate, S^{factor.phase} up to global phase)")
-print("in T:", bool(transversal_group(steane, 2).contains(ones)))
+print("in T:", bool(t4.contains(ones)))

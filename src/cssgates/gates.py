@@ -3,8 +3,8 @@
 A CSS code here is a nested pair (C2 inside C1) plus two sign characters
 y_x, y_z. The physical gates considered are U(b) = prod_i diag(1, w^{b_i})
 with w = exp(2 pi i / 2^ell). Three nested groups of exponent vectors b
-are computed as one kernel chain, each group solved inside the previous
-one from an explicit constraint stream:
+are the kernels of three nested constraint spans, each span an explicit
+set of equations:
 
 * fixing_group (H): U(b) preserves the code space (phases constant on
   each coset of C2 inside C1);
@@ -24,7 +24,7 @@ memberships and actions the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -226,50 +226,50 @@ def _check_span(group: str, direct: ZModule, refined: ZModule) -> None:
 
 
 def gate_groups(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
-    """The fixing, transversal and identity groups, as one kernel chain.
+    """The fixing, transversal and identity groups: kernels of three
+    nested constraint spans.
 
-    H is the kernel of the stabilizer constraints. T is H cut down by the
-    products of outer basis vectors that reach outside the inner basis,
-    and Id is T cut down by the extension vectors (and by y_z itself when
-    the code carries a Z shift). Each group is thus solved once, inside
-    the one before it.
+    S_H is the span of the stabilizer constraints, S_T adds the products
+    of outer basis vectors that reach outside the inner basis, and S_Id
+    adds the extension vectors (and y_z itself when the code carries a Z
+    shift). Each span is canonicalised once, growing from the one before,
+    and H, T and Id are the kernels of S_H, S_T and S_Id.
 
     T and Id also have direct constraint systems derived independently of
-    this chain. Their spans are compared with the spans of the refined
-    systems on the unshifted pair; a disagreement raises ConsistencyError
-    naming the group. With no logical qubits T equals H and has no
-    separate direct system.
+    these spans. Their spans are compared with S_T and S_Id on the
+    unshifted pair; a disagreement raises ConsistencyError naming the
+    group. With no logical qubits T equals H and has no separate direct
+    system.
     """
     pair = _pair_of(code)
     n = pair.n
     flip = _flip_vector(code)
-    refined_t = howell_form(
-        chain(stabilizer_constraints(pair, ell), _transversal_rows_extra(pair, ell)), ell, n=n
+    fixing_span = howell_form(stabilizer_constraints(pair, ell), ell, n=n)
+    transversal_span = module_sum(
+        fixing_span, howell_form(_transversal_rows_extra(pair, ell), ell, n=n)
     )
     if pair.num_logical:
         direct_t = howell_form(_transversal_rows_direct(pair, ell), ell, n=n)
-        _check_span("transversal", direct_t, refined_t)
-    ext_rows = [w.to_array() for w in pair.beta1_ext]
-    _check_span(
-        "identity",
-        howell_form(_identity_rows_direct(pair, ell), ell, n=n),
-        module_sum(refined_t, howell_form(ext_rows, ell, n=n)),
+        _check_span("transversal", direct_t, transversal_span)
+    identity_span = module_sum(
+        transversal_span, howell_form([w.to_array() for w in pair.beta1_ext], ell, n=n)
     )
+    _check_span("identity", howell_form(_identity_rows_direct(pair, ell), ell, n=n), identity_span)
 
-    fixing = fixing_group(code, ell)
-    transversal = kernel_perp(
-        _conjugated(_transversal_rows_extra(pair, ell), flip, ell), ell, within=fixing
+    id_gens = identity_span.gens
+    if flip is not None:
+        id_gens = np.vstack([id_gens, code.y_z.to_array()])
+    return tuple(
+        kernel_perp(_conjugated(gens, flip, ell), ell, n=n)
+        for gens in (fixing_span.gens, transversal_span.gens, id_gens)
     )
-    id_rows = ext_rows if flip is None else ext_rows + [code.y_z.to_array()]
-    identity = kernel_perp(_conjugated(id_rows, flip, ell), ell, within=transversal)
-    return fixing, transversal, identity
 
 
 def transversal_group(code, ell: int) -> ZModule:
     """Exponent vectors acting as a tensor product on the logical qubits.
 
-    The middle link of the gate_groups kernel chain, whose constraint
-    spans are cross-checked there. With no logical qubits every
+    The kernel of the middle gate_groups constraint span, which is
+    cross-checked there. With no logical qubits every
     code-preserving gate qualifies.
     """
     return gate_groups(code, ell)[1]
@@ -279,8 +279,8 @@ def identity_group(code, ell: int) -> ZModule:
     """Exponent vectors acting as the exact identity on the code space.
 
     For unshifted codes this depends only on the outer code; a nonzero Z
-    shift additionally forces a zero phase on the shift itself. The last
-    link of the gate_groups kernel chain, whose constraint spans are
+    shift additionally forces a zero phase on the shift itself. The
+    kernel of the largest gate_groups constraint span, which is
     cross-checked there.
     """
     return gate_groups(code, ell)[2]

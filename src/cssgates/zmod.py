@@ -12,13 +12,18 @@ The module "length" lambda is the sum over pivot entries 2^a of (ell - a);
 the module has exactly 2^lambda elements and satisfies
 lambda(M) + lambda(M_perp) = n * ell for the dual under the mod-N dot.
 
-Levels are capped at MAX_LEVEL so that a single product of two residues
-stays below 2^60 and the mod-before-sum dot products are exact in int64.
+The same closure gives the annihilator directly: kernel_perp reads M_perp
+off one Howell form of the augmented matrix [S^T | I_n], where S is the
+Howell form of M, as the rows that vanish on the S^T block (Howell,
+"Spans in the module (Z_m)^s", 1986; Storjohann and Mulders, "Fast
+algorithms for linear algebra modulo N", 1998).
+
+Levels are capped at MAX_LEVEL so that every entry is a residue below
+2^ell and a single product of two residues stays below 2^60; elimination
+and the mod-before-sum dot products are therefore exact in int64.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -235,86 +240,28 @@ def dot_mod(u, v, ell: int) -> int:
     return int((a * b % N).sum() % N)
 
 
-def _residual(cons: np.ndarray, gens: np.ndarray, N: int) -> np.ndarray:
-    """Matrix of dot products gens . cons_row mod N, shape (rows, gens)."""
-    if len(gens) == 0 or len(cons) == 0:
-        return np.zeros((len(cons), len(gens)), dtype=np.int64)
-    return (cons[:, None, :] * gens[None, :, :] % N).sum(axis=2) % N
+def kernel_perp(rows, ell: int, *, n: int | None = None) -> ZModule:
+    """All b with b . s = 0 mod 2^ell for every constraint row s.
 
+    The rows are canonicalised once, S = Howell form with r rows. Row i of
+    the augmented n x (r + n) matrix [S^T | I_n] is (column i of S, e_i),
+    so its row span is {(S x, x)}, and the span elements whose first r
+    entries vanish are exactly (0, x) for x in S^perp. By the Howell
+    property, every span element whose leading column is r or later lies
+    in the span of the rows pivoted there. So the rows of the Howell form
+    of [S^T | I_n] that are zero on the first r columns, cut to their last
+    n columns, generate S^perp; they are echelon with power-of-two pivots
+    reduced above, so they are already its Howell form.
 
-_BATCH = 256
-
-
-def kernel_perp(rows, ell: int, *, n: int | None = None, within: ZModule | None = None) -> ZModule:
-    """All b in `within` with b . r = 0 mod 2^ell for every constraint row r.
-
-    Constraints are consumed as a stream: the solution module starts as
-    `within`, or the full space when it is None, and is intersected with
-    one hyperplane kernel at a time.
-    For a constraint r with generator residuals d_i = g_i . r, writing
-    a = min valuation of the nonzero d_i and picking a witness row p with
-    valuation a, the rows g_i - (d_i >> a) * inv * g_p (i != p) together
-    with 2^(ell-a) * g_p generate exactly the solutions inside the current
-    span. Each effective constraint strictly drops the module length, so at
-    most n*ell reductions happen regardless of how many rows arrive.
+    Every entry stays below 2^ell and every product is of two such
+    entries, so at ell = MAX_LEVEL = 30 it is below 2^60 and int64 is
+    exact.
     """
     _check_level(ell)
-    N = 1 << ell
-    if within is not None:
-        if within.ell != ell or n not in (None, within.n):
-            raise ValueError("starting module lives in a different ambient space")
-        n = within.n
-    iterator = iter(rows)
-    first: np.ndarray | None = None
-    if n is None:
-        try:
-            first = np.asarray(next(iterator), dtype=np.int64)
-        except StopIteration:
-            raise ValueError("ambient length required for an empty constraint stream")
-        n = first.shape[0]
-    gens = np.eye(n, dtype=np.int64) if within is None else within.gens
-
-    def feed() -> Iterator[np.ndarray]:
-        if first is not None:
-            yield first
-        yield from iterator
-
-    batch: list[np.ndarray] = []
-    for raw in feed():
-        row = np.asarray(raw, dtype=np.int64) % N
-        if row.shape != (n,):
-            raise ValueError("constraint row length mismatch")
-        batch.append(row)
-        if len(batch) >= _BATCH:
-            gens = _consume(np.vstack(batch), gens, ell)
-            batch = []
-    if batch:
-        gens = _consume(np.vstack(batch), gens, ell)
-    return ZModule(n, ell, gens)
-
-
-def _consume(cons: np.ndarray, gens: np.ndarray, ell: int) -> np.ndarray:
-    N = 1 << ell
-    while len(cons):
-        if len(gens) == 0:
-            break
-        res = _residual(cons, gens, N)
-        alive = res.any(axis=1)
-        cons = cons[alive]
-        res = res[alive]
-        if not len(cons):
-            break
-        d = res[0]
-        nz = [int(x) for x in d if x]
-        a = min(_v2(x) for x in nz)
-        p = next(i for i, x in enumerate(d) if x and _v2(int(x)) == a)
-        inv = pow(int(d[p]) >> a, -1, N)
-        coef = (d >> a) * inv % N
-        new_rows = (gens - coef[:, None] * gens[p]) % N
-        new_rows[p] = gens[p] << (ell - a) & (N - 1)
-        gens = _howell(new_rows, ell)
-        cons = cons[1:]
-    return gens
+    span = _howell(_as_matrix(rows, ell, n), ell)
+    r, n = span.shape
+    aug = _howell(np.hstack([span.T, np.eye(n, dtype=np.int64)]), ell)
+    return ZModule(n, ell, aug[~aug[:, :r].any(axis=1), r:])
 
 
 def zvector_to_text(v) -> str:
