@@ -12,13 +12,14 @@ set of equations:
   a tensor product of single-qubit diagonal factors;
 * identity_group (Id): U(b) acts as the exact identity on the code space.
 
-gate_groups returns all three. The constraints of T and of Id are also
-derived a second, independent way; over Z/2^ell two constraint spans are
-equal exactly when their kernels are, so the two derivations are
-cross-checked by comparing Howell forms of their spans, and a mismatch
-raises ConsistencyError. A nonzero y_z enters by flipping the signs of
-the constraint rows on its support; conjugate_by_yz transfers single
-memberships and actions the same way.
+gate_groups returns all three, and transversal_group and identity_group
+solve only their own kernel of the same spans. The constraints of T and
+of Id are also derived a second, independent way; over Z/2^ell two
+constraint spans are equal exactly when their kernels are, so the two
+derivations are cross-checked by comparing Howell forms of their spans,
+and a mismatch raises ConsistencyError. A nonzero y_z enters by
+flipping the signs of the constraint rows on its support;
+conjugate_by_yz transfers single memberships and actions the same way.
 """
 
 from __future__ import annotations
@@ -225,25 +226,21 @@ def _check_span(group: str, direct: ZModule, refined: ZModule) -> None:
         )
 
 
-def gate_groups(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
-    """The fixing, transversal and identity groups: kernels of three
-    nested constraint spans.
+def _constraint_spans(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
+    """The nested constraint spans S_H, S_T and S_Id of the unshifted pair.
 
     S_H is the span of the stabilizer constraints, S_T adds the products
     of outer basis vectors that reach outside the inner basis, and S_Id
-    adds the extension vectors (and y_z itself when the code carries a Z
-    shift). Each span is canonicalised once, growing from the one before,
-    and H, T and Id are the kernels of S_H, S_T and S_Id.
+    adds the extension vectors. Each span is canonicalised once, growing
+    from the one before.
 
     T and Id also have direct constraint systems derived independently of
-    these spans. Their spans are compared with S_T and S_Id on the
-    unshifted pair; a disagreement raises ConsistencyError naming the
-    group. With no logical qubits T equals H and has no separate direct
-    system.
+    these spans. Their spans are compared with S_T and S_Id; a
+    disagreement raises ConsistencyError naming the group. With no
+    logical qubits T equals H and has no separate direct system.
     """
     pair = _pair_of(code)
     n = pair.n
-    flip = _flip_vector(code)
     fixing_span = howell_form(stabilizer_constraints(pair, ell), ell, n=n)
     transversal_span = module_sum(
         fixing_span, howell_form(_transversal_rows_extra(pair, ell), ell, n=n)
@@ -255,24 +252,50 @@ def gate_groups(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
         transversal_span, howell_form([w.to_array() for w in pair.beta1_ext], ell, n=n)
     )
     _check_span("identity", howell_form(_identity_rows_direct(pair, ell), ell, n=n), identity_span)
+    return fixing_span, transversal_span, identity_span
 
-    id_gens = identity_span.gens
-    if flip is not None:
-        id_gens = np.vstack([id_gens, code.y_z.to_array()])
-    return tuple(
-        kernel_perp(_conjugated(gens, flip, ell), ell, n=n)
-        for gens in (fixing_span.gens, transversal_span.gens, id_gens)
+
+def _span_kernel(code, span: ZModule, ell: int, *, with_shift: bool = False) -> ZModule:
+    """Kernel of a constraint span of the unshifted pair, for code.
+
+    An unshifted code hands the span itself to the kernel, which then
+    skips canonicalising it again. On a code with a Z shift the span's
+    generators are conjugated by the flip, and with_shift adds y_z itself
+    as a constraint, as the identity group requires.
+    """
+    flip = _flip_vector(code)
+    if flip is None:
+        return kernel_perp(span, ell, n=span.n)
+    gens = span.gens
+    if with_shift:
+        gens = np.vstack([gens, code.y_z.to_array()])
+    return kernel_perp(_conjugated(gens, flip, ell), ell, n=span.n)
+
+
+def gate_groups(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
+    """The fixing, transversal and identity groups: kernels of three
+    nested constraint spans.
+
+    H, T and Id are the kernels of S_H, S_T and S_Id, built and
+    cross-checked once by _constraint_spans; on a code with a Z shift,
+    y_z itself joins the constraints of Id.
+    """
+    fixing_span, transversal_span, identity_span = _constraint_spans(code, ell)
+    return (
+        _span_kernel(code, fixing_span, ell),
+        _span_kernel(code, transversal_span, ell),
+        _span_kernel(code, identity_span, ell, with_shift=True),
     )
 
 
 def transversal_group(code, ell: int) -> ZModule:
     """Exponent vectors acting as a tensor product on the logical qubits.
 
-    The kernel of the middle gate_groups constraint span, which is
-    cross-checked there. With no logical qubits every
-    code-preserving gate qualifies.
+    The kernel of the middle constraint span of gate_groups, which is
+    cross-checked there; one kernel, not three. With no logical qubits
+    every code-preserving gate qualifies.
     """
-    return gate_groups(code, ell)[1]
+    return _span_kernel(code, _constraint_spans(code, ell)[1], ell)
 
 
 def identity_group(code, ell: int) -> ZModule:
@@ -280,10 +303,10 @@ def identity_group(code, ell: int) -> ZModule:
 
     For unshifted codes this depends only on the outer code; a nonzero Z
     shift additionally forces a zero phase on the shift itself. The
-    kernel of the largest gate_groups constraint span, which is
-    cross-checked there.
+    kernel of the largest constraint span of gate_groups, which is
+    cross-checked there; one kernel, not three.
     """
-    return gate_groups(code, ell)[2]
+    return _span_kernel(code, _constraint_spans(code, ell)[2], ell, with_shift=True)
 
 
 def _as_bitmask(v, num_logical: int) -> int:
@@ -320,14 +343,18 @@ def logical_phase(code: CssCode, ell: int, b, v) -> int:
     return dot_mod(arr, _coset_rep(code, mask).to_array(), ell)
 
 
-def _label_matrix(code: CssCode, ell: int) -> np.ndarray:
-    """Row v = lift of (y_z xor sum of chosen extension vectors)."""
+# entries of the label table lifted to int64 at a time in phase_profile
+_PROFILE_CHUNK = 1 << 18
+
+
+def _label_matrix(code: CssCode) -> np.ndarray:
+    """Row v = (y_z xor sum of chosen extension vectors), as a 0/1 uint8 table."""
     K = code.num_logical
-    rows = np.zeros((1 << K, code.n), dtype=np.int64)
+    rows = np.zeros((1 << K, code.n), dtype=np.uint8)
     rows[0] = code.y_z.to_array()
     for i, w in enumerate(code.pair.beta1_ext):
         bit = 1 << i
-        rows[bit : 2 * bit] = rows[:bit] ^ w.to_array()
+        np.bitwise_xor(rows[:bit], w.to_array().astype(np.uint8), out=rows[bit : 2 * bit])
     return rows
 
 
@@ -355,8 +382,13 @@ def phase_profile(code: CssCode, ell: int, b, *, group: ZModule | None = None) -
     arr = np.asarray(b, dtype=np.int64) % N
     if group is None:
         group = fixing_group(code, ell)
-    labels = _label_matrix(code, ell)
-    phases = labels @ arr % N
+    labels = _label_matrix(code)
+    # lift a block of rows at a time: the int64 copy of a whole 2^K x n
+    # table would be eight times its size; each sum is below n * 2^ell
+    step = max(1, _PROFILE_CHUNK // code.n)
+    phases = np.empty(len(labels), dtype=np.int64)
+    for start in range(0, len(labels), step):
+        phases[start : start + step] = labels[start : start + step].astype(np.int64) @ arr % N
     global_phase = int(phases[0])
     return PhaseProfile(
         ell=ell,

@@ -18,9 +18,12 @@ Howell form of M, as the rows that vanish on the S^T block (Howell,
 "Spans in the module (Z_m)^s", 1986; Storjohann and Mulders, "Fast
 algorithms for linear algebra modulo N", 1998).
 
-Levels are capped at MAX_LEVEL so that every entry is a residue below
-2^ell and a single product of two residues stays below 2^60; elimination
-and the mod-before-sum dot products are therefore exact in int64.
+Elimination holds the residues in the narrowest unsigned dtype of width
+w >= ell (uint8, uint16 or uint32; MAX_LEVEL = 30) and masks with
+2^ell - 1. Reduction mod 2^ell is a ring map from Z/2^w, so wrap-around
+arithmetic mod 2^w followed by the mask is exact mod 2^ell; generators
+come back as int64. The mod-before-sum dot products keep every term
+below 2^ell and are exact in int64.
 """
 
 from __future__ import annotations
@@ -67,45 +70,58 @@ def _as_matrix(rows, ell: int, n: int | None) -> np.ndarray:
 
 
 def _howell(mat: np.ndarray, ell: int) -> np.ndarray:
-    """Unique Howell-form generator matrix for the row span of mat."""
+    """Unique Howell-form generator matrix for the row span of mat.
+
+    Column by column over all pending rows: the touching row of least
+    2-adic valuation a is the pivot, scaled by a unit to exactly 2^a, and
+    every touching row (the pivot's own copy too) is reduced by it in one
+    broadcast over columns col onward. Rows that vanish stay zero and
+    never touch again. When a > 0 the annihilator row 2^(ell-a) * pivot,
+    zero at col, joins the pending rows. Back-substitution then reduces
+    the entries above each pivot, one broadcast per pivot.
+    """
+    m, n = mat.shape
+    # the narrowest unsigned dtype that holds residues mod 2^ell
+    dt = np.uint8 if ell <= 8 else np.uint16 if ell <= 16 else np.uint32
     N = 1 << ell
-    n = mat.shape[1]
-    pending = [row.copy() for row in mat if row.any()]
+    mask = dt(N - 1)
+    # pending rows, with room for one annihilator row per pivot column
+    buf = np.zeros((m + n, n), dtype=dt)
+    buf[:m] = mat
+    free = m
     placed: list[tuple[int, int, np.ndarray]] = []
     for col in range(n):
-        touch, keep = [], []
-        for r in pending:
-            (touch if r[col] else keep).append(r)
-        if not touch:
-            pending = keep
+        touch = buf[:free, col].nonzero()[0]
+        if not touch.size:
             continue
-        a = min(_v2(int(r[col])) for r in touch)
-        idx = next(i for i, r in enumerate(touch) if _v2(int(r[col])) == a)
-        piv = touch.pop(idx)
-        odd = int(piv[col]) >> a
+        block = buf[touch, col:]
+        lead = block[:, 0]
+        low = lead & -lead  # 2^valuation, by wrap-around negation
+        p = int(low.argmin())
+        a = int(low[p]).bit_length() - 1
+        piv = block[p].copy()
+        odd = int(lead[p]) >> a
         if odd != 1:
             # scaling by a unit keeps the span and makes the pivot exactly 2^a
-            piv = piv * pow(odd, -1, N) % N
-        for r in touch:
-            r = (r - (int(r[col]) >> a) * piv) % N
-            if r.any():
-                keep.append(r)
+            piv *= dt(pow(odd, -1, N))
+            piv &= mask
+        block -= (lead >> dt(a))[:, None] * piv
+        block &= mask
+        buf[touch, col:] = block
         if a:
             # annihilator row: the part of the span invisible at this column
-            ann = piv << (ell - a) & (N - 1)
-            if ann.any():
-                keep.append(ann)
+            np.left_shift(piv, dt(ell - a), out=buf[free, col:])
+            buf[free, col:] &= mask
+            free += 1
         placed.append((col, a, piv))
-        pending = keep
-    rows = [piv for _, _, piv in placed]
-    for i, (col, a, _) in enumerate(placed):
-        for j in range(i):
-            q = int(rows[j][col]) >> a
-            if q:
-                rows[j] = (rows[j] - q * rows[i]) % N
-    if not rows:
-        return np.zeros((0, n), dtype=np.int64)
-    return np.vstack(rows)
+    rows = np.zeros((len(placed), n), dtype=dt)
+    for i, (col, a, piv) in enumerate(placed):
+        rows[i, col:] = piv
+        q = rows[:i, col] >> dt(a)
+        above = q.nonzero()[0]
+        if above.size:
+            rows[above, col:] = (rows[above, col:] - q[above, None] * piv) & mask
+    return rows.astype(np.int64)
 
 
 class ZModule:
@@ -144,6 +160,10 @@ class ZModule:
 
     def __hash__(self) -> int:
         return hash((self.n, self.ell, self.gens.tobytes()))
+
+    def __iter__(self):
+        """The generator rows, so a module stands wherever rows do."""
+        return iter(self.gens)
 
     def __repr__(self) -> str:
         return f"ZModule(n={self.n}, ell={self.ell}, rank={len(self.gens)}, length={self.length})"
@@ -243,7 +263,8 @@ def dot_mod(u, v, ell: int) -> int:
 def kernel_perp(rows, ell: int, *, n: int | None = None) -> ZModule:
     """All b with b . s = 0 mod 2^ell for every constraint row s.
 
-    The rows are canonicalised once, S = Howell form with r rows. Row i of
+    rows may be a ZModule, whose generators are already the Howell form S;
+    other rows are canonicalised once into S. With r rows in S, row i of
     the augmented n x (r + n) matrix [S^T | I_n] is (column i of S, e_i),
     so its row span is {(S x, x)}, and the span elements whose first r
     entries vanish are exactly (0, x) for x in S^perp. By the Howell
@@ -253,12 +274,18 @@ def kernel_perp(rows, ell: int, *, n: int | None = None) -> ZModule:
     n columns, generate S^perp; they are echelon with power-of-two pivots
     reduced above, so they are already its Howell form.
 
-    Every entry stays below 2^ell and every product is of two such
-    entries, so at ell = MAX_LEVEL = 30 it is below 2^60 and int64 is
-    exact.
+    Each Howell form runs on residues held in the narrowest unsigned dtype
+    of width w >= ell and masked with 2^ell - 1: products and differences
+    wrap mod 2^w, and 2^ell divides 2^w, so every masked entry is exact
+    mod 2^ell at any level up to MAX_LEVEL.
     """
     _check_level(ell)
-    span = _howell(_as_matrix(rows, ell, n), ell)
+    if isinstance(rows, ZModule):
+        if rows.ell != ell or n not in (None, rows.n):
+            raise ValueError("module lives in a different ambient space")
+        span = rows.gens
+    else:
+        span = _howell(_as_matrix(rows, ell, n), ell)
     r, n = span.shape
     aug = _howell(np.hstack([span.T, np.eye(n, dtype=np.int64)]), ell)
     return ZModule(n, ell, aug[~aug[:, :r].any(axis=1), r:])

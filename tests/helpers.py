@@ -163,6 +163,56 @@ def mixing_counterexample():
     return pair, mixed
 
 
+# ------------------------------------------------------ reference oracles
+
+def howell_reference(mat: np.ndarray, ell: int) -> np.ndarray:
+    """Howell form by the row-at-a-time Python loop, in int64.
+
+    The reference for zmod._howell: the same column order, pivot choice,
+    annihilator rows and back-substitution, one row at a time.
+    """
+    N = 1 << ell
+    n = mat.shape[1]
+
+    def v2(x: int) -> int:
+        return (x & -x).bit_length() - 1
+
+    pending = [row.copy() for row in mat if row.any()]
+    placed = []
+    for col in range(n):
+        touch, keep = [], []
+        for r in pending:
+            (touch if r[col] else keep).append(r)
+        if not touch:
+            pending = keep
+            continue
+        a = min(v2(int(r[col])) for r in touch)
+        idx = next(i for i, r in enumerate(touch) if v2(int(r[col])) == a)
+        piv = touch.pop(idx)
+        odd = int(piv[col]) >> a
+        if odd != 1:
+            piv = piv * pow(odd, -1, N) % N
+        for r in touch:
+            r = (r - (int(r[col]) >> a) * piv) % N
+            if r.any():
+                keep.append(r)
+        if a:
+            ann = piv << (ell - a) & (N - 1)
+            if ann.any():
+                keep.append(ann)
+        placed.append((col, a, piv))
+        pending = keep
+    rows = [piv for _, _, piv in placed]
+    for i, (col, a, _) in enumerate(placed):
+        for j in range(i):
+            q = int(rows[j][col]) >> a
+            if q:
+                rows[j] = (rows[j] - q * rows[i]) % N
+    if not rows:
+        return np.zeros((0, n), dtype=np.int64)
+    return np.vstack(rows)
+
+
 # ----------------------------------------------------------------- misc
 
 def points(arr) -> set:

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from cssgates import (
+    MAX_LEVEL,
     BitVector,
     ConsistencyError,
     Monomial,
+    MonomialCodeSpec,
     NestedCodePair,
+    ZModule,
     all_ones_report,
     build_css,
     conjugate_by_yz,
@@ -18,14 +21,17 @@ from cssgates import (
     enumerate_group,
     evaluate,
     fixing_group,
+    gate_groups,
     howell_form,
     identity_group,
     logical_phase,
     phase_profile,
     rebase_action,
+    reed_muller_set,
     rref_basis,
     transversal_group,
 )
+from cssgates import gates
 from cssgates.gates import stabilizer_constraints
 
 from helpers import (
@@ -229,6 +235,61 @@ class TestPhases:
         prof = phase_profile(shifted, 2, b)
         assert prof.global_phase == dot_mod(b, y_z.to_array(), 2)
         assert prof.phases[0] == 0
+
+    def test_profile_table_matches_direct_int64_product(self):
+        # RM(1) inside RM(2) at m = 6: K = 15, so the 2^15 x 64 label table
+        # is lifted to int64 in several blocks
+        code = MonomialCodeSpec(6, reed_muller_set(6, 2), reed_muller_set(6, 1)).induced_css()
+        n, K, ell = code.n, code.num_logical, MAX_LEVEL
+        assert (1 << K) * n > 4 * gates._PROFILE_CHUNK
+        rng = np.random.default_rng(21)
+        y_z = rng.integers(0, 2, size=n)
+        shifted = css_from_pair(code.pair, y_z=BitVector.from_ints(list(y_z)))
+        b = rng.integers(0, 1 << ell, size=n)
+        prof = phase_profile(shifted, ell, b, group=howell_form([], ell, n=n))
+        coeffs = (np.arange(1 << K)[:, None] >> np.arange(K)) & 1
+        ext = np.array([w.to_array() for w in code.pair.beta1_ext])
+        labels = (coeffs @ ext + y_z) % 2
+        direct = labels @ b % (1 << ell)
+        assert prof.global_phase == direct[0]
+        assert prof.phases.dtype == np.int64
+        assert np.array_equal(prof.phases, (direct - direct[0]) % (1 << ell))
+
+
+class TestKernelsPerGroup:
+    def _kernel_inputs(self, monkeypatch, code_n):
+        seen = []
+        kernel = gates.kernel_perp
+
+        def counted(rows, *args, **kwargs):
+            seen.append(type(rows))
+            # the ambient length is always named, so the rows may also
+            # arrive as a plain stream, empty or not
+            assert kwargs["n"] == code_n
+            return kernel(rows, *args, **kwargs)
+
+        monkeypatch.setattr(gates, "kernel_perp", counted)
+        return seen
+
+    def test_each_projection_solves_one_kernel(self, monkeypatch, mono16_css):
+        seen = self._kernel_inputs(monkeypatch, mono16_css.n)
+        groups = gate_groups(mono16_css, 2)
+        assert len(seen) == 3
+        assert transversal_group(mono16_css, 2) == groups[1]
+        assert len(seen) == 4
+        assert identity_group(mono16_css, 2) == groups[2]
+        assert len(seen) == 5
+        # an unshifted code hands over its canonical spans as modules
+        assert seen == [ZModule] * 5
+
+    def test_shifted_projections_match_the_chain(self, monkeypatch, pair2_css):
+        shifted = build_css(pair2_css.pair.c1, pair2_css.pair.c2, y_z=BitVector.from_string("10"))
+        seen = self._kernel_inputs(monkeypatch, shifted.n)
+        for ell in (1, 2, 3):
+            _, t, i = gate_groups(shifted, ell)
+            assert transversal_group(shifted, ell) == t
+            assert identity_group(shifted, ell) == i
+        assert len(seen) == 15 and ZModule not in seen
 
 
 class TestShiftedCodes:

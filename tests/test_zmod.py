@@ -18,7 +18,13 @@ from cssgates import (
     zvector_to_text,
 )
 
-from helpers import module_perp, points
+from cssgates import zmod
+from cssgates.zmod import _howell
+
+from helpers import howell_reference, module_perp, points
+
+# one level at each edge of the uint8, uint16 and uint32 residue dtypes
+DTYPE_LEVELS = (1, 2, 3, 8, 9, 16, 17, 29, MAX_LEVEL)
 
 
 def brute_span(rows, ell, n):
@@ -113,6 +119,37 @@ class TestHowell:
             howell_form([[1]], MAX_LEVEL + 1, n=1)
 
 
+class TestHowellAgainstReference:
+    @pytest.mark.parametrize("ell", DTYPE_LEVELS)
+    def test_matches_row_loop_at_every_dtype_width(self, ell):
+        rng = np.random.default_rng(1000 + ell)
+        N = 1 << ell
+        grew = False
+        for trial in range(60):
+            m, n = int(rng.integers(0, 13)), int(rng.integers(1, 13))
+            kind = trial % 3
+            if kind == 0:
+                mat = rng.integers(0, N, size=(m, n))
+            elif kind == 1:
+                # entries at and just below 2^ell - 1, with zeros between
+                mat = (N - 1 - rng.integers(0, 3, size=(m, n))) * (rng.random((m, n)) < 0.6)
+            else:
+                # rows scaled by powers of two: even pivots over odd tails
+                mat = rng.integers(0, N, size=(m, n)) << rng.integers(0, ell, size=(m, 1))
+            mat = np.asarray(mat % N, dtype=np.int64).reshape(m, n)
+            before = mat.copy()
+            want = howell_reference(mat, ell)
+            got = _howell(mat, ell)
+            assert np.array_equal(mat, before)
+            assert got.dtype == np.int64
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            # only annihilator rows can outnumber the input rows
+            grew |= len(got) > m
+        # every pivot is 1 at ell = 1, so annihilator rows need ell > 1
+        assert grew == (ell > 1)
+
+
 class TestZModule:
     def test_immutable(self):
         mod = howell_form([[1, 2]], 2, n=2)
@@ -172,6 +209,26 @@ class TestKernel:
         ker = kernel_perp(rows, 3, n=40)
         assert ker.length == 39
         assert ker == kernel_perp(howell_form(rows, 3).gens, 3, n=40)
+
+    def test_module_input_skips_canonicalisation(self, monkeypatch):
+        rows = [[2, 1, 3, 0], [0, 2, 2, 1], [1, 1, 0, 3]]
+        mod = howell_form(rows, 2, n=4)
+        calls = []
+
+        def counted(mat, ell):
+            calls.append(len(mat))
+            return _howell(mat, ell)
+
+        monkeypatch.setattr(zmod, "_howell", counted)
+        assert kernel_perp(mod, 2) == kernel_perp(rows, 2, n=4)
+        # one Howell form of [S^T | I] for the module, two for raw rows
+        assert calls == [4, 3, 4]
+        assert kernel_perp(mod, 2, n=4) == kernel_perp(mod.gens, 2, n=4)
+        assert list(map(tuple, mod)) == list(map(tuple, mod.gens))
+        with pytest.raises(ValueError):
+            kernel_perp(mod, 3)
+        with pytest.raises(ValueError):
+            kernel_perp(mod, 2, n=5)
 
     def test_length_pairing(self):
         rng = random.Random(9)
