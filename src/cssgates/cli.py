@@ -20,8 +20,9 @@ object: "params" always, then per requested task the keys "H"/"T"/"Id"
 "closed_form". Keys are sorted and the indent is fixed, so equal jobs
 give byte-identical reports regardless of --threads.
 
-Exit status: 0 on success, 1 on a rejected job (the message names the
-offending field), 2 when two formulations that must agree disagreed.
+Exit status: 0 on success, 1 on a rejected job or command line (the
+message names the offending field, "arguments" for the command line), 2
+when two formulations that must agree disagreed.
 """
 
 from __future__ import annotations
@@ -481,8 +482,15 @@ def _read_job(path: str) -> dict:
         raise JobError("input", f"invalid JSON: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a rejected job (exit 1); exit 2 stays reserved."""
+
+    def error(self, message: str):
+        raise JobError("arguments", message)
+
+
 def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cssgates",
         description="Diagonal gate groups of CSS codes.",
     )
@@ -507,8 +515,8 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
     try:
+        args = _make_parser().parse_args(argv)
         job = Job(_read_job(args.input))
         if args.seed is not None:
             job.seed = args.seed

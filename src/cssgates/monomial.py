@@ -8,10 +8,17 @@ Evaluations multiply componentwise, so products of monomial sets map to
 intersections of supports, and weight(ev(u)) = 2^(m - deg u).
 
 For codes spanned by monomial evaluations the three gate groups have
-closed forms, built from complement-quotient evaluations plus a doubled
-copy of the level below. Every closed form checks its applicability
-hypotheses and raises HypothesisError with a machine-readable code when
-they fail.
+closed forms, built by one bottom-up level loop over k = 1..ell. Level k
+has a head top_k, spanned by the complement quotients ev(full/u) of the u
+outside an avoid set, and each group is mod_k = top_k + 2 mod_(k-1). The
+avoid sets are thresholds on one breadth-first reach table: u is a
+product of one inner and at most k-1 outer monomials for the fixing
+group H, and of at most k outer monomials for the identity group I and
+the transversal group T. T adds ev(full/u) for u in outer-minus-inner at
+k = 1 only; the textbook recursion T_k = I_k + 2 T_(k-1) equals
+top_k + 2 T_(k-1) because I_(k-1) lies in T_(k-1), so T and I share every
+head. Every closed form checks its applicability hypotheses and raises
+HypothesisError with a machine-readable code when they fail.
 """
 
 from __future__ import annotations
@@ -202,26 +209,34 @@ def evaluate(m: int, u) -> BitVector:
     return BitVector(1 << m, _evaluate_bits(m, mask))
 
 
+def _reach_levels(start, factors, horizon: int) -> dict[int, int]:
+    """Mask -> least number of factors that, ORed onto one start mask,
+    give it, for up to horizon factors.
+
+    Breadth-first, so the cost is bounded by the number of distinct
+    products; it stops at the first level that adds nothing, since later
+    levels only recombine masks already reached.
+    """
+    first = dict.fromkeys(start, 0)
+    frontier = set(first)
+    for level in range(1, horizon + 1):
+        frontier = {f | a for f in frontier for a in factors} - first.keys()
+        if not frontier:
+            break
+        first.update(dict.fromkeys(frontier, level))
+    return first
+
+
 def product_set(inner: MonomialSet, outer: MonomialSet, s: int) -> MonomialSet:
     """Square-free products of one inner monomial and up to s outer ones.
 
-    s = 0 returns the inner set itself. Computed by breadth-first closure,
-    so the cost is bounded by the number of distinct products.
+    s = 0 returns the inner set itself.
     """
     if inner.m != outer.m:
         raise ValueError("variable counts differ")
     if s < 0:
         raise ValueError("s must be nonnegative")
-    acc = set(inner.masks)
-    frontier = acc
-    for _ in range(s):
-        grown = {f | a for f in frontier for a in outer.masks}
-        fresh = grown - acc
-        if not fresh:
-            break
-        acc |= fresh
-        frontier = fresh
-    return MonomialSet(inner.m, frozenset(acc))
+    return MonomialSet(inner.m, frozenset(_reach_levels(inner.masks, outer.masks, s)))
 
 
 def monomial_power(mset: MonomialSet, t: int) -> MonomialSet:
@@ -309,70 +324,64 @@ def _check_level_arg(ell: int) -> None:
         raise ValueError(f"level must be in [1, {MAX_LEVEL}]")
 
 
-def _complement_quotient_rows(spec: MonomialCodeSpec, avoid: MonomialSet) -> list[np.ndarray]:
-    """Lifted ev(full/u) for every u outside the avoid set, (deg, mask) order."""
-    full = spec.full_mask
-    rows = []
-    for u in sorted(range(1 << spec.m), key=lambda x: (x.bit_count(), x)):
-        if u not in avoid.masks:
-            rows.append(evaluate(spec.m, full ^ u).to_array())
-    return rows
+def _ev_rows(m: int, masks) -> np.ndarray:
+    """Lifted ev(w), one row per mask w: point i is in the support of
+    ev(w) exactly when its binary digits contain w."""
+    w = np.fromiter(masks, dtype=np.int64)[:, None]
+    return ((np.arange(1 << m) & w) == w).astype(np.int64)
 
 
-def _first_reach_levels(spec: MonomialCodeSpec, horizon: int, *, from_inner: bool) -> dict[int, int]:
-    """Mask -> least factor count realizing it as a constraint product.
+def _level_loop(spec: MonomialCodeSpec, ell: int, start, *bases) -> list[ZModule]:
+    """The layered closed forms, one module per base mask set, unchecked.
 
-    With from_inner the products take one inner monomial and some outer
-    factors, counted from zero; otherwise outer factors alone, counted
-    from one. Breadth-first, stopping at the horizon count.
+    Level k has the head top_k, spanned by ev(full/u) over the u not
+    reachable as a start mask times at most k-1 outer ones. Each module
+    is top_k plus its own double from level k-1, so the modules share
+    every head; the ev(full/u) of a base set join at level 1 only.
     """
-    if from_inner:
-        frontier = set(spec.inner.masks)
-        level = 0
-    else:
-        frontier = set(spec.outer.masks)
-        level = 1
-    first = {w: level for w in frontier}
-    while level < horizon and frontier:
-        level += 1
-        grown = {f | a for f in frontier for a in spec.outer.masks}
-        frontier = grown - first.keys()
-        for w in frontier:
-            first[w] = level
-    return first
+    first = _reach_levels(start, spec.outer.masks, ell - 1)
+    level = np.full(spec.n, ell)
+    level[list(first)] = list(first.values())
+    mods: list[ZModule] = []
+    for k in range(1, ell + 1):
+        heads = [spec.full_mask ^ u for u in np.flatnonzero(level >= k)]
+        if k == 1:
+            mods = [
+                howell_form(_ev_rows(spec.m, heads + [spec.full_mask ^ u for u in base]), 1, n=spec.n)
+                for base in bases
+            ]
+        else:
+            top = howell_form(_ev_rows(spec.m, heads), k, n=spec.n)
+            mods = [module_sum(top, scale_lift(mod, k)) for mod in mods]
+    return mods
 
 
 def _mask_token(m: int, mask: int) -> str:
     return Monomial(m, mask).token
 
 
-def _head_pairing_check(
-    spec: MonomialCodeSpec, ell: int, first: dict[int, int], *, identity: bool
-) -> None:
+def _head_pairing_check(spec: MonomialCodeSpec, ell: int, first: dict[int, int], code: str) -> None:
     """Verify that every head generator annihilates every constraint row.
 
-    The recursion adds ev(full/u) unscaled at each level k where u is
-    still outside the reachable set; against a constraint 2^t * ev(w) the
-    dot product is 2^(t + |u minus w|), so membership in the kernel at
-    level k needs t + |u minus w| >= k. The requirement is binding at the
-    last level where u is still a head, and t is smallest the first time
-    w is reached, so one pairing per (u, w) decides all levels at once.
-    Failures are hypothesis errors: the recursion would produce a module
-    that is not contained in the kernel it is meant to describe.
+    first maps each constraint mask w to the factor count t at which it
+    is first reached, and the constraint it gives is 2^t * ev(w). The
+    level loop adds ev(full/u) unscaled at each level k <= first[u];
+    against 2^t * ev(w) the dot product is 2^(t + |u minus w|), so
+    membership in the kernel at level k needs t + |u minus w| >= k. The
+    requirement is binding at the last level where u is still a head, and
+    t is smallest the first time w is reached, so one pairing per (u, w)
+    decides all levels at once. Failures are hypothesis errors: the loop
+    would produce a module that is not contained in the kernel it is
+    meant to describe.
     """
-    code = "identity_head_outside_kernel" if identity else "head_outside_kernel"
     masks = sorted(range(1 << spec.m), key=lambda x: (x.bit_count(), x))
     constraints = sorted(first, key=lambda x: (x.bit_count(), x))
     for u in masks:
-        reached = first.get(u)
-        if identity:
-            last_head = ell if reached is None else min(reached - 1, ell)
-        else:
-            last_head = ell if reached is None else min(reached, ell)
+        last_head = min(first.get(u, ell), ell)
         if last_head < 1:
             continue
         for w in constraints:
-            scale = first[w] if not identity else first[w] - 1
+            scale = first[w]
             need = last_head - scale
             if need >= 1 and (u & ~w).bit_count() < need:
                 bad_level = scale + (u & ~w).bit_count() + 1
@@ -390,7 +399,7 @@ def _relative_generator_check(spec: MonomialCodeSpec, ell: int) -> None:
     """The base-level extra generators of the transversal form must clear
     the unscaled inner constraints, and for levels above one each must
     have a second outer divisor so the generic group cannot hold it at a
-    lower scale than the recursion assigns."""
+    lower scale than the level loop assigns."""
     for mono in spec.outer.difference(spec.inner).monomials():
         u = mono.mask
         for w in sorted(spec.inner.masks, key=lambda x: (x.bit_count(), x)):
@@ -405,9 +414,39 @@ def _relative_generator_check(spec: MonomialCodeSpec, ell: int) -> None:
             raise HypothesisError(
                 "relative_generator_isolated",
                 f"{mono.token} has no second outer divisor, so its generator "
-                "sits deeper in the recursion than in the generic group",
+                "sits deeper in the level loop than in the generic group",
                 level=2,
             )
+
+
+def _check_power_chain(spec: MonomialCodeSpec, t: int, ell: int) -> None:
+    """Raise unless the outer power P(t) differs from P(t-1), P(0) = {1}.
+
+    Products of at most t outer monomials are {1} together with P(t). For
+    t >= 2 the monomial 1 lies in P(t) exactly when it lies in P(t-1), and
+    for t = 1 both sides are {1} exactly when the outer set is, so P(t)
+    equals P(t-1) exactly when this closure from {1} stops before level t.
+    """
+    if t >= 1 and max(_reach_levels((0,), spec.outer.masks, t).values()) < t:
+        raise HypothesisError(
+            "power_chain_stalled",
+            f"outer power chain is stationary at exponent {t}",
+            level=ell,
+        )
+
+
+def _fixing_reach(spec: MonomialCodeSpec, ell: int) -> dict[int, int]:
+    """The inner reach table up to ell-1 outer factors, once the full
+    monomial is outside it and the outer power chain grows at ell-1."""
+    first = _reach_levels(spec.inner.masks, spec.outer.masks, ell - 1)
+    if spec.full_mask in first:
+        raise HypothesisError(
+            "full_product_reached",
+            f"the full monomial is a product of inner times {ell - 1} outer monomials",
+            level=ell,
+        )
+    _check_power_chain(spec, ell - 1, ell)
+    return first
 
 
 def validate_fixing_hypotheses(spec: MonomialCodeSpec, ell: int) -> None:
@@ -415,26 +454,12 @@ def validate_fixing_hypotheses(spec: MonomialCodeSpec, ell: int) -> None:
 
     Conditions: the full monomial is not reachable as a product of one
     inner and up to ell-1 outer monomials, the outer power chain has not
-    stalled (both propagate to every lower level of the recursion), and
-    every head generator actually lies in the kernel it describes, which
-    the two reachability conditions alone do not guarantee.
+    stalled (both propagate to every lower level of the loop), and every
+    head generator actually lies in the kernel it describes, which the
+    two reachability conditions alone do not guarantee.
     """
     _check_level_arg(ell)
-    full = spec.full_mask
-    reach = product_set(spec.inner, spec.outer, ell - 1)
-    if full in reach.masks:
-        raise HypothesisError(
-            "full_product_reached",
-            f"the full monomial is a product of inner times {ell - 1} outer monomials",
-            level=ell,
-        )
-    if monomial_power(spec.outer, ell - 1) == monomial_power(spec.outer, ell - 2):
-        raise HypothesisError(
-            "power_chain_stalled",
-            f"outer power chain is stationary at exponent {ell - 1}",
-            level=ell,
-        )
-    _head_pairing_check(spec, ell, _first_reach_levels(spec, ell - 1, from_inner=True), identity=False)
+    _head_pairing_check(spec, ell, _fixing_reach(spec, ell), "head_outside_kernel")
 
 
 def closed_form_fixing_group(spec: MonomialCodeSpec, ell: int) -> ZModule:
@@ -446,15 +471,8 @@ def closed_form_fixing_group(spec: MonomialCodeSpec, ell: int) -> ZModule:
     enforces; when it holds the result equals the kernel computation.
     """
     validate_fixing_hypotheses(spec, ell)
-    return _fixing_recursion(spec, ell)
-
-
-def _fixing_recursion(spec: MonomialCodeSpec, ell: int) -> ZModule:
-    reach = product_set(spec.inner, spec.outer, ell - 1)
-    top = howell_form(_complement_quotient_rows(spec, reach), ell, n=spec.n)
-    if ell == 1:
-        return top
-    return module_sum(top, scale_lift(_fixing_recursion(spec, ell - 1), ell))
+    (fixing,) = _level_loop(spec, ell, spec.inner.masks, ())
+    return fixing
 
 
 def validate_transversal_identity_hypotheses(spec: MonomialCodeSpec, ell: int) -> None:
@@ -473,21 +491,16 @@ def validate_transversal_identity_hypotheses(spec: MonomialCodeSpec, ell: int) -
         raise HypothesisError(
             "full_in_inner", "the full monomial generates the inner code", level=ell
         )
-    p_top = monomial_power(spec.outer, ell)
-    if full in p_top.masks and full not in spec.outer.masks:
+    first = _reach_levels(spec.outer.masks, spec.outer.masks, ell - 1)
+    if full in first and full not in spec.outer.masks:
         raise HypothesisError(
             "full_power_reached",
             f"the full monomial is a product of at most {ell} outer monomials "
             "without generating the outer code",
             level=ell,
         )
-    if p_top == monomial_power(spec.outer, ell - 1):
-        raise HypothesisError(
-            "power_chain_stalled",
-            f"outer power chain is stationary at exponent {ell}",
-            level=ell,
-        )
-    _head_pairing_check(spec, ell, _first_reach_levels(spec, ell, from_inner=False), identity=True)
+    _check_power_chain(spec, ell, ell)
+    _head_pairing_check(spec, ell, first, "identity_head_outside_kernel")
     _relative_generator_check(spec, ell)
 
 
@@ -503,32 +516,10 @@ def closed_form_transversal_identity(
     enforces; when it holds both results equal the kernel computations.
     """
     validate_transversal_identity_hypotheses(spec, ell)
-    identity = _identity_recursion(spec, ell)
-    transversal = _transversal_recursion(spec, ell)
-    return transversal, identity
-
-
-def _identity_recursion(spec: MonomialCodeSpec, ell: int) -> ZModule:
-    top = howell_form(
-        _complement_quotient_rows(spec, monomial_power(spec.outer, ell)),
-        ell,
-        n=spec.n,
+    transversal, identity = _level_loop(
+        spec, ell, spec.outer.masks, spec.outer.masks - spec.inner.masks, ()
     )
-    if ell == 1:
-        return top
-    return module_sum(top, scale_lift(_identity_recursion(spec, ell - 1), ell))
-
-
-def _transversal_recursion(spec: MonomialCodeSpec, ell: int) -> ZModule:
-    identity = _identity_recursion(spec, ell)
-    if ell == 1:
-        full = spec.full_mask
-        extra = [
-            evaluate(spec.m, full ^ u.mask).to_array()
-            for u in spec.outer.difference(spec.inner).monomials()
-        ]
-        return module_sum(identity, howell_form(extra, 1, n=spec.n))
-    return module_sum(identity, scale_lift(_transversal_recursion(spec, ell - 1), ell))
+    return transversal, identity
 
 
 @dataclass(frozen=True)
@@ -555,35 +546,24 @@ def closed_form_fixing_group_general(spec: MonomialCodeSpec) -> GeneralClosedFor
     agree (the comparison, with a witness on failure, is the point).
     """
     full = spec.full_mask
-    prev: MonomialSet | None = None
-    ell = 1
-    while True:
-        reach = product_set(spec.inner, spec.outer, ell - 1)
-        if full in reach.masks:
-            break
-        if reach == prev or ell > MAX_LEVEL:
-            raise HypothesisError(
-                "full_unreachable",
-                "products of inner and outer monomials never reach the full monomial",
-                level=ell,
-            )
-        prev = reach
-        ell += 1
-    if len(reach.masks) == 1 << spec.m:
+    first = _reach_levels(spec.inner.masks, spec.outer.masks, MAX_LEVEL)
+    if full not in first:
+        # the first level whose product set equals the one below, or MAX_LEVEL + 1
+        raise HypothesisError(
+            "full_unreachable",
+            "products of inner and outer monomials never reach the full monomial",
+            level=min(max(first.values()) + 2, MAX_LEVEL + 1),
+        )
+    ell = first[full] + 1
+    quotients = {full ^ w for w, t in first.items() if t < ell}
+    if len(quotients) == spec.n:
         raise HypothesisError(
             "product_set_saturated",
             "every monomial is reachable at the minimal full level",
             level=ell,
         )
-    N = 1 << ell
-    quotients = {full ^ w for w in reach.masks if w != full}
-    rows = []
-    for u in sorted(range(1 << spec.m), key=lambda x: (x.bit_count(), x)):
-        if u in quotients:
-            continue
-        row = (evaluate(spec.m, u).to_array() - 1) % N
-        if row.any():
-            rows.append(row)
+    # u = 0 is left out: ev(1) - ev(1) is the zero row
+    rows = (_ev_rows(spec.m, [u for u in range(1, spec.n) if u not in quotients]) - 1) % (1 << ell)
     top = howell_form(rows, ell, n=spec.n)
     if ell == 1:
         return GeneralClosedForm(1, top)
@@ -610,20 +590,8 @@ def decreasing_span_monomials(spec: MonomialCodeSpec, ell: int) -> MonomialSet:
             "the sieve form needs divisibility-closed monomial sets",
             level=ell,
         )
+    _fixing_reach(spec, ell)
     full = spec.full_mask
-    reach = product_set(spec.inner, spec.outer, ell - 1)
-    if full in reach.masks:
-        raise HypothesisError(
-            "full_product_reached",
-            f"the full monomial is a product of inner times {ell - 1} outer monomials",
-            level=ell,
-        )
-    if monomial_power(spec.outer, ell - 1) == monomial_power(spec.outer, ell - 2):
-        raise HypothesisError(
-            "power_chain_stalled",
-            f"outer power chain is stationary at exponent {ell - 1}",
-            level=ell,
-        )
     top_products = product_set(
         maximal_elements(spec.inner), maximal_elements(spec.outer), ell - 1
     )

@@ -139,11 +139,13 @@ class ZModule:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "ell", int(ell))
         object.__setattr__(self, "gens", gens)
-        pivots = []
-        for row in gens:
-            col = int(np.flatnonzero(row)[0])
-            pivots.append((col, _v2(int(row[col]))))
-        object.__setattr__(self, "_pivots", tuple(pivots))
+        pivots = ()
+        if gens.size:
+            # every generator row is nonzero, so argmax finds its leading column
+            cols = (gens != 0).argmax(axis=1)
+            lead = gens[np.arange(len(cols)), cols].tolist()
+            pivots = tuple(zip(cols.tolist(), map(_v2, lead)))
+        object.__setattr__(self, "_pivots", pivots)
 
     def __setattr__(self, name, value):
         raise AttributeError("ZModule is immutable")

@@ -19,6 +19,7 @@ from cssgates import (
     reed_muller_set,
     rref_basis,
 )
+from cssgates.monomial import _level_loop
 
 POOL_SEED = 20260816
 
@@ -161,6 +162,22 @@ def mixing_counterexample():
     mixed_ext = (ext[1] ^ beta2[0], ext[0] ^ ext[1] ^ beta2[0])
     mixed = NestedCodePair(c1, c2, beta2, mixed_ext)
     return pair, mixed
+
+
+# ------------------------------------------------ unchecked closed forms
+
+def raw_fixing(spec: MonomialCodeSpec, ell: int):
+    """The fixing closed form as the level loop builds it, with no
+    hypothesis checked: what the formula would produce."""
+    (fixing,) = _level_loop(spec, ell, spec.inner.masks, ())
+    return fixing
+
+
+def raw_transversal_identity(spec: MonomialCodeSpec, ell: int):
+    """(T, Id) as the level loop builds them, with no hypothesis checked."""
+    relative = spec.outer.masks - spec.inner.masks
+    transversal, identity = _level_loop(spec, ell, spec.outer.masks, relative, ())
+    return transversal, identity
 
 
 # ------------------------------------------------------ reference oracles

@@ -114,6 +114,26 @@ class TestJobValidation:
         rc, _, err = run_cli(capsys, monkeypatch, ["action", "--input", "-"], EX2_JOB)
         assert rc == 1 and err.startswith("error: gate:")
 
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (["groups"], "the following arguments are required: --input/-i"),
+            (["bogus"], "invalid choice: 'bogus'"),
+        ],
+    )
+    def test_usage_errors_are_rejected_jobs(self, capsys, monkeypatch, argv, reason):
+        # exit 2 is kept for disagreeing routes, so argparse must not use it
+        rc, out, err = run_cli(capsys, monkeypatch, argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: arguments:") and reason in err
+        assert err.count("\n") == 1
+
+    def test_help_still_exits_zero(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            main(["groups", "--help"])
+        assert exc.value.code == 0
+        assert "--input" in capsys.readouterr().out
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys, monkeypatch):

@@ -31,14 +31,10 @@ from cssgates import (
     validate_fixing_hypotheses,
     validate_transversal_identity_hypotheses,
 )
-from cssgates.monomial import (
-    _fixing_recursion,
-    _identity_recursion,
-    _relative_generator_check,
-    _transversal_recursion,
-)
+from cssgates import zmod
+from cssgates.monomial import _relative_generator_check
 
-from helpers import random_decreasing_spec
+from helpers import random_decreasing_spec, raw_fixing, raw_transversal_identity
 
 
 def spec_of(m, outer, inner):
@@ -178,8 +174,8 @@ class TestClosedForms:
                 closed_form_transversal_identity(spec, ell)
             assert exc.value.code == "full_power_reached"
             # the displays happen to match anyway; only the hypotheses fail
-            assert _transversal_recursion(spec, ell) == transversal_group(css, ell)
-            assert _identity_recursion(spec, ell) == identity_group(css, ell)
+            assert raw_transversal_identity(spec, ell)[0] == transversal_group(css, ell)
+            assert raw_transversal_identity(spec, ell)[1] == identity_group(css, ell)
         else:
             t_mod, id_mod = closed_form_transversal_identity(spec, ell)
             assert t_mod == transversal_group(css, ell)
@@ -214,7 +210,7 @@ class TestClosedForms:
             except HypothesisError as exc:
                 if exc.code == "head_outside_kernel":
                     head_rejects += 1
-                    assert _fixing_recursion(spec, ell) != fixing_group(css, ell)
+                    assert raw_fixing(spec, ell) != fixing_group(css, ell)
             else:
                 accepted += 1
                 assert closed_form_fixing_group(spec, ell) == fixing_group(css, ell)
@@ -222,9 +218,9 @@ class TestClosedForms:
                 validate_transversal_identity_hypotheses(spec, ell)
             except HypothesisError as exc:
                 if exc.code == "identity_head_outside_kernel":
-                    assert _identity_recursion(spec, ell) != identity_group(css, ell)
+                    assert raw_transversal_identity(spec, ell)[1] != identity_group(css, ell)
                 elif exc.code.startswith("relative_generator"):
-                    assert _transversal_recursion(spec, ell) != transversal_group(css, ell)
+                    assert raw_transversal_identity(spec, ell)[0] != transversal_group(css, ell)
             else:
                 t_mod, id_mod = closed_form_transversal_identity(spec, ell)
                 assert t_mod == transversal_group(css, ell)
@@ -233,21 +229,56 @@ class TestClosedForms:
         assert head_rejects >= 5
 
 
+class TestHowellCalls:
+    """The level loop takes one head per level, shared by T and Id: at
+    most 2ell-1 Howell forms for H and 3ell-1 for T and Id together."""
+
+    @pytest.fixture
+    def howell_calls(self, monkeypatch):
+        calls = []
+        howell = zmod._howell
+
+        def counting(mat, ell):
+            calls.append(ell)
+            return howell(mat, ell)
+
+        monkeypatch.setattr(zmod, "_howell", counting)
+        return calls
+
+    @pytest.mark.parametrize("which", ["mono16", "rm"])
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_fixing_group(self, which, ell, mono16_spec, rm_spec, howell_calls):
+        closed_form_fixing_group(mono16_spec if which == "mono16" else rm_spec, ell)
+        assert ell <= len(howell_calls) <= 2 * ell - 1
+
+    @pytest.mark.parametrize(
+        "which,ell", [("mono16", 1), ("mono16", 2), ("rm", 1), ("rm", 2), ("rm", 3)]
+    )
+    def test_transversal_identity(self, which, ell, mono16_spec, rm_spec, howell_calls):
+        closed_form_transversal_identity(mono16_spec if which == "mono16" else rm_spec, ell)
+        assert ell <= len(howell_calls) <= 3 * ell - 1
+
+
 class TestHypothesisChecks:
     CASES = [
-        # (m, outer, inner, ell, validator, code)
-        (2, ["1", "x1", "x2", "x1x2"], ["1"], 2, "H", "full_product_reached"),
-        (3, ["1", "x1", "x2", "x1x2"], ["1"], 3, "H", "power_chain_stalled"),
-        (2, ["1", "x1"], ["1"], 2, "H", "head_outside_kernel"),
-        (2, ["1", "x1", "x2", "x1x2"], ["1", "x1", "x2", "x1x2"], 1, "T", "full_in_inner"),
-        (4, ["1", "x1", "x2", "x3", "x4", "x1x2"], ["1"], 3, "T", "full_power_reached"),
-        (3, ["1", "x1", "x2", "x1x2"], ["1"], 2, "T", "power_chain_stalled"),
-        (3, ["1", "x1", "x2"], ["1", "x1", "x2"], 2, "T", "identity_head_outside_kernel"),
-        (3, ["1", "x1", "x2", "x3", "x1x2"], ["1", "x1x2"], 1, "T", "relative_generator_excluded"),
+        # (m, outer, inner, ell, validator, code, level)
+        (2, ["1", "x1", "x2", "x1x2"], ["1"], 2, "H", "full_product_reached", 2),
+        (3, ["1", "x1", "x2", "x1x2"], ["1"], 3, "H", "power_chain_stalled", 3),
+        (2, ["1", "x1"], ["1"], 2, "H", "head_outside_kernel", 2),
+        (2, ["1", "x1", "x2", "x1x2"], ["1", "x1", "x2", "x1x2"], 1, "T", "full_in_inner", 1),
+        (4, ["1", "x1", "x2", "x3", "x4", "x1x2"], ["1"], 3, "T", "full_power_reached", 3),
+        (3, ["1", "x1", "x2", "x1x2"], ["1"], 2, "T", "power_chain_stalled", 2),
+        (3, ["1", "x1", "x2"], ["1", "x1", "x2"], 2, "T", "identity_head_outside_kernel", 2),
+        (3, ["1", "x1", "x2", "x3", "x1x2"], ["1", "x1x2"], 1, "T", "relative_generator_excluded", 1),
     ]
 
-    @pytest.mark.parametrize("m,outer,inner,ell,which,code", CASES)
-    def test_error_codes(self, m, outer, inner, ell, which, code):
+    # case names carry no level, so each case keeps one stable name
+    @pytest.mark.parametrize(
+        "m,outer,inner,ell,which,code,level",
+        CASES,
+        ids=[f"{c[0]}-outer{i}-inner{i}-{c[3]}-{c[4]}-{c[5]}" for i, c in enumerate(CASES)],
+    )
+    def test_error_codes(self, m, outer, inner, ell, which, code, level):
         spec = spec_of(m, outer, inner)
         validator = (
             validate_fixing_hypotheses
@@ -257,7 +288,7 @@ class TestHypothesisChecks:
         with pytest.raises(HypothesisError) as exc:
             validator(spec, ell)
         assert exc.value.code == code
-        assert exc.value.level is not None
+        assert exc.value.level == level
 
     def test_isolated_relative_generator(self):
         # reachable only by direct call: the public validator always finds
@@ -285,7 +316,7 @@ class TestGapRegression:
         with pytest.raises(HypothesisError) as exc:
             validate_fixing_hypotheses(spec, 2)
         assert exc.value.code == "head_outside_kernel"
-        raw = _fixing_recursion(spec, 2)
+        raw = raw_fixing(spec, 2)
         true = fixing_group(spec.induced_css(), 2)
         assert raw != true
         assert raw.length == true.length == 26  # lengths agree, contents differ
@@ -297,7 +328,7 @@ class TestGapRegression:
         true = fixing_group(spec.induced_css(), 2)
         head = evaluate(4, Monomial.parse(4, "x1x3x4")).to_array()
         assert not true.contains(head)
-        raw = _fixing_recursion(spec, 2)
+        raw = raw_fixing(spec, 2)
         assert raw.contains(head)
 
     def test_sieve_reports_rather_than_hides(self):
@@ -380,12 +411,14 @@ class TestGeneralForm:
         with pytest.raises(HypothesisError) as exc:
             closed_form_fixing_group_general(spec)
         assert exc.value.code == "full_unreachable"
+        assert exc.value.level == 3  # the product sets stop growing there
 
     def test_saturation_raises(self):
         spec = spec_of(2, ["1", "x1", "x2", "x1x2"], ["1"])
         with pytest.raises(HypothesisError) as exc:
             closed_form_fixing_group_general(spec)
         assert exc.value.code == "product_set_saturated"
+        assert exc.value.level == 2
 
 
 class TestReedMullerHelpers:

@@ -181,6 +181,34 @@ class TestZModule:
         full = howell_form(np.eye(4, dtype=np.int64), 3, n=4)
         assert full.length == 12
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_empty_module_has_no_pivots(self, n):
+        empty = howell_form([], 2, n=n)
+        assert empty.gens.shape == (0, n)
+        assert empty._pivots == () and empty.length == 0
+
+    def test_pivots_are_python_int_pairs(self):
+        # a unit pivot, then 4 = 2^2, whose two annihilator rows pivot at 2^2
+        mod = howell_form([[0, 4, 2, 1], [1, 3, 0, 0]], 3, n=4)
+        assert mod.gens.tolist() == [[1, 3, 0, 0], [0, 4, 2, 1], [0, 0, 4, 2], [0, 0, 0, 4]]
+        assert mod._pivots == ((0, 0), (1, 2), (2, 2), (3, 2))
+        assert all(type(x) is int for pair in mod._pivots for x in pair)
+        assert mod.length == 6
+        assert scale_lift(mod, 4)._pivots == ((0, 1), (1, 3), (2, 3), (3, 3))
+
+    @pytest.mark.parametrize("ell", DTYPE_LEVELS)
+    def test_pivots_match_a_row_loop(self, ell):
+        rng = np.random.default_rng(2000 + ell)
+        for _ in range(20):
+            m, n = int(rng.integers(0, 8)), int(rng.integers(1, 9))
+            rows = rng.integers(0, 1 << ell, size=(m, n)) << rng.integers(0, ell, size=(m, 1))
+            mod = howell_form(rows % (1 << ell), ell, n=n)
+            want = []
+            for row in mod.gens:
+                lead = int(row[np.flatnonzero(row)[0]])
+                want.append((int(np.flatnonzero(row)[0]), (lead & -lead).bit_length() - 1))
+            assert mod._pivots == tuple(want)
+
 
 class TestKernel:
     @settings(deadline=None, max_examples=60)
