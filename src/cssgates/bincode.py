@@ -2,13 +2,18 @@
 
 Vectors are stored as python ints (coordinate 1 = least significant bit),
 which keeps row reduction allocation-free and makes componentwise products
-plain integer ANDs.
+plain integer ANDs. Rows are lifted to 0/1 integer arrays only at the
+end, many at a time, by np.unpackbits over their little-endian bytes.
+
+Products of distinct basis rows come from one breadth-first table,
+_product_levels: level r maps each distinct product of r distinct rows
+to the least row index that ends such a product. star_family and
+schur_power read it here, and gates reads every constraint system off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,13 +78,8 @@ class BitVector:
 
     def to_array(self) -> np.ndarray:
         """The 0/1 entries as int64, i.e. the set-map lift used for Z_N dots."""
-        out = np.zeros(self.n, dtype=np.int64)
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out[low.bit_length() - 1] = 1
-            bits ^= low
-        return out
+        raw = np.frombuffer(self.bits.to_bytes((self.n + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(raw, count=self.n, bitorder="little").astype(np.int64)
 
     @property
     def weight(self) -> int:
@@ -112,6 +112,38 @@ class BitVector:
 
     def __str__(self) -> str:
         return self.to_string()
+
+
+def _unpack(masks: Sequence[int], n: int) -> np.ndarray:
+    """Int-packed rows lifted to a len(masks) x n int64 matrix of 0/1."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+    return bits.astype(np.int64)
+
+
+def _product_levels(masks: Sequence[int], depth: int, n: int) -> list[dict[int, int]]:
+    """Distinct products of r distinct rows, for r = 0..depth.
+
+    Level r maps each product of r distinct rows of masks (level 0 holds
+    the all-ones word, ended by index -1) to the least index that ends
+    such a product, i.e. the least largest index over the r-subsets that
+    give it. Level r extends each level r-1 product only by rows of
+    higher index than its least end: every r-subset arises from its
+    (r-1)-prefix, whose least end is at most the prefix's largest index,
+    and every extension is an r-subset, so each level is exact and keeps
+    its least ends. Order is deterministic for a fixed input order.
+    """
+    levels = [{(1 << n) - 1: -1}]
+    for _ in range(depth):
+        level: dict[int, int] = {}
+        for p, end in levels[-1].items():
+            for j in range(end + 1, len(masks)):
+                q = p & masks[j]
+                if level.get(q, j) >= j:
+                    level[q] = j
+        levels.append(level)
+    return levels
 
 
 def _rref(masks: Iterable[int]) -> list[int]:
@@ -224,8 +256,8 @@ def star_family(
     """Products of r distinct elements of basis, deduplicated.
 
     r = 0 yields the all-ones vector; r beyond the family size yields
-    nothing. Output order follows lexicographic index subsets with first
-    occurrences kept, so it is deterministic for a fixed input order.
+    nothing. The products are level r of _product_levels, so the order is
+    deterministic for a fixed input order.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -233,18 +265,10 @@ def star_family(
         if not basis:
             raise ValueError("ambient length required for an empty family")
         n = basis[0].n
-    if r == 0:
-        return (BitVector.all_ones(n),)
     if r > len(basis):
         return ()
-    full = (1 << n) - 1
-    seen: dict[int, None] = {}
-    for combo in combinations(range(len(basis)), r):
-        bits = full
-        for i in combo:
-            bits &= basis[i].bits
-        seen.setdefault(bits, None)
-    return tuple(BitVector(n, b) for b in seen)
+    level = _product_levels([v.bits for v in basis], r, n)[r]
+    return tuple(BitVector(n, b) for b in level)
 
 
 def schur_power(code: BinaryCode, r: int) -> BinaryCode:
@@ -257,10 +281,8 @@ def schur_power(code: BinaryCode, r: int) -> BinaryCode:
     """
     if r < 1:
         raise ValueError("power must be at least 1")
-    gens: list[BitVector] = []
-    for s in range(1, min(r, code.k) + 1):
-        gens.extend(star_family(code.basis, s, n=code.n))
-    return rref_basis(gens, n=code.n)
+    levels = _product_levels([v.bits for v in code.basis], min(r, code.k), code.n)
+    return rref_basis([BitVector(code.n, p) for level in levels[1:] for p in level], n=code.n)
 
 
 @dataclass(frozen=True)

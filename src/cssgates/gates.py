@@ -12,13 +12,21 @@ set of equations:
   a tensor product of single-qubit diagonal factors;
 * identity_group (Id): U(b) acts as the exact identity on the code space.
 
+Every equation is a product of distinct outer basis vectors, scaled by
+a power of two, and all of them are read off one table of those
+products (bincode._product_levels), lifted to rows once per system. The
+stabilizer constraints 2^i * (v * p) pair each inner basis vector v
+with the products p of i outer ones, independently of the direct
+systems of T and Id, which take the products themselves.
+
 gate_groups returns all three, and transversal_group and identity_group
-solve only their own kernel of the same spans. The constraints of T and
-of Id are also derived a second, independent way; over Z/2^ell two
-constraint spans are equal exactly when their kernels are, so the two
-derivations are cross-checked by comparing Howell forms of their spans,
-and a mismatch raises ConsistencyError. A nonzero y_z enters by
-flipping the signs of the constraint rows on its support;
+solve only their own kernel of the same spans; fixing_group solves the
+kernel of the span of the stabilizer constraints alone. The constraints
+of T and of Id are also derived a second, independent way; over
+Z/2^ell two constraint spans are equal exactly when their kernels are,
+so the two derivations are cross-checked by comparing Howell forms of
+their spans, and a mismatch raises ConsistencyError. A nonzero y_z
+enters by flipping the signs of the span generators on its support;
 conjugate_by_yz transfers single memberships and actions the same way.
 """
 
@@ -26,8 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
-
 import numpy as np
 
 from .bincode import (
@@ -37,8 +43,9 @@ from .bincode import (
     aligned_bases,
     dual_basis,
     rref_basis,
+    _product_levels,
+    _unpack,
     schur_power,
-    star_family,
 )
 from .zmod import ZModule, dot_mod, howell_form, kernel_perp, module_sum, scale_lift
 
@@ -118,52 +125,37 @@ def _pair_of(code) -> NestedCodePair:
     return code.pair if isinstance(code, CssCode) else code
 
 
-def stabilizer_constraints(pair: NestedCodePair, ell: int) -> Iterator[np.ndarray]:
+def stabilizer_constraints(pair: NestedCodePair, ell: int) -> np.ndarray:
     """Constraint rows whose mod-2^ell kernel is the fixing group.
 
-    Yields 2^i * lift(v * p) for every inner basis vector v and every
-    product p of i distinct outer basis vectors, i < ell, deduplicated,
-    in deterministic order.
+    One int64 matrix of the rows 2^i * lift(v * p) for every inner basis
+    vector v and every product p of i distinct outer basis vectors,
+    i < ell, deduplicated and without zero rows, in deterministic order.
     """
     pair = _pair_of(pair)
-    beta1 = pair.beta1
-    seen: set[bytes] = set()
-    for i in range(ell):
-        for p in star_family(beta1, i, n=pair.n):
-            for v in pair.beta2:
-                row = (v & p).to_array() << i
-                key = row.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    yield row
+    return _stabilizer_rows(pair, _product_levels([v.bits for v in pair.beta1], ell - 1, pair.n))
 
 
-def _distinct_product_rows(
-    pair: NestedCodePair, ell: int, sizes: Iterable[int], need_outside: bool
-) -> Iterator[np.ndarray]:
-    """Rows 2^(j-1) * lift of products of j distinct outer basis vectors.
+def _stabilizer_rows(pair: NestedCodePair, levels: list[dict[int, int]]) -> np.ndarray:
+    # v * p for every inner v and every product p in levels, not the
+    # table's products that end on an inner index: the span cross-checks
+    # need S_H derived independently of the direct systems
+    rows = {(v.bits & p, i): None
+            for i, level in enumerate(levels) for p in level for v in pair.beta2}
+    return _scaled([row for row in rows if row[0]], pair.n)
 
-    With need_outside, only products involving at least one extension
-    vector are emitted (the inner-only ones are already consequences of
-    the fixing constraints).
-    """
-    beta1 = pair.beta1
-    k2 = len(pair.beta2)
-    seen: set[bytes] = set()
-    for j in sizes:
-        if j > len(beta1):
-            continue
-        for combo in combinations(range(len(beta1)), j):
-            if need_outside and combo[-1] < k2:
-                continue
-            vec = beta1[combo[0]]
-            for idx in combo[1:]:
-                vec = vec & beta1[idx]
-            row = vec.to_array() << (j - 1)
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                yield row
+
+def _products(levels: list[dict[int, int]], start: int, least_end: int = -1) -> list:
+    # (product, r - 1) for the products of r >= start rows whose least end
+    # is at least least_end
+    return [(p, r - 1) for r in range(start, len(levels))
+            for p, end in levels[r].items() if end >= least_end]
+
+
+def _scaled(rows: list[tuple[int, int]], n: int) -> np.ndarray:
+    """Rows 2^s * lift(p) for the (p, s) pairs, lifted in one pass."""
+    shifts = np.array([s for _, s in rows], dtype=np.int64)
+    return _unpack([p for p, _ in rows], n) << shifts[:, None]
 
 
 def _flip_vector(code) -> np.ndarray | None:
@@ -173,46 +165,22 @@ def _flip_vector(code) -> np.ndarray | None:
     return None
 
 
-def _conjugated(rows: Iterable[np.ndarray], flip: np.ndarray | None, ell: int):
-    """Constraint rows conjugated by the Z shift.
-
-    A gate relates to the shifted code exactly as its coordinate-flipped
-    partner relates to the unshifted one, and flipping is self-adjoint, so
-    kernels for shifted codes are kernels of flipped constraint rows.
-    """
-    if flip is None:
-        yield from rows
-        return
-    N = 1 << ell
-    for row in rows:
-        yield row * flip % N
-
-
 def fixing_group(code, ell: int) -> ZModule:
-    """Exponent vectors whose gate preserves the code space."""
+    """Exponent vectors whose gate preserves the code space: the kernel
+    of the span of the stabilizer constraints."""
     pair = _pair_of(code)
-    rows = _conjugated(stabilizer_constraints(pair, ell), _flip_vector(code), ell)
-    return kernel_perp(rows, ell, n=pair.n)
+    return _span_kernel(code, howell_form(stabilizer_constraints(pair, ell), ell, n=pair.n), ell)
 
 
-def _transversal_rows_extra(pair: NestedCodePair, ell: int) -> Iterator[np.ndarray]:
-    # products of j >= 2 distinct outer basis vectors that reach outside
-    # the inner basis; the inner-only ones already follow from the fixing
-    # constraints
-    return _distinct_product_rows(pair, ell, range(2, ell + 1), need_outside=True)
+def _transversal_rows_direct(pair: NestedCodePair, levels: list[dict[int, int]]) -> np.ndarray:
+    # inner basis at scale 1, then all distinct products of r >= 2 outer
+    # basis vectors at scale 2^(r-1)
+    return _scaled([(v.bits, 0) for v in pair.beta2] + _products(levels, 2), pair.n)
 
 
-def _transversal_rows_direct(pair: NestedCodePair, ell: int) -> Iterator[np.ndarray]:
-    # inner basis at scale 1, then all distinct products of j >= 2 outer
-    # basis vectors at scale 2^(j-1)
-    for v in pair.beta2:
-        yield v.to_array()
-    yield from _distinct_product_rows(pair, ell, range(2, ell + 1), need_outside=False)
-
-
-def _identity_rows_direct(pair: NestedCodePair, ell: int) -> Iterator[np.ndarray]:
-    # all distinct products of j >= 1 outer basis vectors at scale 2^(j-1)
-    return _distinct_product_rows(pair, ell, range(1, ell + 1), need_outside=False)
+def _identity_rows_direct(pair: NestedCodePair, levels: list[dict[int, int]]) -> np.ndarray:
+    # all distinct products of r >= 1 outer basis vectors at scale 2^(r-1)
+    return _scaled(_products(levels, 1), pair.n)
 
 
 def _check_span(group: str, direct: ZModule, refined: ZModule) -> None:
@@ -229,10 +197,12 @@ def _check_span(group: str, direct: ZModule, refined: ZModule) -> None:
 def _constraint_spans(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
     """The nested constraint spans S_H, S_T and S_Id of the unshifted pair.
 
-    S_H is the span of the stabilizer constraints, S_T adds the products
-    of outer basis vectors that reach outside the inner basis, and S_Id
-    adds the extension vectors. Each span is canonicalised once, growing
-    from the one before.
+    Every system is read off one table of the distinct products of up to
+    ell outer basis vectors. S_H is the span of the stabilizer
+    constraints. S_T adds the products of r >= 2 outer basis vectors
+    whose least end is an extension vector: a product of inner vectors
+    alone is already a stabilizer constraint. S_Id adds the extension
+    vectors. Each span is canonicalised once, growing from the one before.
 
     T and Id also have direct constraint systems derived independently of
     these spans. Their spans are compared with S_T and S_Id; a
@@ -241,17 +211,16 @@ def _constraint_spans(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
     """
     pair = _pair_of(code)
     n = pair.n
-    fixing_span = howell_form(stabilizer_constraints(pair, ell), ell, n=n)
-    transversal_span = module_sum(
-        fixing_span, howell_form(_transversal_rows_extra(pair, ell), ell, n=n)
-    )
+    levels = _product_levels([v.bits for v in pair.beta1], ell, n)
+    fixing_span = howell_form(_stabilizer_rows(pair, levels[:ell]), ell, n=n)
+    extras = _scaled(_products(levels, 2, least_end=len(pair.beta2)), n)
+    transversal_span = module_sum(fixing_span, howell_form(extras, ell, n=n))
     if pair.num_logical:
-        direct_t = howell_form(_transversal_rows_direct(pair, ell), ell, n=n)
+        direct_t = howell_form(_transversal_rows_direct(pair, levels), ell, n=n)
         _check_span("transversal", direct_t, transversal_span)
-    identity_span = module_sum(
-        transversal_span, howell_form([w.to_array() for w in pair.beta1_ext], ell, n=n)
-    )
-    _check_span("identity", howell_form(_identity_rows_direct(pair, ell), ell, n=n), identity_span)
+    ext = _unpack([w.bits for w in pair.beta1_ext], n)
+    identity_span = module_sum(transversal_span, howell_form(ext, ell, n=n))
+    _check_span("identity", howell_form(_identity_rows_direct(pair, levels), ell, n=n), identity_span)
     return fixing_span, transversal_span, identity_span
 
 
@@ -259,9 +228,11 @@ def _span_kernel(code, span: ZModule, ell: int, *, with_shift: bool = False) -> 
     """Kernel of a constraint span of the unshifted pair, for code.
 
     An unshifted code hands the span itself to the kernel, which then
-    skips canonicalising it again. On a code with a Z shift the span's
-    generators are conjugated by the flip, and with_shift adds y_z itself
-    as a constraint, as the identity group requires.
+    skips canonicalising it again. A gate relates to a code with a Z
+    shift exactly as its coordinate-flipped partner relates to the
+    unshifted one, and flipping is self-adjoint, so there the span's
+    generators are multiplied by the flip; with_shift adds y_z itself as
+    a constraint, as the identity group requires.
     """
     flip = _flip_vector(code)
     if flip is None:
@@ -269,7 +240,7 @@ def _span_kernel(code, span: ZModule, ell: int, *, with_shift: bool = False) -> 
     gens = span.gens
     if with_shift:
         gens = np.vstack([gens, code.y_z.to_array()])
-    return kernel_perp(_conjugated(gens, flip, ell), ell, n=span.n)
+    return kernel_perp(gens * flip % (1 << ell), ell, n=span.n)
 
 
 def gate_groups(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:

@@ -4,6 +4,7 @@ Everything here is deterministic: random instances are driven by
 explicitly seeded generators so failures reproduce exactly.
 """
 import random
+from itertools import combinations
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from cssgates import (
     MonomialCodeSpec,
     MonomialSet,
     NestedCodePair,
+    aligned_bases,
     build_css,
     divisibility_closure,
     dual_basis,
@@ -164,6 +166,36 @@ def mixing_counterexample():
     return pair, mixed
 
 
+def product_table_cases():
+    """Seeded (pair, ell) cases for the product table, ell = 1..4.
+
+    Random nested pairs plus pairs with no inner code (k2 = 0), with no
+    logical qubits (K = 0), and two with nested or disjoint supports,
+    where products repeat across levels or vanish; in the second, one
+    product of two inner rows is also the product of an inner row and an
+    extension row.
+    """
+    rng = random.Random(POOL_SEED + 7)
+    pairs = []
+    for _ in range(24):
+        n = rng.randrange(3, 9)
+        c1 = random_binary_code(rng, n, rng.randrange(2, min(n, 5) + 1))
+        inner = [c1.codeword(rng.randrange(1, 1 << c1.k)) for _ in range(rng.randrange(1, c1.k))]
+        pairs.append(realign_pair(aligned_bases(c1, rref_basis(inner, n=n)), rng))
+    cases = [(pair, 1 + i % 4) for i, pair in enumerate(pairs)]
+    c1 = random_binary_code(rng, 6, 4)
+    special = [aligned_bases(c1, rref_basis([], n=6)), aligned_bases(c1, c1)]
+    for inner, ext in (
+        (("1111000", "1110000"), ("1100000", "0000011")),
+        (("1110000", "1100000"), ("1101000", "0000011")),
+    ):
+        beta2 = tuple(map(BitVector.from_string, inner))
+        beta1_ext = tuple(map(BitVector.from_string, ext))
+        special.append(NestedCodePair(
+            rref_basis(beta2 + beta1_ext), rref_basis(beta2), beta2, beta1_ext))
+    return cases + [(pair, ell) for pair in special for ell in (1, 2, 3, 4)]
+
+
 # ------------------------------------------------ unchecked closed forms
 
 def raw_fixing(spec: MonomialCodeSpec, ell: int):
@@ -228,6 +260,59 @@ def howell_reference(mat: np.ndarray, ell: int) -> np.ndarray:
     if not rows:
         return np.zeros((0, n), dtype=np.int64)
     return np.vstack(rows)
+
+
+def product_table_reference(masks, r: int, n: int) -> dict:
+    """Distinct products of r distinct rows, one combination at a time.
+
+    Maps each product to its least end: the least, over the r-subsets
+    giving it, of the largest index in the subset (-1 for the empty one).
+    The reference for bincode._product_levels.
+    """
+    table = {}
+    for combo in combinations(range(len(masks)), r):
+        bits = (1 << n) - 1
+        for i in combo:
+            bits &= masks[i]
+        end = combo[-1] if combo else -1
+        table[bits] = min(table.get(bits, end), end)
+    return table
+
+
+def distinct_product_rows(pair: NestedCodePair, sizes, need_outside: bool) -> list:
+    """Rows 2^(j-1) * lift of products of j distinct outer basis vectors.
+
+    One combination at a time, deduplicated. With need_outside, only
+    products of subsets that involve at least one extension vector are
+    emitted. The reference for the constraint systems gates reads off its
+    product table.
+    """
+    beta1 = pair.beta1
+    k2 = len(pair.beta2)
+    seen = {}
+    for j in sizes:
+        for combo in combinations(range(len(beta1)), j):
+            if need_outside and combo[-1] < k2:
+                continue
+            vec = beta1[combo[0]]
+            for idx in combo[1:]:
+                vec = vec & beta1[idx]
+            row = vec.to_array() << (j - 1)
+            seen.setdefault(row.tobytes(), row)
+    return list(seen.values())
+
+
+def stabilizer_rows_reference(pair: NestedCodePair, ell: int) -> list:
+    """Rows 2^i * lift(v * p) for inner v and p a product of i distinct
+    outer basis vectors, i < ell, one combination at a time."""
+    rows = []
+    for i in range(ell):
+        for combo in combinations(pair.beta1, i):
+            for v in pair.beta2:
+                for w in combo:
+                    v = v & w
+                rows.append(v.to_array() << i)
+    return rows
 
 
 # ----------------------------------------------------------------- misc

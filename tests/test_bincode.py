@@ -16,7 +16,9 @@ from cssgates import (
     star_family,
 )
 
-from helpers import random_binary_code
+from cssgates.bincode import _product_levels
+
+from helpers import product_table_cases, product_table_reference, random_binary_code
 
 
 class TestBitVector:
@@ -64,6 +66,15 @@ class TestBitVector:
         assert arr.dtype == np.int64
         assert arr.tolist() == [0, 1, 0, 1]
 
+    def test_to_array_matches_get(self):
+        rng = random.Random(17)
+        for n in (1, 7, 8, 9, 64, 65, 200):
+            for bits in (0, (1 << n) - 1, rng.randrange(1 << n)):
+                v = BitVector(n, bits)
+                arr = v.to_array()
+                assert arr.dtype == np.int64 and arr.shape == (n,)
+                assert arr.tolist() == [v.get(i) for i in range(n)]
+
     def test_all_ones_and_pivot(self):
         assert BitVector.all_ones(5).weight == 5
         assert BitVector(5).pivot is None
@@ -98,6 +109,34 @@ class TestStar:
             star_family([], 0)
         with pytest.raises(ValueError):
             star_family(rows, -1)
+
+
+class TestProductLevels:
+    def test_levels_match_combinations(self):
+        for pair, ell in product_table_cases():
+            masks = [v.bits for v in pair.beta1]
+            levels = _product_levels(masks, ell, pair.n)
+            assert len(levels) == ell + 1
+            for r, level in enumerate(levels):
+                reference = product_table_reference(masks, r, pair.n)
+                assert set(level) == set(reference)
+                # the least end of each product, not merely some end
+                assert level == reference
+
+    def test_star_family_reads_one_level(self):
+        for pair, ell in product_table_cases():
+            fam = star_family(pair.beta1, ell, n=pair.n)
+            reference = product_table_reference([v.bits for v in pair.beta1], ell, pair.n)
+            assert len(fam) == len(reference)
+            assert {v.bits for v in fam} == set(reference)
+
+    def test_schur_power_spans_all_short_products(self):
+        for pair, ell in product_table_cases():
+            c1 = pair.c1
+            masks = [v.bits for v in c1.basis]
+            gens = [BitVector(c1.n, p) for r in range(1, ell + 1)
+                    for p in product_table_reference(masks, r, c1.n)]
+            assert schur_power(c1, ell) == rref_basis(gens, n=c1.n)
 
 
 class TestRref:

@@ -32,13 +32,18 @@ from cssgates import (
     transversal_group,
 )
 from cssgates import gates
+from cssgates.bincode import _product_levels
 from cssgates.gates import stabilizer_constraints
+from cssgates.zmod import module_sum
 
 from helpers import (
+    distinct_product_rows,
     mixing_counterexample,
     points,
+    product_table_cases,
     random_nested_css,
     realign_pair,
+    stabilizer_rows_reference,
 )
 
 # frozen module sizes (log2 of the group order) for the two monomial fixtures
@@ -113,6 +118,59 @@ class TestStabilizerConstraints:
     def test_rows_deduplicated(self, pair2_css):
         rows = [r.tobytes() for r in stabilizer_constraints(pair2_css.pair, 2)]
         assert len(rows) == len(set(rows))
+
+
+class TestConstraintSystems:
+    """Every constraint system read off the product table spans what the
+    one-combination-at-a-time reference rows span."""
+
+    def test_spans_match_combinations(self):
+        for pair, ell in product_table_cases():
+            n = pair.n
+            levels = _product_levels([v.bits for v in pair.beta1], ell, n)
+            fixing = howell_form(stabilizer_rows_reference(pair, ell), ell, n=n)
+            assert howell_form(stabilizer_constraints(pair, ell), ell, n=n) == fixing
+            # the extras enter only through S_T: the table keeps a product
+            # whose every subset reaches an extension vector, the reference
+            # one whose some subset does, and the difference lies in S_H
+            extras = distinct_product_rows(pair, range(2, ell + 1), need_outside=True)
+            transversal = module_sum(fixing, howell_form(extras, ell, n=n))
+            direct_t = [v.to_array() for v in pair.beta2]
+            direct_t += distinct_product_rows(pair, range(2, ell + 1), need_outside=False)
+            direct_id = distinct_product_rows(pair, range(1, ell + 1), need_outside=False)
+            assert howell_form(gates._transversal_rows_direct(pair, levels), ell, n=n) == (
+                howell_form(direct_t, ell, n=n))
+            assert howell_form(gates._identity_rows_direct(pair, levels), ell, n=n) == (
+                howell_form(direct_id, ell, n=n))
+            spans = gates._constraint_spans(pair, ell)
+            assert spans[0] == fixing
+            assert spans[1] == transversal
+            assert spans[2] == howell_form(direct_id, ell, n=n)
+
+    def test_one_table_per_constraint_build(self, monkeypatch, mono16_css):
+        depths = []
+        table = gates._product_levels
+
+        def counted(masks, depth, n):
+            depths.append(depth)
+            return table(masks, depth, n)
+
+        monkeypatch.setattr(gates, "_product_levels", counted)
+        shifted = build_css(mono16_css.pair.c1, mono16_css.pair.c2,
+                            y_z=BitVector.from_string("1" + "0" * 15))
+        for code in (mono16_css, shifted):
+            for ell in (1, 2, 3):
+                depths.clear()
+                gates._constraint_spans(code, ell)
+                assert depths == [ell]
+                depths.clear()
+                fixing_group(code, ell)
+                assert depths == [ell - 1]
+                depths.clear()
+                gate_groups(code, ell)
+                transversal_group(code, ell)
+                identity_group(code, ell)
+                assert depths == [ell] * 3
 
 
 class TestRealignment:
@@ -279,17 +337,20 @@ class TestKernelsPerGroup:
         assert len(seen) == 4
         assert identity_group(mono16_css, 2) == groups[2]
         assert len(seen) == 5
+        assert fixing_group(mono16_css, 2) == groups[0]
+        assert len(seen) == 6
         # an unshifted code hands over its canonical spans as modules
-        assert seen == [ZModule] * 5
+        assert seen == [ZModule] * 6
 
     def test_shifted_projections_match_the_chain(self, monkeypatch, pair2_css):
         shifted = build_css(pair2_css.pair.c1, pair2_css.pair.c2, y_z=BitVector.from_string("10"))
         seen = self._kernel_inputs(monkeypatch, shifted.n)
         for ell in (1, 2, 3):
-            _, t, i = gate_groups(shifted, ell)
+            h, t, i = gate_groups(shifted, ell)
+            assert fixing_group(shifted, ell) == h
             assert transversal_group(shifted, ell) == t
             assert identity_group(shifted, ell) == i
-        assert len(seen) == 15 and ZModule not in seen
+        assert len(seen) == 18 and ZModule not in seen
 
 
 class TestShiftedCodes:
