@@ -37,6 +37,7 @@ from .bincode import BitVector, rref_basis
 from .gates import (
     ConsistencyError,
     CssCode,
+    _constraint_spans,
     all_ones_report,
     build_css,
     decompose_action,
@@ -60,7 +61,7 @@ from .monomial import (
     validate_transversal_identity_hypotheses,
 )
 from .oracle import coset_phase_check
-from .zmod import MAX_LEVEL, ZModule, howell_form, zvector_from_text
+from .zmod import MAX_LEVEL, ZModule, howell_form, kernel_perp, zvector_from_text
 
 TASK_NAMES = ("groups", "action", "verify", "closed-form")
 
@@ -222,6 +223,10 @@ def _groups(job: Job) -> dict[str, ZModule]:
     return dict(zip(("H", "T", "Id"), gate_groups(job.code, job.ell)))
 
 
+def _spans(job: Job) -> dict[str, ZModule]:
+    return dict(zip(("H", "T", "Id"), _constraint_spans(job.code, job.ell)))
+
+
 def _task_groups(job: Job) -> dict:
     return {name: _module_entry(mod) for name, mod in _groups(job).items()}
 
@@ -243,23 +248,24 @@ def _gates_for_action(job: Job, override: str | None) -> list[tuple[str | None, 
 
 def _task_action(job: Job, override: str | None) -> list[dict]:
     code = job.code
-    groups = _groups(job)
+    spans = _spans(job)
+    fixing = kernel_perp(spans["H"], job.ell, n=code.n)
     entries = []
     for name, arr in _gates_for_action(job, override):
-        profile = phase_profile(code, job.ell, arr, group=groups["H"])
+        profile = phase_profile(code, job.ell, arr, group=fixing)
         entry: dict = {
             "name": name,
             "gate": _ints(arr),
             "in_fixing_group": bool(profile.in_fixing_group),
         }
         if profile.in_fixing_group:
-            decomp = decompose_action(code, job.ell, arr, group=groups["H"])
+            decomp = decompose_action(code, job.ell, arr, group=fixing)
             entry["global_phase"] = int(profile.global_phase)
             entry["factors"] = [
                 {"J": _ints(f.qubits), "a": int(f.phase)} for f in decomp.factors
             ]
-            entry["in_transversal"] = bool(groups["T"].contains(arr))
-            entry["is_identity"] = bool(groups["Id"].contains(arr))
+            entry["in_transversal"] = spans["T"].kernel_contains(arr)
+            entry["is_identity"] = spans["Id"].kernel_contains(arr)
             if code.num_logical <= _MAX_PHASE_QUBITS:
                 entry["logical_phases"] = _ints(profile.phases)
         entries.append(entry)
@@ -273,9 +279,7 @@ def _task_verify(job: Job, override: str | None) -> dict:
         result = coset_phase_check(code, job.ell, arr)
     except ValueError as exc:
         raise JobError("code", str(exc)) from exc
-    memberships = {
-        name: bool(mod.contains(arr)) for name, mod in _groups(job).items()
-    }
+    memberships = {name: span.kernel_contains(arr) for name, span in _spans(job).items()}
     rank = result.gate_class.rank
     expected = {"H": rank >= 1, "T": rank >= 2, "Id": rank >= 3}
     agreement = {name: memberships[name] == expected[name] for name in expected}
@@ -387,15 +391,11 @@ def _hypothesis_entry(check) -> dict:
 def _info(job: Job) -> dict:
     code = job.code
     pair = code.pair
-    groups = _groups(job)
-    # the uniform-gate corollaries concern the bare nested pair, so the
-    # shifted groups cannot be reused for them
-    if code.y_z.bits:
-        ones = all_ones_report(pair, job.ell)
-    else:
-        ones = all_ones_report(code, job.ell, groups=tuple(groups.values()))
+    spans = _spans(job)
+    ones = all_ones_report(pair, job.ell)
     info: dict = {
-        "lengths": {name: mod.length for name, mod in groups.items()},
+        # a group's length is n * ell minus its span's
+        "lengths": {name: code.n * job.ell - span.length for name, span in spans.items()},
         "dimensions": {"k1": pair.c1.k, "k2": pair.c2.k},
         "all_ones": {
             "in_H": ones.in_fixing_group,
@@ -439,9 +439,7 @@ def _info(job: Job) -> dict:
     return info
 
 
-def build_report(
-    job: Job, tasks: list[str], gate_override: str | None = None, *, include_info: bool = False
-) -> dict:
+def build_report(job: Job, command: str, gate_override: str | None = None) -> dict:
     report: dict = {
         "version": 1,
         "level": job.ell,
@@ -449,16 +447,15 @@ def build_report(
         "params": [[job.code.n, job.code.num_logical]],
         "seed": job.seed,
     }
-    for task in tasks:
-        if task == "groups":
-            report.update(_task_groups(job))
-        elif task == "action":
-            report["logical_actions"] = _task_action(job, gate_override)
-        elif task == "verify":
-            report["verify"] = _task_verify(job, gate_override)
-        elif task == "closed-form":
-            report["closed_form"] = _task_closed_form(job)
-    if include_info:
+    if command == "groups":
+        report.update(_task_groups(job))
+    elif command == "action":
+        report["logical_actions"] = _task_action(job, gate_override)
+    elif command == "verify":
+        report["verify"] = _task_verify(job, gate_override)
+    elif command == "closed-form":
+        report["closed_form"] = _task_closed_form(job)
+    elif command == "info":
         report["info"] = _info(job)
     return report
 
@@ -520,10 +517,7 @@ def main(argv=None) -> int:
         job = Job(_read_job(args.input))
         if args.seed is not None:
             job.seed = args.seed
-        if args.command == "info":
-            report = build_report(job, [], include_info=True)
-        else:
-            report = build_report(job, [args.command], getattr(args, "gate", None))
+        report = build_report(job, args.command, getattr(args, "gate", None))
     except JobError as exc:
         where = exc.field or "job"
         print(f"error: {where}: {exc}", file=sys.stderr)

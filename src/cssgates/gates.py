@@ -19,15 +19,17 @@ stabilizer constraints 2^i * (v * p) pair each inner basis vector v
 with the products p of i outer ones, independently of the direct
 systems of T and Id, which take the products themselves.
 
-gate_groups returns all three, and transversal_group and identity_group
-solve only their own kernel of the same spans; fixing_group solves the
-kernel of the span of the stabilizer constraints alone. The constraints
-of T and of Id are also derived a second, independent way; over
-Z/2^ell two constraint spans are equal exactly when their kernels are,
-so the two derivations are cross-checked by comparing Howell forms of
-their spans, and a mismatch raises ConsistencyError. A nonzero y_z
-enters by flipping the signs of the span generators on its support;
-conjugate_by_yz transfers single memberships and actions the same way.
+A group holds b exactly when b annihilates its span
+(ZModule.kernel_contains), and its length is n * ell minus the span's,
+so memberships and lengths are read off the spans and a kernel is solved
+only where a module is returned: gate_groups solves three, the
+projections one each. The constraints of T and of Id are also derived a
+second, independent way; over Z/2^ell two constraint spans are equal
+exactly when their kernels are, so the two derivations are cross-checked
+by comparing Howell forms of their spans, and a mismatch raises
+ConsistencyError. A nonzero y_z enters by flipping the signs of the span
+generators on its support; conjugate_by_yz transfers single memberships
+and actions the same way.
 """
 
 from __future__ import annotations
@@ -165,11 +167,20 @@ def _flip_vector(code) -> np.ndarray | None:
     return None
 
 
+def _flipped(code, rows: np.ndarray) -> np.ndarray:
+    """Rows of the unshifted pair, moved to code: a gate relates to a code
+    with a Z shift as its coordinate-flipped partner relates to the pair,
+    and flipping is self-adjoint, so there the rows are flipped."""
+    flip = _flip_vector(code)
+    return rows if flip is None else rows * flip
+
+
 def fixing_group(code, ell: int) -> ZModule:
     """Exponent vectors whose gate preserves the code space: the kernel
     of the span of the stabilizer constraints."""
-    pair = _pair_of(code)
-    return _span_kernel(code, howell_form(stabilizer_constraints(pair, ell), ell, n=pair.n), ell)
+    n = _pair_of(code).n
+    rows = _flipped(code, stabilizer_constraints(code, ell))
+    return kernel_perp(howell_form(rows, ell, n=n), ell, n=n)
 
 
 def _transversal_rows_direct(pair: NestedCodePair, levels: list[dict[int, int]]) -> np.ndarray:
@@ -195,7 +206,7 @@ def _check_span(group: str, direct: ZModule, refined: ZModule) -> None:
 
 
 def _constraint_spans(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
-    """The nested constraint spans S_H, S_T and S_Id of the unshifted pair.
+    """The nested constraint spans S_H, S_T and S_Id of code, in Howell form.
 
     Every system is read off one table of the distinct products of up to
     ell outer basis vectors. S_H is the span of the stabilizer
@@ -205,9 +216,11 @@ def _constraint_spans(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
     vectors. Each span is canonicalised once, growing from the one before.
 
     T and Id also have direct constraint systems derived independently of
-    these spans. Their spans are compared with S_T and S_Id; a
-    disagreement raises ConsistencyError naming the group. With no
-    logical qubits T equals H and has no separate direct system.
+    these spans. Their spans are compared with S_T and S_Id on the
+    unshifted pair; a disagreement raises ConsistencyError naming the
+    group. With no logical qubits T equals H and has no separate direct
+    system. On a code with a Z shift the three spans are flipped, and
+    y_z itself joins the constraints of Id.
     """
     pair = _pair_of(code)
     n = pair.n
@@ -221,42 +234,17 @@ def _constraint_spans(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
     ext = _unpack([w.bits for w in pair.beta1_ext], n)
     identity_span = module_sum(transversal_span, howell_form(ext, ell, n=n))
     _check_span("identity", howell_form(_identity_rows_direct(pair, levels), ell, n=n), identity_span)
-    return fixing_span, transversal_span, identity_span
-
-
-def _span_kernel(code, span: ZModule, ell: int, *, with_shift: bool = False) -> ZModule:
-    """Kernel of a constraint span of the unshifted pair, for code.
-
-    An unshifted code hands the span itself to the kernel, which then
-    skips canonicalising it again. A gate relates to a code with a Z
-    shift exactly as its coordinate-flipped partner relates to the
-    unshifted one, and flipping is self-adjoint, so there the span's
-    generators are multiplied by the flip; with_shift adds y_z itself as
-    a constraint, as the identity group requires.
-    """
-    flip = _flip_vector(code)
-    if flip is None:
-        return kernel_perp(span, ell, n=span.n)
-    gens = span.gens
-    if with_shift:
-        gens = np.vstack([gens, code.y_z.to_array()])
-    return kernel_perp(gens * flip % (1 << ell), ell, n=span.n)
+    if _flip_vector(code) is None:
+        return fixing_span, transversal_span, identity_span
+    rows = [fixing_span.gens, transversal_span.gens, np.vstack([identity_span.gens, code.y_z.to_array()])]
+    return tuple(howell_form(_flipped(code, gens), ell, n=n) for gens in rows)
 
 
 def gate_groups(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
-    """The fixing, transversal and identity groups: kernels of three
-    nested constraint spans.
-
-    H, T and Id are the kernels of S_H, S_T and S_Id, built and
-    cross-checked once by _constraint_spans; on a code with a Z shift,
-    y_z itself joins the constraints of Id.
-    """
-    fixing_span, transversal_span, identity_span = _constraint_spans(code, ell)
-    return (
-        _span_kernel(code, fixing_span, ell),
-        _span_kernel(code, transversal_span, ell),
-        _span_kernel(code, identity_span, ell, with_shift=True),
-    )
+    """The fixing, transversal and identity groups: the kernels of the
+    spans of _constraint_spans, built and cross-checked once."""
+    n = _pair_of(code).n
+    return tuple(kernel_perp(span, ell, n=n) for span in _constraint_spans(code, ell))
 
 
 def transversal_group(code, ell: int) -> ZModule:
@@ -266,7 +254,7 @@ def transversal_group(code, ell: int) -> ZModule:
     cross-checked there; one kernel, not three. With no logical qubits
     every code-preserving gate qualifies.
     """
-    return _span_kernel(code, _constraint_spans(code, ell)[1], ell)
+    return kernel_perp(_constraint_spans(code, ell)[1], ell, n=_pair_of(code).n)
 
 
 def identity_group(code, ell: int) -> ZModule:
@@ -277,7 +265,7 @@ def identity_group(code, ell: int) -> ZModule:
     kernel of the largest constraint span of gate_groups, which is
     cross-checked there; one kernel, not three.
     """
-    return _span_kernel(code, _constraint_spans(code, ell)[2], ell, with_shift=True)
+    return kernel_perp(_constraint_spans(code, ell)[2], ell, n=_pair_of(code).n)
 
 
 def _as_bitmask(v, num_logical: int) -> int:
@@ -420,8 +408,7 @@ def decompose_action(
         group = fixing_group(code, ell)
     if not group.contains(arr):
         raise ValueError("gate does not preserve the code space")
-    flip = _flip_vector(code)
-    eff = arr if flip is None else arr * flip % N
+    eff = _flipped(code, arr) % N
     ext = code.pair.beta1_ext
     factors = []
     for h in range(1, min(K, ell) + 1):
@@ -528,24 +515,19 @@ def _weight_scan(pair: NestedCodePair, ell: int) -> tuple[bool, bool]:
     return divisible, coset_rule
 
 
-def all_ones_report(
-    code, ell: int, *, groups: tuple[ZModule, ZModule, ZModule] | None = None
-) -> AllOnesReport:
+def all_ones_report(code, ell: int) -> AllOnesReport:
     """Classify the uniform gate and cross-check the weight corollaries.
 
     The weight corollaries are statements about the underlying nested
-    pair, so any X/Z characters are ignored; groups, when passed, must be
-    the pair-level groups. Raises ConsistencyError if a computed
+    pair, so any X/Z characters are ignored, and the memberships are read
+    off the pair's constraint spans. Raises ConsistencyError if a
     membership contradicts the corresponding weight scan, or if
     membership in the fixing group does not force the inner code into the
     dual of the (ell-1)-th power of the outer code.
     """
     pair = _pair_of(code)
-    fixing, transversal, identity = groups if groups is not None else gate_groups(pair, ell)
     ones = np.ones(pair.n, dtype=np.int64)
-    in_h = fixing.contains(ones)
-    in_t = transversal.contains(ones)
-    in_id = identity.contains(ones)
+    in_h, in_t, in_id = (span.kernel_contains(ones) for span in _constraint_spans(pair, ell))
 
     if ell == 1:
         power = rref_basis([BitVector.all_ones(pair.n)], n=pair.n)

@@ -57,7 +57,10 @@ def _v2(x: int) -> int:
 
 def _as_matrix(rows, ell: int, n: int | None) -> np.ndarray:
     """Validated int64 matrix of residues, reduced mod 2^ell."""
-    mat = np.atleast_2d(np.asarray(list(rows), dtype=np.int64))
+    # an ndarray is taken as it is, other iterables of rows are listed
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+    mat = np.atleast_2d(np.asarray(rows, dtype=np.int64))
     if mat.size == 0:
         if n is None:
             raise ValueError("ambient length required for an empty row set")
@@ -190,6 +193,17 @@ class ZModule:
             if q:
                 vec = (vec - q * row) % N
         return not vec.any()
+
+    def kernel_contains(self, v) -> bool:
+        """Whether v . g = 0 mod 2^ell for every generator g: membership in
+        the annihilator, without solving for it. Products are reduced
+        before each row is summed, so a row sum stays below n * 2^ell, exact
+        in int64 for n < 2^33."""
+        N = self.modulus
+        vec = np.asarray(v, dtype=np.int64) % N
+        if vec.shape != (self.n,):
+            raise ValueError("vector length mismatch")
+        return not ((self.gens * vec % N).sum(axis=1) % N).any()
 
     def contains_module(self, other: "ZModule") -> bool:
         if (other.n, other.ell) != (self.n, self.ell):

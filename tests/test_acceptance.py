@@ -287,10 +287,7 @@ class TestAcceptance:
     def test_criterion_6_uniform_gate_corollaries(self, capfd):
         with criterion(capfd, 6, "all-ones membership implications and divisibility"):
             for code, ell in invariant_pool():
-                groups = groups_for(code, ell)
-                report = all_ones_report(
-                    code, ell, groups=(groups["H"], groups["T"], groups["Id"])
-                )
+                report = all_ones_report(code, ell)
                 if report.in_fixing_group:
                     assert report.power_dual_contains_inner
                 assert report.divisibility is not None

@@ -231,6 +231,24 @@ class TestActionReport:
         assert [e["name"] for e in entries] == ["1", "x1", "x2"]
         assert all(e["in_fixing_group"] for e in entries)
 
+    @pytest.mark.parametrize("y_z", [None, "1" + "0" * 15])
+    def test_memberships_match_the_groups(self, capsys, monkeypatch, y_z):
+        from cssgates import gate_groups
+
+        job = {**MONO16_JOB, "ell": 2}
+        if y_z is not None:
+            job["y_z"] = y_z
+        code = Job(job).code
+        h, t, i = gate_groups(code, 2)
+        probes = [h.gens[0], (h.gens[0] + h.gens[-1]) % 4, t.gens[-1], i.gens[0], np.ones(16, dtype=int)]
+        for b in probes:
+            rep = run_json(capsys, monkeypatch, ["action", "-i", "-"], {**job, "gate": [int(x) for x in b]})
+            (entry,) = rep["logical_actions"]
+            assert entry["in_fixing_group"] == h.contains(b)
+            if entry["in_fixing_group"]:
+                assert entry["in_transversal"] == t.contains(b)
+                assert entry["is_identity"] == i.contains(b)
+
     def test_outside_gate_reports_membership_only(self, capsys, monkeypatch):
         job = {**MONO16_JOB, "ell": 1, "gate": [1] + [0] * 15}
         rep = run_json(capsys, monkeypatch, ["action", "-i", "-"], job)
@@ -387,6 +405,31 @@ class TestInputOutput:
             assert script.returncode == 0 and module.returncode == 0
             assert script.stdout == module.stdout
             assert json.loads(script.stdout)["H"]["generators"] == [[2, 2]]
+
+
+class TestKernelCalls:
+    @pytest.mark.parametrize("y_z", [None, "10"])
+    def test_only_returned_modules_solve_a_kernel(self, capsys, monkeypatch, y_z):
+        from cssgates import cli as cli_module
+        from cssgates import gates, zmod
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return zmod.kernel_perp(*args, **kwargs)
+
+        monkeypatch.setattr(gates, "kernel_perp", counted)
+        monkeypatch.setattr(cli_module, "kernel_perp", counted, raising=False)
+        job = {**EX2_JOB, "gate": "2,2"}
+        if y_z is not None:
+            job["y_z"] = y_z
+        # memberships and lengths are read off the constraint spans; only
+        # groups returns modules, and action hands H to the decomposition
+        for command, expected in (("groups", 3), ("action", 1), ("verify", 0), ("info", 0)):
+            calls.clear()
+            run_json(capsys, monkeypatch, [command, "-i", "-"], job)
+            assert len(calls) == expected, command
 
 
 class TestConsistencyGuard:

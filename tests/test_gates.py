@@ -350,7 +350,39 @@ class TestKernelsPerGroup:
             assert fixing_group(shifted, ell) == h
             assert transversal_group(shifted, ell) == t
             assert identity_group(shifted, ell) == i
-        assert len(seen) == 18 and ZModule not in seen
+        # shifted spans are flipped and canonicalised before the kernel
+        assert seen == [ZModule] * 18
+
+
+class TestSpanMemberships:
+    def test_spans_answer_for_their_kernels(self):
+        """Every span answers membership and length for its group, and the
+        oracle agrees; shifted codes are random, so their groups are not
+        symmetric under the flip."""
+        rng = random.Random(406)
+        nprng = np.random.default_rng(406)
+        for trial in range(30):
+            code = random_nested_css(rng)
+            n = code.n
+            if trial % 2:
+                y_z = [rng.randrange(2) for _ in range(n)]
+                y_z[rng.randrange(n)] = 1
+                code = css_from_pair(code.pair, y_z=BitVector.from_ints(y_z))
+            for ell in (1, 2, 3):
+                N = 1 << ell
+                spans = gates._constraint_spans(code, ell)
+                groups = gate_groups(code, ell)
+                assert fixing_group(code, ell) == groups[0]
+                probes = list(nprng.integers(0, N, size=(8, n)))
+                for span, group in zip(spans, groups):
+                    assert n * ell - span.length == group.length
+                    probes += list(group.gens)
+                    probes.append(nprng.integers(0, N, size=len(group.gens)) @ group.gens % N)
+                for b in probes:
+                    rank = coset_phase_check(code, ell, b).gate_class.rank
+                    expected = [rank >= 1, rank >= 2, rank >= 3]
+                    assert [span.kernel_contains(b) for span in spans] == expected
+                    assert [group.contains(b) for group in groups] == expected
 
 
 class TestShiftedCodes:

@@ -258,6 +258,34 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel_perp(mod, 2, n=5)
 
+    @pytest.mark.parametrize("ell", DTYPE_LEVELS)
+    def test_kernel_contains_matches_the_solved_kernel(self, ell):
+        rng = np.random.default_rng(2000 + ell)
+        N = 1 << ell
+        answers = set()
+        for trial in range(40):
+            m, n = int(rng.integers(0, 6)), int(rng.integers(1, 9))
+            if trial % 2:
+                mat = rng.integers(0, N, size=(m, n))
+            else:
+                # entries at and just below 2^ell - 1, with zeros between
+                mat = (N - 1 - rng.integers(0, 3, size=(m, n))) * (rng.random((m, n)) < 0.6)
+            span = howell_form(np.asarray(mat, dtype=np.int64).reshape(m, n), ell, n=n)
+            ker = kernel_perp(span, ell, n=n)
+            # random vectors rarely lie in the kernel, so its generators,
+            # their multiples and pairwise sums are probed too
+            probes = [rng.integers(0, N, size=n), N - 1 - rng.integers(0, 3, size=n)]
+            for g, h in zip(ker.gens, np.roll(ker.gens, 1, axis=0)):
+                probes += [g, (int(rng.integers(0, N)) * g + h) % N, (g + N - 1) % N]
+            for b in probes:
+                got = span.kernel_contains(b)
+                assert type(got) is bool
+                assert got == ker.contains(b)
+                answers.add(got)
+            with pytest.raises(ValueError):
+                span.kernel_contains(np.zeros(n + 1, dtype=np.int64))
+        assert answers == {True, False}
+
     def test_length_pairing(self):
         rng = random.Random(9)
         for _ in range(25):
