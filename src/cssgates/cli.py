@@ -219,8 +219,8 @@ def _module_entry(mod: ZModule) -> dict:
     return {"length": mod.length, "generators": [_ints(row) for row in mod.gens]}
 
 
-def _groups(job: Job) -> dict[str, ZModule]:
-    return dict(zip(("H", "T", "Id"), gate_groups(job.code, job.ell)))
+def _groups(code, ell: int) -> dict[str, ZModule]:
+    return dict(zip(("H", "T", "Id"), gate_groups(code, ell)))
 
 
 def _spans(job: Job) -> dict[str, ZModule]:
@@ -228,7 +228,7 @@ def _spans(job: Job) -> dict[str, ZModule]:
 
 
 def _task_groups(job: Job) -> dict:
-    return {name: _module_entry(mod) for name, mod in _groups(job).items()}
+    return {name: _module_entry(mod) for name, mod in _groups(job.code, job.ell).items()}
 
 
 def _gates_for_action(job: Job, override: str | None) -> list[tuple[str | None, np.ndarray]]:
@@ -313,7 +313,8 @@ def _task_closed_form(job: Job) -> dict:
         raise JobError("code.type", "closed forms are defined for monomial codes")
     spec = job.spec
     ell = job.ell
-    generic = _groups(job)
+    pair = job.code.pair  # the closed forms describe the pair, whatever y_z is
+    generic = _groups(pair, ell)
     report: dict = {}
 
     def theorem_entry(key: str, outcome: ZModule | HypothesisError) -> None:
@@ -352,7 +353,7 @@ def _task_closed_form(job: Job) -> dict:
     except HypothesisError as exc:
         report["general"] = {"reason": exc.code, "reason_level": exc.level}
     else:
-        reference = fixing_group(job.code, general.ell)
+        reference = fixing_group(pair, general.ell)
         matches = general.module == reference
         report["general"] = {
             "level": general.ell,

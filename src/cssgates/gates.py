@@ -35,7 +35,6 @@ and actions the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 import numpy as np
 
 from .bincode import (
@@ -302,19 +301,31 @@ def logical_phase(code: CssCode, ell: int, b, v) -> int:
     return dot_mod(arr, _coset_rep(code, mask).to_array(), ell)
 
 
-# entries of the label table lifted to int64 at a time in phase_profile
-_PROFILE_CHUNK = 1 << 18
+_PRODUCT_BLOCK = 1 << 16
 
 
-def _label_matrix(code: CssCode) -> np.ndarray:
-    """Row v = (y_z xor sum of chosen extension vectors), as a 0/1 uint8 table."""
+def _controlled_phases(code: CssCode, ell: int, eff: np.ndarray):
+    """Blocks (J, a_J), |J| = 1..min(K, ell), lexicographic within a level:
+    rows of index tuples J and a_J = (-2)^(|J|-1) (eff . prod_J w_j) mod
+    2^ell, eff being b mod 2^ell with its signs flipped on y_z. As x xor y
+    = x + y - 2xy exactly over Z, the phase of coset v relative to coset 0
+    is the sum of the a_J over J inside v, for every b. A block is one
+    int64 matmul of _PRODUCT_BLOCK 0/1 entries with eff: sums stay below
+    n * 2^ell, exact in int64.
+    """
     K = code.num_logical
-    rows = np.zeros((1 << K, code.n), dtype=np.uint8)
-    rows[0] = code.y_z.to_array()
-    for i, w in enumerate(code.pair.beta1_ext):
-        bit = 1 << i
-        np.bitwise_xor(rows[:bit], w.to_array().astype(np.uint8), out=rows[bit : 2 * bit])
-    return rows
+    N = 1 << ell
+    ext = _unpack([w.bits for w in code.pair.beta1_ext], code.n)
+    index = np.arange(K)[:, None]
+    for h in range(1, min(K, ell) + 1):
+        if h > 1:
+            # extend each tuple by every larger index, in lexicographic order
+            parent, nxt = np.nonzero(np.arange(K) > index[:, -1:])
+            index = np.concatenate((index[parent], nxt[:, None]), axis=1)
+        step = max(1, _PRODUCT_BLOCK // (h * code.n))
+        for start in range(0, len(index), step):
+            block = index[start : start + step]
+            yield block, ext[block].min(axis=1) @ eff % N * pow(-2, h - 1, N) % N
 
 
 @dataclass(frozen=True)
@@ -334,6 +345,12 @@ class PhaseProfile:
 
 
 def phase_profile(code: CssCode, ell: int, b, *, group: ZModule | None = None) -> PhaseProfile:
+    """Phases of the cosets under U(b) relative to coset 0, and b . y_z.
+
+    By x xor y = x + y - 2xy, phases[v] sums the a_J of _controlled_phases
+    over J inside v: one in-place subset-sum pass per logical qubit, with
+    no 2^K x n label table; at most 2^20 terms below 2^ell stay exact in int64.
+    """
     K = code.num_logical
     if K > 20:
         raise ValueError("profile table limited to 20 logical qubits")
@@ -341,19 +358,18 @@ def phase_profile(code: CssCode, ell: int, b, *, group: ZModule | None = None) -
     arr = np.asarray(b, dtype=np.int64) % N
     if group is None:
         group = fixing_group(code, ell)
-    labels = _label_matrix(code)
-    # lift a block of rows at a time: the int64 copy of a whole 2^K x n
-    # table would be eight times its size; each sum is below n * 2^ell
-    step = max(1, _PROFILE_CHUNK // code.n)
-    phases = np.empty(len(labels), dtype=np.int64)
-    for start in range(0, len(labels), step):
-        phases[start : start + step] = labels[start : start + step].astype(np.int64) @ arr % N
-    global_phase = int(phases[0])
+    phases = np.zeros(1 << K, dtype=np.int64)
+    for index, coeffs in _controlled_phases(code, ell, _flipped(code, arr) % N):
+        phases[(1 << index).sum(axis=1)] = coeffs
+    for i in range(K):
+        view = phases.reshape(-1, 2, 1 << i)
+        view[:, 1] += view[:, 0]
+    phases %= N
     return PhaseProfile(
         ell=ell,
         num_logical=K,
-        phases=(phases - global_phase) % N,
-        global_phase=global_phase,
+        phases=phases,
+        global_phase=int(code.y_z.to_array() @ arr) % N,
         in_fixing_group=group.contains(arr),
     )
 
@@ -380,12 +396,8 @@ class LogicalDecomposition:
 
     def phase_at(self, v) -> int:
         mask = _as_bitmask(v, self.num_logical)
-        N = 1 << self.ell
-        total = 0
-        for factor in self.factors:
-            if all(mask >> (q - 1) & 1 for q in factor.qubits):
-                total += factor.phase
-        return total % N
+        inside = (f.phase for f in self.factors if all(mask >> (q - 1) & 1 for q in f.qubits))
+        return sum(inside) % (1 << self.ell)
 
 
 def decompose_action(
@@ -401,27 +413,16 @@ def decompose_action(
     coset 0 exactly as for unshifted codes. Requires b in the fixing
     group.
     """
-    K = code.num_logical
     N = 1 << ell
     arr = np.asarray(b, dtype=np.int64) % N
     if group is None:
         group = fixing_group(code, ell)
     if not group.contains(arr):
         raise ValueError("gate does not preserve the code space")
-    eff = _flipped(code, arr) % N
-    ext = code.pair.beta1_ext
-    factors = []
-    for h in range(1, min(K, ell) + 1):
-        unit = pow(-2, h - 1, N)
-        for combo in combinations(range(K), h):
-            vec = ext[combo[0]]
-            for idx in combo[1:]:
-                vec = vec & ext[idx]
-            a = unit * dot_mod(eff, vec.to_array(), ell) % N
-            if a:
-                factors.append(ControlledFactor(tuple(q + 1 for q in combo), a))
-    factors.sort(key=lambda f: (len(f.qubits), f.qubits))
-    return LogicalDecomposition(ell=ell, num_logical=K, factors=tuple(factors))
+    blocks = _controlled_phases(code, ell, _flipped(code, arr) % N)
+    factors = tuple(ControlledFactor(tuple(J), a) for index, coeffs in blocks
+                    for J, a in zip((index + 1).tolist(), coeffs.tolist()) if a)
+    return LogicalDecomposition(ell=ell, num_logical=code.num_logical, factors=factors)
 
 
 def conjugate_by_yz(b, y_z: BitVector, ell: int) -> tuple[np.ndarray, int]:
@@ -491,9 +492,7 @@ def _weight_scan(pair: NestedCodePair, ell: int) -> tuple[bool, bool]:
     k2 = len(pair.beta2)
     K = pair.num_logical
     k1 = k2 + K
-    rows01 = np.zeros((max(k1, 1), pair.n), dtype=np.uint8)
-    for i, v in enumerate(pair.beta1):
-        rows01[i] = v.to_array()
+    rows01 = _unpack([v.bits for v in pair.beta1], pair.n).astype(np.uint8)
     ext_weights = np.array([w.weight for w in pair.beta1_ext], dtype=np.int64)
     divisible = True
     coset_rule = True
@@ -503,7 +502,7 @@ def _weight_scan(pair: NestedCodePair, ell: int) -> tuple[bool, bool]:
     for start in range(0, total, step):
         idx = np.arange(start, min(start + step, total), dtype=np.uint32)
         coeffs = (idx[:, None] >> shifts) & 1
-        words = coeffs.astype(np.uint8) @ rows01[:k1] & 1
+        words = coeffs.astype(np.uint8) @ rows01 & 1
         weights = words.sum(axis=1, dtype=np.int64)
         if weights.size and (weights % N).any():
             divisible = False

@@ -30,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bincode import BitVector, rref_basis, NestedCodePair
-from .gates import CssCode, PhaseProfile, css_from_pair, fixing_group, gate_groups, phase_profile
-from .zmod import MAX_LEVEL, ZModule, howell_form, module_sum, scale_lift
+from .gates import CssCode, PhaseProfile, _constraint_spans, css_from_pair, fixing_group, phase_profile
+from .zmod import MAX_LEVEL, ZModule, howell_form, kernel_perp, module_sum, scale_lift
 
 __all__ = [
     "HypothesisError",
@@ -634,15 +634,15 @@ def monomial_action(spec: MonomialCodeSpec, ell: int, u) -> MonomialActionResult
         dtype=np.int64,
     )
     css = spec.induced_css()
-    fixing, transversal, _ = gate_groups(css, ell)
+    fixing_span, transversal_span, _ = _constraint_spans(css, ell)
     b = evaluate(spec.m, mono.mask).to_array()
     return MonomialActionResult(
         monomial=mono,
         ell=ell,
         coefficients=coeffs,
-        in_fixing_group=fixing.contains(b),
-        in_transversal_group=transversal.contains(b),
-        profile=phase_profile(css, ell, b, group=fixing),
+        in_fixing_group=fixing_span.kernel_contains(b),
+        in_transversal_group=transversal_span.kernel_contains(b),
+        profile=phase_profile(css, ell, b, group=kernel_perp(fixing_span, ell, n=css.n)),
     )
 
 

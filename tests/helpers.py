@@ -99,6 +99,17 @@ def random_nested_css(rng: random.Random, n_max: int = 6, k1_max: int = 4):
     return build_css(c1, c2)
 
 
+def random_css_with_logicals(rng: random.Random, K: int, n_max: int = 12):
+    """Random nested pair with exactly K logical qubits and up to two inner
+    basis vectors (at least one when K = 0), as a CSS code."""
+    k2 = rng.randrange(0 if K else 1, 3)
+    c1 = random_binary_code(rng, rng.randrange(max(K + k2, 2), n_max + 1), K + k2)
+    rows = []
+    while rref_basis(rows, n=c1.n).k < k2:
+        rows.append(c1.codeword(rng.randrange(1, 1 << c1.k)))
+    return build_css(c1, rref_basis(rows, n=c1.n))
+
+
 def random_decreasing_spec(rng: random.Random, m_max: int = 5) -> MonomialCodeSpec:
     """Random divisibility-closed pair: closure of a few monomial tops."""
     m = rng.randrange(2, m_max + 1)
@@ -313,6 +324,38 @@ def stabilizer_rows_reference(pair: NestedCodePair, ell: int) -> list:
                     v = v & w
                 rows.append(v.to_array() << i)
     return rows
+
+
+def decomposition_reference(code, ell: int, b) -> list:
+    """(qubits, phase) of every nonzero controlled-phase factor of U(b),
+    one combination of extension vectors at a time, with no membership
+    check. The reference for gates._controlled_phases."""
+    N = 1 << ell
+    eff = np.asarray(b, dtype=np.int64) % N * (1 - 2 * code.y_z.to_array()) % N
+    ext = code.pair.beta1_ext
+    factors = []
+    for h in range(1, min(len(ext), ell) + 1):
+        for combo in combinations(range(len(ext)), h):
+            vec = ext[combo[0]]
+            for idx in combo[1:]:
+                vec = vec & ext[idx]
+            a = pow(-2, h - 1, N) * int(eff @ vec.to_array() % N) % N
+            if a:
+                factors.append((tuple(q + 1 for q in combo), a))
+    return factors
+
+
+def profile_reference(code, ell: int, b) -> tuple[np.ndarray, int]:
+    """(phases relative to coset 0, global phase) from the direct product
+    of the 2^K x n table of coset labels y_z xor (chosen extension
+    vectors) with b. The reference for gates.phase_profile."""
+    N = 1 << ell
+    K = code.num_logical
+    coeffs = (np.arange(1 << K)[:, None] >> np.arange(K)) & 1
+    ext = np.array([w.to_array() for w in code.pair.beta1_ext], dtype=np.int64).reshape(K, code.n)
+    labels = (coeffs @ ext + code.y_z.to_array()) % 2
+    direct = labels @ (np.asarray(b, dtype=np.int64) % N) % N
+    return (direct - direct[0]) % N, int(direct[0])
 
 
 # ----------------------------------------------------------------- misc

@@ -294,6 +294,14 @@ class TestClosedFormReport:
         assert cf["T"]["generators"] == cf["Id"]["generators"]
         assert cf["H"]["generators"] == cf["T"]["generators"]
 
+    def test_shifted_code_reports_the_unshifted_pair(self, capsys, monkeypatch):
+        # the closed forms describe the nested pair, so a Z shift neither
+        # changes the block nor counts as a disagreement
+        plain = run_json(capsys, monkeypatch, ["closed-form", "-i", "-"], MONO16_JOB)
+        job = {**MONO16_JOB, "y_z": "1" + "0" * 15}
+        shifted = run_json(capsys, monkeypatch, ["closed-form", "-i", "-"], job)
+        assert shifted["closed_form"] == plain["closed_form"]
+
     def test_matrix_code_has_no_closed_form(self, capsys, monkeypatch):
         rc, _, err = run_cli(capsys, monkeypatch, ["closed-form", "-i", "-"], EX2_JOB)
         assert rc == 1 and err.startswith("error: code.type:")

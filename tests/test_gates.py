@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,10 +38,13 @@ from cssgates.gates import stabilizer_constraints
 from cssgates.zmod import module_sum
 
 from helpers import (
+    decomposition_reference,
     distinct_product_rows,
     mixing_counterexample,
     points,
     product_table_cases,
+    profile_reference,
+    random_css_with_logicals,
     random_nested_css,
     realign_pair,
     stabilizer_rows_reference,
@@ -295,11 +299,10 @@ class TestPhases:
         assert prof.phases[0] == 0
 
     def test_profile_table_matches_direct_int64_product(self):
-        # RM(1) inside RM(2) at m = 6: K = 15, so the 2^15 x 64 label table
-        # is lifted to int64 in several blocks
+        # RM(1) inside RM(2) at m = 6: K = 15, against the 2^15 x 64 label
+        # table multiplied out directly
         code = MonomialCodeSpec(6, reed_muller_set(6, 2), reed_muller_set(6, 1)).induced_css()
         n, K, ell = code.n, code.num_logical, MAX_LEVEL
-        assert (1 << K) * n > 4 * gates._PROFILE_CHUNK
         rng = np.random.default_rng(21)
         y_z = rng.integers(0, 2, size=n)
         shifted = css_from_pair(code.pair, y_z=BitVector.from_ints(list(y_z)))
@@ -312,6 +315,100 @@ class TestPhases:
         assert prof.global_phase == direct[0]
         assert prof.phases.dtype == np.int64
         assert np.array_equal(prof.phases, (direct - direct[0]) % (1 << ell))
+
+
+def _everything(n, ell):
+    """The module of all vectors: as the group argument it lets the
+    decomposition run on any b."""
+    return howell_form(np.eye(n, dtype=np.int64), ell, n=n)
+
+
+def _shifted(code, rng):
+    y_z = rng.integers(0, 2, size=code.n)
+    y_z[rng.integers(code.n)] = 1
+    return css_from_pair(code.pair, y_z=BitVector.from_ints(list(y_z)))
+
+
+class TestPhasesAgainstReference:
+    """Factors (order included), phases and global phase against the
+    combinations decomposition and the direct label-table product."""
+
+    def _check(self, code, ell, b, group):
+        phases, global_phase = profile_reference(code, ell, b)
+        prof = phase_profile(code, ell, b, group=group)
+        assert prof.phases.dtype == np.int64
+        assert np.array_equal(prof.phases, phases)
+        assert prof.global_phase == global_phase
+        expected = decomposition_reference(code, ell, b)
+        if prof.in_fixing_group:
+            dec = decompose_action(code, ell, b, group=group)
+            assert [(f.qubits, f.phase) for f in dec.factors] == expected
+        else:
+            with pytest.raises(ValueError, match="preserve"):
+                decompose_action(code, ell, b, group=group)
+        # the identity behind the coefficients holds for every b
+        dec = decompose_action(code, ell, b, group=_everything(code.n, ell))
+        assert [(f.qubits, f.phase) for f in dec.factors] == expected
+        return prof.in_fixing_group
+
+    def test_random_codes_at_every_level(self):
+        rng = random.Random(409)
+        nprng = np.random.default_rng(409)
+        seen = set()
+        for trial in range(22):
+            code = random_css_with_logicals(rng, trial % 11)
+            assert code.num_logical == trial % 11
+            if trial % 2:
+                code = _shifted(code, nprng)
+            for ell in (1, 2, 3, 4, MAX_LEVEL):
+                N = 1 << ell
+                h = fixing_group(code, ell)
+                member = nprng.integers(0, N, size=len(h.gens)) @ h.gens % N
+                for b in (member, nprng.integers(0, N, size=code.n)):
+                    seen.add((bool(trial % 2), self._check(code, ell, b, h)))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_fifteen_logical_qubits(self, ell):
+        code = MonomialCodeSpec(6, reed_muller_set(6, 2), reed_muller_set(6, 1)).induced_css()
+        assert code.num_logical == 15
+        nprng = np.random.default_rng(410 + ell)
+        N = 1 << ell
+        for shifted in (code, _shifted(code, nprng)):
+            h = fixing_group(shifted, ell)
+            member = nprng.integers(0, N, size=len(h.gens)) @ h.gens % N
+            assert self._check(shifted, ell, member, h)
+            self._check(shifted, ell, nprng.integers(0, N, size=code.n), h)
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_ninety_one_logical_qubits(self, ell):
+        # RM(1) inside RM(4) at m = 7: K = 91, so qubit indices pass 64 and
+        # an int64 subset mask would overflow
+        code = MonomialCodeSpec(7, reed_muller_set(7, 4), reed_muller_set(7, 1)).induced_css()
+        assert code.num_logical == 91
+        nprng = np.random.default_rng(412 + ell)
+        for shifted in (code, _shifted(code, nprng)):
+            b = nprng.integers(0, 1 << ell, size=code.n)
+            dec = decompose_action(shifted, ell, b, group=_everything(code.n, ell))
+            factors = [(f.qubits, f.phase) for f in dec.factors]
+            assert factors == decomposition_reference(shifted, ell, b)
+            assert max(q for qubits, _ in factors for q in qubits) > 64
+            assert {len(qubits) for qubits, _ in factors} == set(range(1, ell + 1))
+
+    def test_profile_memory_grows_with_the_factors(self):
+        # RM(2) inside RM(3) at m = 6: K = 20, n = 64. The 2^20 phases take
+        # 8 MiB, where a 2^20 x 64 label table takes 64 MiB even as uint8
+        code = MonomialCodeSpec(6, reed_muller_set(6, 3), reed_muller_set(6, 2)).induced_css()
+        assert (code.n, code.num_logical) == (64, 20)
+        h = fixing_group(code, 2)
+        tracemalloc.start()
+        try:
+            prof = phase_profile(code, 2, h.gens[-1], group=h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.in_fixing_group and len(prof.phases) == 1 << 20
+        assert peak < 3 * 8 * (1 << 20)
 
 
 class TestKernelsPerGroup:

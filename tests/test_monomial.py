@@ -17,11 +17,13 @@ from cssgates import (
     divisibility_closure,
     evaluate,
     fixing_group,
+    gate_groups,
     identity_group,
     is_decreasing,
     maximal_elements,
     monomial_action,
     monomial_power,
+    phase_profile,
     product_set,
     reed_muller_degrees,
     reed_muller_fixing_monomials,
@@ -389,6 +391,31 @@ class TestMonomialAction:
         act = monomial_action(mono16_spec, 3, "x3")
         assert not act.in_fixing_group
         assert not act.in_transversal_group
+
+
+    def test_one_kernel_and_the_groups_flags(self, monkeypatch, mono16_spec, mono16_css):
+        from cssgates import gates, monomial
+
+        h, t, _ = gate_groups(mono16_css, 3)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return zmod.kernel_perp(*args, **kwargs)
+
+        monkeypatch.setattr(gates, "kernel_perp", counted)
+        monkeypatch.setattr(monomial, "kernel_perp", counted, raising=False)
+        # memberships are read off the spans; only H is solved, for the profile
+        for token in ("1", "x1", "x3", "x1x2", "x2x3x4"):
+            calls.clear()
+            act = monomial_action(mono16_spec, 3, token)
+            assert len(calls) == 1, token
+            b = evaluate(4, act.monomial.mask).to_array()
+            assert act.in_fixing_group is h.contains(b)
+            assert act.in_transversal_group is t.contains(b)
+            prof = phase_profile(mono16_css, 3, b, group=h)
+            assert np.array_equal(act.profile.phases, prof.phases)
+            assert act.profile.in_fixing_group == act.in_fixing_group
 
 
 class TestGeneralForm:
