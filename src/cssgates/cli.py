@@ -37,8 +37,10 @@ from .bincode import BitVector, rref_basis
 from .gates import (
     ConsistencyError,
     CssCode,
+    _all_ones,
     _constraint_spans,
-    all_ones_report,
+    _flipped_spans,
+    _pair_spans,
     build_css,
     decompose_action,
     fixing_group,
@@ -192,23 +194,19 @@ class Job:
             raise JobError("code.M2", str(exc)) from exc
         return self.spec.induced_css()
 
-    def gate_vector(self, override: str | None) -> np.ndarray:
-        source = override if override is not None else self.gate_spec
-        if source is None:
+    def gate_vector(self) -> np.ndarray:
+        if self.gate_spec is None:
             raise JobError("gate", "this task needs a gate vector")
         try:
-            if isinstance(source, list):
-                arr = np.array([int(x) for x in source], dtype=np.int64) % (1 << self.ell)
+            if isinstance(self.gate_spec, list):
+                arr = np.array([int(x) for x in self.gate_spec], dtype=np.int64) % (1 << self.ell)
             else:
-                arr = zvector_from_text(source, self.ell)
+                arr = zvector_from_text(self.gate_spec, self.ell)
         except (TypeError, ValueError) as exc:
             raise JobError("gate", str(exc)) from exc
         if arr.shape[0] != self.code.n:
             raise JobError("gate", f"expected {self.code.n} entries")
         return arr
-
-    def has_gate(self, override: str | None) -> bool:
-        return override is not None or self.gate_spec is not None
 
 
 def _ints(values) -> list[int]:
@@ -231,9 +229,9 @@ def _task_groups(job: Job) -> dict:
     return {name: _module_entry(mod) for name, mod in _groups(job.code, job.ell).items()}
 
 
-def _gates_for_action(job: Job, override: str | None) -> list[tuple[str | None, np.ndarray]]:
-    if job.has_gate(override):
-        return [(None, job.gate_vector(override))]
+def _gates_for_action(job: Job) -> list[tuple[str | None, np.ndarray]]:
+    if job.gate_spec is not None:
+        return [(None, job.gate_vector())]
     if job.spec is None:
         raise JobError("gate", "this task needs a gate vector")
     try:
@@ -246,12 +244,12 @@ def _gates_for_action(job: Job, override: str | None) -> list[tuple[str | None, 
     ]
 
 
-def _task_action(job: Job, override: str | None) -> list[dict]:
+def _task_action(job: Job) -> list[dict]:
     code = job.code
     spans = _spans(job)
     fixing = kernel_perp(spans["H"], job.ell, n=code.n)
     entries = []
-    for name, arr in _gates_for_action(job, override):
+    for name, arr in _gates_for_action(job):
         profile = phase_profile(code, job.ell, arr, group=fixing)
         entry: dict = {
             "name": name,
@@ -272,9 +270,9 @@ def _task_action(job: Job, override: str | None) -> list[dict]:
     return entries
 
 
-def _task_verify(job: Job, override: str | None) -> dict:
+def _task_verify(job: Job) -> dict:
     code = job.code
-    arr = job.gate_vector(override)
+    arr = job.gate_vector()
     try:
         result = coset_phase_check(code, job.ell, arr)
     except ValueError as exc:
@@ -392,8 +390,9 @@ def _hypothesis_entry(check) -> dict:
 def _info(job: Job) -> dict:
     code = job.code
     pair = code.pair
-    spans = _spans(job)
-    ones = all_ones_report(pair, job.ell)
+    pair_spans = _pair_spans(pair, job.ell)
+    spans = dict(zip(("H", "T", "Id"), _flipped_spans(code, job.ell, pair_spans)))
+    ones = _all_ones(pair, job.ell, pair_spans)
     info: dict = {
         # a group's length is n * ell minus its span's
         "lengths": {name: code.n * job.ell - span.length for name, span in spans.items()},
@@ -440,7 +439,7 @@ def _info(job: Job) -> dict:
     return info
 
 
-def build_report(job: Job, command: str, gate_override: str | None = None) -> dict:
+def build_report(job: Job, command: str) -> dict:
     report: dict = {
         "version": 1,
         "level": job.ell,
@@ -451,9 +450,9 @@ def build_report(job: Job, command: str, gate_override: str | None = None) -> di
     if command == "groups":
         report.update(_task_groups(job))
     elif command == "action":
-        report["logical_actions"] = _task_action(job, gate_override)
+        report["logical_actions"] = _task_action(job)
     elif command == "verify":
-        report["verify"] = _task_verify(job, gate_override)
+        report["verify"] = _task_verify(job)
     elif command == "closed-form":
         report["closed_form"] = _task_closed_form(job)
     elif command == "info":
@@ -518,7 +517,9 @@ def main(argv=None) -> int:
         job = Job(_read_job(args.input))
         if args.seed is not None:
             job.seed = args.seed
-        report = build_report(job, args.command, getattr(args, "gate", None))
+        if getattr(args, "gate", None) is not None:
+            job.gate_spec = args.gate
+        report = build_report(job, args.command)
     except JobError as exc:
         where = exc.field or "job"
         print(f"error: {where}: {exc}", file=sys.stderr)

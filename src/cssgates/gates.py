@@ -204,8 +204,8 @@ def _check_span(group: str, direct: ZModule, refined: ZModule) -> None:
         )
 
 
-def _constraint_spans(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
-    """The nested constraint spans S_H, S_T and S_Id of code, in Howell form.
+def _pair_spans(pair: NestedCodePair, ell: int) -> tuple[ZModule, ZModule, ZModule]:
+    """The nested constraint spans S_H, S_T and S_Id of pair, in Howell form.
 
     Every system is read off one table of the distinct products of up to
     ell outer basis vectors. S_H is the span of the stabilizer
@@ -218,10 +218,8 @@ def _constraint_spans(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
     these spans. Their spans are compared with S_T and S_Id on the
     unshifted pair; a disagreement raises ConsistencyError naming the
     group. With no logical qubits T equals H and has no separate direct
-    system. On a code with a Z shift the three spans are flipped, and
-    y_z itself joins the constraints of Id.
+    system.
     """
-    pair = _pair_of(code)
     n = pair.n
     levels = _product_levels([v.bits for v in pair.beta1], ell, n)
     fixing_span = howell_form(_stabilizer_rows(pair, levels[:ell]), ell, n=n)
@@ -233,10 +231,21 @@ def _constraint_spans(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
     ext = _unpack([w.bits for w in pair.beta1_ext], n)
     identity_span = module_sum(transversal_span, howell_form(ext, ell, n=n))
     _check_span("identity", howell_form(_identity_rows_direct(pair, levels), ell, n=n), identity_span)
+    return fixing_span, transversal_span, identity_span
+
+
+def _flipped_spans(code, ell: int, spans: tuple) -> tuple[ZModule, ZModule, ZModule]:
+    """The pair's spans moved to code: on a code with a Z shift the three
+    spans are flipped, and y_z itself joins the constraints of Id."""
     if _flip_vector(code) is None:
-        return fixing_span, transversal_span, identity_span
-    rows = [fixing_span.gens, transversal_span.gens, np.vstack([identity_span.gens, code.y_z.to_array()])]
-    return tuple(howell_form(_flipped(code, gens), ell, n=n) for gens in rows)
+        return spans
+    rows = [spans[0].gens, spans[1].gens, np.vstack([spans[2].gens, code.y_z.to_array()])]
+    return tuple(howell_form(_flipped(code, gens), ell, n=code.n) for gens in rows)
+
+
+def _constraint_spans(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
+    """The constraint spans of code: its pair's (_pair_spans), flipped."""
+    return _flipped_spans(code, ell, _pair_spans(_pair_of(code), ell))
 
 
 def gate_groups(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
@@ -525,8 +534,13 @@ def all_ones_report(code, ell: int) -> AllOnesReport:
     dual of the (ell-1)-th power of the outer code.
     """
     pair = _pair_of(code)
+    return _all_ones(pair, ell, _pair_spans(pair, ell))
+
+
+def _all_ones(pair: NestedCodePair, ell: int, spans: tuple) -> AllOnesReport:
+    """all_ones_report of pair, given the pair's constraint spans."""
     ones = np.ones(pair.n, dtype=np.int64)
-    in_h, in_t, in_id = (span.kernel_contains(ones) for span in _constraint_spans(pair, ell))
+    in_h, in_t, in_id = (span.kernel_contains(ones) for span in spans)
 
     if ell == 1:
         power = rref_basis([BitVector.all_ones(pair.n)], n=pair.n)

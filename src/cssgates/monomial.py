@@ -18,7 +18,10 @@ the transversal group T. T adds ev(full/u) for u in outer-minus-inner at
 k = 1 only; the textbook recursion T_k = I_k + 2 T_(k-1) equals
 top_k + 2 T_(k-1) because I_(k-1) lies in T_(k-1), so T and I share every
 head. Every closed form checks its applicability hypotheses and raises
-HypothesisError with a machine-readable code when they fail.
+HypothesisError with a machine-readable code when they fail. Each closed
+form builds its reach table once and validates it, pairing every head
+with every constraint in one array pass, before the level loop reads it;
+the span-candidate sieve is the complement of the fixing group's table.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ __all__ = [
     "evaluate",
     "product_set",
     "monomial_power",
-    "maximal_elements",
     "divisibility_closure",
     "is_decreasing",
     "validate_fixing_hypotheses",
@@ -252,15 +254,6 @@ def monomial_power(mset: MonomialSet, t: int) -> MonomialSet:
     return product_set(mset, mset, t - 1)
 
 
-def maximal_elements(mset: MonomialSet) -> MonomialSet:
-    masks = sorted(mset.masks, key=lambda u: u.bit_count(), reverse=True)
-    out: list[int] = []
-    for u in masks:
-        if not any(u & v == u for v in out):
-            out.append(u)
-    return MonomialSet(mset.m, frozenset(out))
-
-
 def divisibility_closure(mset: MonomialSet) -> MonomialSet:
     closed: set[int] = set()
     for u in mset.masks:
@@ -331,15 +324,14 @@ def _ev_rows(m: int, masks) -> np.ndarray:
     return ((np.arange(1 << m) & w) == w).astype(np.int64)
 
 
-def _level_loop(spec: MonomialCodeSpec, ell: int, start, *bases) -> list[ZModule]:
+def _level_loop(spec: MonomialCodeSpec, ell: int, first: dict[int, int], *bases) -> list[ZModule]:
     """The layered closed forms, one module per base mask set, unchecked.
 
-    Level k has the head top_k, spanned by ev(full/u) over the u not
-    reachable as a start mask times at most k-1 outer ones. Each module
-    is top_k plus its own double from level k-1, so the modules share
-    every head; the ev(full/u) of a base set join at level 1 only.
+    Level k has the head top_k, spanned by ev(full/u) over the u that the
+    reach table first (up to ell-1 factors) misses below k factors. Each
+    module is top_k plus its own double from level k-1, so the modules
+    share every head; the ev(full/u) of a base set join at level 1 only.
     """
-    first = _reach_levels(start, spec.outer.masks, ell - 1)
     level = np.full(spec.n, ell)
     level[list(first)] = list(first.values())
     mods: list[ZModule] = []
@@ -360,6 +352,9 @@ def _mask_token(m: int, mask: int) -> str:
     return Monomial(m, mask).token
 
 
+_PAIR_BLOCK = 1 << 16
+
+
 def _head_pairing_check(spec: MonomialCodeSpec, ell: int, first: dict[int, int], code: str) -> None:
     """Verify that every head generator annihilates every constraint row.
 
@@ -372,27 +367,33 @@ def _head_pairing_check(spec: MonomialCodeSpec, ell: int, first: dict[int, int],
     t is smallest the first time w is reached, so one pairing per (u, w)
     decides all levels at once. Failures are hypothesis errors: the loop
     would produce a module that is not contained in the kernel it is
-    meant to describe.
+    meant to describe. The pairs run u-major, both in (degree, mask)
+    order, _PAIR_BLOCK at a time, so the first failing pair is raised.
     """
-    masks = sorted(range(1 << spec.m), key=lambda x: (x.bit_count(), x))
-    constraints = sorted(first, key=lambda x: (x.bit_count(), x))
-    for u in masks:
-        last_head = min(first.get(u, ell), ell)
-        if last_head < 1:
-            continue
-        for w in constraints:
+    level = np.full(spec.n, ell)  # u is a head up to level[u]
+    level[list(first)] = list(first.values())
+    degree = np.zeros(spec.n, dtype=np.int64)
+    for k in range(spec.m):
+        degree[1 << k : 2 << k] = degree[: 1 << k] + 1
+    order = np.argsort(degree, kind="stable")
+    heads, constraints = order[level[order] >= 1], order[level[order] < ell]
+    total = heads.size * constraints.size
+    for start in range(0, total, _PAIR_BLOCK):
+        pairs = np.arange(start, min(start + _PAIR_BLOCK, total))
+        u, w = heads[pairs // constraints.size], constraints[pairs % constraints.size]
+        gap = degree[u & ~w]
+        bad = np.flatnonzero(gap < level[u] - level[w])
+        if bad.size:
+            u, w, gap = int(u[bad[0]]), int(w[bad[0]]), int(gap[bad[0]])
             scale = first[w]
-            need = last_head - scale
-            if need >= 1 and (u & ~w).bit_count() < need:
-                bad_level = scale + (u & ~w).bit_count() + 1
-                raise HypothesisError(
-                    code,
-                    f"ev({_mask_token(spec.m, spec.full_mask ^ u)}) joins the head at "
-                    f"level {bad_level} but its pairing against the scale-{scale} "
-                    f"constraint from {_mask_token(spec.m, w)} is only divisible by "
-                    f"2^{scale + (u & ~w).bit_count()}",
-                    level=bad_level,
-                )
+            raise HypothesisError(
+                code,
+                f"ev({_mask_token(spec.m, spec.full_mask ^ u)}) joins the head at "
+                f"level {scale + gap + 1} but its pairing against the scale-{scale} "
+                f"constraint from {_mask_token(spec.m, w)} is only divisible by "
+                f"2^{scale + gap}",
+                level=scale + gap + 1,
+            )
 
 
 def _relative_generator_check(spec: MonomialCodeSpec, ell: int) -> None:
@@ -449,6 +450,14 @@ def _fixing_reach(spec: MonomialCodeSpec, ell: int) -> dict[int, int]:
     return first
 
 
+def _fixing_table(spec: MonomialCodeSpec, ell: int) -> dict[int, int]:
+    """The fixing group's reach table, once every hypothesis holds."""
+    _check_level_arg(ell)
+    first = _fixing_reach(spec, ell)
+    _head_pairing_check(spec, ell, first, "head_outside_kernel")
+    return first
+
+
 def validate_fixing_hypotheses(spec: MonomialCodeSpec, ell: int) -> None:
     """Raise HypothesisError unless the fixing-group closed form applies.
 
@@ -458,8 +467,7 @@ def validate_fixing_hypotheses(spec: MonomialCodeSpec, ell: int) -> None:
     head generator actually lies in the kernel it describes, which the
     two reachability conditions alone do not guarantee.
     """
-    _check_level_arg(ell)
-    _head_pairing_check(spec, ell, _fixing_reach(spec, ell), "head_outside_kernel")
+    _fixing_table(spec, ell)
 
 
 def closed_form_fixing_group(spec: MonomialCodeSpec, ell: int) -> ZModule:
@@ -470,21 +478,12 @@ def closed_form_fixing_group(spec: MonomialCodeSpec, ell: int) -> ZModule:
     group one level down. Applicability is what validate_fixing_hypotheses
     enforces; when it holds the result equals the kernel computation.
     """
-    validate_fixing_hypotheses(spec, ell)
-    (fixing,) = _level_loop(spec, ell, spec.inner.masks, ())
+    (fixing,) = _level_loop(spec, ell, _fixing_table(spec, ell), ())
     return fixing
 
 
-def validate_transversal_identity_hypotheses(spec: MonomialCodeSpec, ell: int) -> None:
-    """Raise HypothesisError unless the transversal/identity closed forms
-    apply.
-
-    Conditions: the full monomial lies neither in the inner set nor in
-    the outer power minus the outer set, the power chain has not stalled
-    at the top level, every head generator clears every kernel
-    constraint, and the extra transversal generators clear the inner
-    constraints while owning a second outer divisor.
-    """
+def _transversal_identity_table(spec: MonomialCodeSpec, ell: int) -> dict[int, int]:
+    """The outer reach table of T and Id, once every hypothesis holds."""
     _check_level_arg(ell)
     full = spec.full_mask
     if full in spec.inner.masks:
@@ -502,6 +501,20 @@ def validate_transversal_identity_hypotheses(spec: MonomialCodeSpec, ell: int) -
     _check_power_chain(spec, ell, ell)
     _head_pairing_check(spec, ell, first, "identity_head_outside_kernel")
     _relative_generator_check(spec, ell)
+    return first
+
+
+def validate_transversal_identity_hypotheses(spec: MonomialCodeSpec, ell: int) -> None:
+    """Raise HypothesisError unless the transversal/identity closed forms
+    apply.
+
+    Conditions: the full monomial lies neither in the inner set nor in
+    the outer power minus the outer set, the power chain has not stalled
+    at the top level, every head generator clears every kernel
+    constraint, and the extra transversal generators clear the inner
+    constraints while owning a second outer divisor.
+    """
+    _transversal_identity_table(spec, ell)
 
 
 def closed_form_transversal_identity(
@@ -515,9 +528,8 @@ def closed_form_transversal_identity(
     only. Applicability is what validate_transversal_identity_hypotheses
     enforces; when it holds both results equal the kernel computations.
     """
-    validate_transversal_identity_hypotheses(spec, ell)
     transversal, identity = _level_loop(
-        spec, ell, spec.outer.masks, spec.outer.masks - spec.inner.masks, ()
+        spec, ell, _transversal_identity_table(spec, ell), spec.outer.masks - spec.inner.masks, ()
     )
     return transversal, identity
 
@@ -577,11 +589,12 @@ def closed_form_fixing_group_general(spec: MonomialCodeSpec) -> GeneralClosedFor
 def decreasing_span_monomials(spec: MonomialCodeSpec, ell: int) -> MonomialSet:
     """Monomial supports spanning the top layer of the fixing group.
 
-    For divisibility-closed specs this is the sieve of monomials with no
-    complement-quotient of a maximal product dividing them; their
-    evaluations span exactly the unscaled layer of the closed form, so the
-    span is contained in the fixing group but generally misses the doubled
-    tail.
+    For divisibility-closed specs the fixing group's reach table is the
+    down-closure of its maximal products, so the sieve of the u with no
+    complement-quotient of such a product dividing them keeps exactly the
+    u with full/u outside the table. Their evaluations span exactly the
+    unscaled layer of the closed form: inside the fixing group, but
+    generally missing the doubled tail.
     """
     _check_level_arg(ell)
     if not (is_decreasing(spec.outer) and is_decreasing(spec.inner)):
@@ -590,18 +603,8 @@ def decreasing_span_monomials(spec: MonomialCodeSpec, ell: int) -> MonomialSet:
             "the sieve form needs divisibility-closed monomial sets",
             level=ell,
         )
-    _fixing_reach(spec, ell)
-    full = spec.full_mask
-    top_products = product_set(
-        maximal_elements(spec.inner), maximal_elements(spec.outer), ell - 1
-    )
-    quotients = [full ^ w for w in top_products.masks]
-    kept = [
-        u
-        for u in range(1 << spec.m)
-        if not any(q & u == q for q in quotients)
-    ]
-    return MonomialSet.from_masks(spec.m, kept)
+    first = _fixing_reach(spec, ell)
+    return MonomialSet.from_masks(spec.m, (spec.full_mask ^ w for w in range(spec.n) if w not in first))
 
 
 @dataclass(frozen=True)

@@ -202,14 +202,14 @@ def enumerate_group(code: CssCode, ell: int, which: str = "fixing") -> np.ndarra
 
 
 def amplitude_fix_check(code: CssCode, ell: int, b) -> bool:
-    """Check code fixing at the level of signed basis-state amplitudes.
+    """Check code fixing at the level of basis-state amplitudes.
 
-    Writes each basis state as its support labels with sign exponents
-    modulo 2N, applies the gate to every amplitude, and requires the
-    result to be a global multiple of a basis state found by support
-    matching. Exercises the sign structure (y_x) and the support pairing
-    that the coset phase route takes for granted. Caps: dim C2 <= 16,
-    n <= 24.
+    Builds each coset state from its support labels, requires distinct
+    cosets to have distinct supports, and checks that the gate maps each
+    state to a multiple of itself: its phase exponent is constant on the
+    state's support. The y_x character only multiplies amplitudes by
+    signs, which a diagonal gate leaves in place, so y_x cannot change
+    the answer. Caps: dim C2 <= 16, n <= 24.
     """
     N = _check_level(ell)
     pair = code.pair
@@ -220,34 +220,16 @@ def amplitude_fix_check(code: CssCode, ell: int, b) -> bool:
     arr = _gate_array(ell, b)
     if arr.shape[0] != code.n:
         raise ValueError("gate vector length does not match the code length")
-    two_n = 2 * N
     inner = _span_words(list(pair.beta2), code.n)
-    labels = _coset_labels(code)
-    y_x = code.y_x.to_array()
     packer = np.int64(1) << np.arange(code.n, dtype=np.int64)
-    supports = {}
-    signs = {}
-    for v, label in enumerate(labels):
+    supports = set()
+    fixes = True
+    for label in _coset_labels(code):
         words = inner ^ label
-        packed = words @ packer
-        order = np.argsort(packed)
-        key = packed[order].tobytes()
+        key = np.sort(words @ packer).tobytes()
         if key in supports:
             raise ConsistencyError("two cosets share a support set")
-        supports[key] = v
-        # sign exponent of each amplitude, as a multiple of N modulo 2N
-        signs[key] = (N * (words[order] @ y_x % 2), words[order])
-    for v, label in enumerate(labels):
-        words = inner ^ label
-        packed = words @ packer
-        order = np.argsort(packed)
-        key = packed[order].tobytes()
-        target = supports.get(key)
-        if target is None:
-            return False
-        base_sign, sorted_words = signs[key]
-        shifted = (base_sign + 2 * (sorted_words @ arr % N)) % two_n
-        ratio = (shifted - base_sign) % two_n
-        if not (ratio == ratio[0]).all():
-            return False
-    return True
+        supports.add(key)
+        phases = words @ arr % N
+        fixes = fixes and bool((phases == phases[0]).all())
+    return fixes

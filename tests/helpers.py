@@ -21,7 +21,16 @@ from cssgates import (
     reed_muller_set,
     rref_basis,
 )
-from cssgates.monomial import _level_loop
+from cssgates.monomial import (
+    HypothesisError,
+    _check_level_arg,
+    _fixing_reach,
+    _level_loop,
+    _mask_token,
+    _reach_levels,
+    is_decreasing,
+    product_set,
+)
 
 POOL_SEED = 20260816
 
@@ -212,15 +221,76 @@ def product_table_cases():
 def raw_fixing(spec: MonomialCodeSpec, ell: int):
     """The fixing closed form as the level loop builds it, with no
     hypothesis checked: what the formula would produce."""
-    (fixing,) = _level_loop(spec, ell, spec.inner.masks, ())
+    first = _reach_levels(spec.inner.masks, spec.outer.masks, ell - 1)
+    (fixing,) = _level_loop(spec, ell, first, ())
     return fixing
 
 
 def raw_transversal_identity(spec: MonomialCodeSpec, ell: int):
     """(T, Id) as the level loop builds them, with no hypothesis checked."""
+    first = _reach_levels(spec.outer.masks, spec.outer.masks, ell - 1)
     relative = spec.outer.masks - spec.inner.masks
-    transversal, identity = _level_loop(spec, ell, spec.outer.masks, relative, ())
+    transversal, identity = _level_loop(spec, ell, first, relative, ())
     return transversal, identity
+
+
+def head_pairing_reference(spec: MonomialCodeSpec, ell: int, first: dict, code: str) -> None:
+    """The head pairing check as a nested loop over (u, w), u then w in
+    (degree, mask) order. The reference for monomial._head_pairing_check."""
+    masks = sorted(range(1 << spec.m), key=lambda x: (x.bit_count(), x))
+    constraints = sorted(first, key=lambda x: (x.bit_count(), x))
+    for u in masks:
+        last_head = min(first.get(u, ell), ell)
+        if last_head < 1:
+            continue
+        for w in constraints:
+            scale = first[w]
+            need = last_head - scale
+            if need >= 1 and (u & ~w).bit_count() < need:
+                bad_level = scale + (u & ~w).bit_count() + 1
+                raise HypothesisError(
+                    code,
+                    f"ev({_mask_token(spec.m, spec.full_mask ^ u)}) joins the head at "
+                    f"level {bad_level} but its pairing against the scale-{scale} "
+                    f"constraint from {_mask_token(spec.m, w)} is only divisible by "
+                    f"2^{scale + (u & ~w).bit_count()}",
+                    level=bad_level,
+                )
+
+
+def maximal_elements_reference(mset: MonomialSet) -> MonomialSet:
+    """The members no other member strictly contains."""
+    masks = sorted(mset.masks, key=lambda u: u.bit_count(), reverse=True)
+    out: list[int] = []
+    for u in masks:
+        if not any(u & v == u for v in out):
+            out.append(u)
+    return MonomialSet(mset.m, frozenset(out))
+
+
+def sieve_reference(spec: MonomialCodeSpec, ell: int) -> MonomialSet:
+    """The span-candidate sieve from the products of maximal elements: the
+    u that no complement-quotient of such a product divides. The
+    reference for monomial.decreasing_span_monomials."""
+    _check_level_arg(ell)
+    if not (is_decreasing(spec.outer) and is_decreasing(spec.inner)):
+        raise HypothesisError(
+            "not_decreasing",
+            "the sieve form needs divisibility-closed monomial sets",
+            level=ell,
+        )
+    _fixing_reach(spec, ell)
+    full = spec.full_mask
+    top_products = product_set(
+        maximal_elements_reference(spec.inner), maximal_elements_reference(spec.outer), ell - 1
+    )
+    quotients = [full ^ w for w in top_products.masks]
+    kept = [
+        u
+        for u in range(1 << spec.m)
+        if not any(q & u == q for q in quotients)
+    ]
+    return MonomialSet.from_masks(spec.m, kept)
 
 
 # ------------------------------------------------------ reference oracles

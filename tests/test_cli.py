@@ -440,6 +440,28 @@ class TestKernelCalls:
             assert len(calls) == expected, command
 
 
+    @pytest.mark.parametrize("y_z", [False, True])
+    @pytest.mark.parametrize("base", [EX2_JOB, MONO16_JOB])
+    def test_info_builds_the_pair_spans_once(self, capsys, monkeypatch, base, y_z):
+        from cssgates import gates
+
+        calls = []
+        table = gates._product_levels
+
+        def counted(*args):
+            calls.append(1)
+            return table(*args)
+
+        monkeypatch.setattr(gates, "_product_levels", counted)
+        job = dict(base)
+        if y_z:
+            n = Job(base).code.n
+            job["y_z"] = "1" + "0" * (n - 1)
+        # the lengths and the uniform-gate report share one build
+        run_json(capsys, monkeypatch, ["info", "-i", "-"], job)
+        assert len(calls) == 1
+
+
 class TestConsistencyGuard:
     def test_oracle_disagreement_exits_two(self, capsys, monkeypatch):
         from cssgates import cli as cli_module

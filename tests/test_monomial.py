@@ -20,7 +20,6 @@ from cssgates import (
     gate_groups,
     identity_group,
     is_decreasing,
-    maximal_elements,
     monomial_action,
     monomial_power,
     phase_profile,
@@ -33,10 +32,16 @@ from cssgates import (
     validate_fixing_hypotheses,
     validate_transversal_identity_hypotheses,
 )
-from cssgates import zmod
-from cssgates.monomial import _relative_generator_check
+from cssgates import monomial, zmod
+from cssgates.monomial import _head_pairing_check, _reach_levels, _relative_generator_check
 
-from helpers import random_decreasing_spec, raw_fixing, raw_transversal_identity
+from helpers import (
+    head_pairing_reference,
+    random_decreasing_spec,
+    raw_fixing,
+    raw_transversal_identity,
+    sieve_reference,
+)
 
 
 def spec_of(m, outer, inner):
@@ -118,13 +123,6 @@ class TestSetCalculus:
         assert Monomial.parse(3, "x1") in p2  # repetition keeps lower products
         assert Monomial.parse(3, "x1x2x3") in p2
         assert monomial_power(s, 1) == s
-
-    def test_maximal_elements(self, mono16_spec):
-        assert sorted(maximal_elements(mono16_spec.outer).tokens()) == [
-            "x1x2",
-            "x3",
-            "x4",
-        ]
 
     def test_divisibility(self, mono16_spec):
         assert is_decreasing(mono16_spec.outer)
@@ -358,6 +356,105 @@ class TestSieve:
         h8 = fixing_group(mono16_css, 3)
         for u in decreasing_span_monomials(mono16_spec, 3).monomials():
             assert h8.contains(evaluate(4, u).to_array())
+
+
+def rm_pairs(m_max):
+    for m in range(2, m_max + 1):
+        for r in range(m + 1):
+            for q in range(r + 1):
+                yield MonomialCodeSpec(m, reed_muller_set(m, r), reed_muller_set(m, q))
+
+
+def random_spec(rng, m_max=6):
+    """Seeded spec whose sets need not be divisibility-closed."""
+    m = rng.randrange(2, m_max + 1)
+    outer = {rng.randrange(1 << m) for _ in range(rng.randrange(1, 2 * m))}
+    inner = {u for u in outer if rng.randrange(3) == 0} or {min(outer)}
+    return MonomialCodeSpec(m, MonomialSet.from_masks(m, outer), MonomialSet.from_masks(m, inner))
+
+
+def outcome(fn, *args):
+    """fn's result, or the code, level and message of its HypothesisError."""
+    try:
+        return fn(*args)
+    except HypothesisError as exc:
+        return exc.code, exc.level, str(exc)
+
+
+class TestReachTable:
+    """Each closed form reads everything off one reach table: the head
+    pairing pass certifies it and the sieve is its complement."""
+
+    @staticmethod
+    def pairing_cases(m_max):
+        """(spec, ell, table, code): both tables of every RM pair with
+        m <= m_max and of seeded specs, decreasing or not."""
+        rng = random.Random(881017)
+        levels = {8: (3,), 9: (2,)}
+        specs = [(spec, ell) for spec in rm_pairs(m_max) for ell in levels.get(spec.m, (1, 2, 3, 4))]
+        specs += [(random_decreasing_spec(rng, min(m_max, 6)), rng.randrange(1, 5)) for _ in range(60)]
+        specs += [(random_spec(rng, min(m_max, 6)), rng.randrange(1, 5)) for _ in range(60)]
+        for spec, ell in specs:
+            inner = _reach_levels(spec.inner.masks, spec.outer.masks, ell - 1)
+            outer = _reach_levels(spec.outer.masks, spec.outer.masks, ell - 1)
+            yield spec, ell, inner, "head_outside_kernel"
+            yield spec, ell, outer, "identity_head_outside_kernel"
+
+    @pytest.mark.parametrize("block, m_max", [(None, 9), (5, 5)])
+    def test_pairing_pass_matches_the_loop(self, monkeypatch, block, m_max):
+        if block is not None:
+            # blocks that split rows of pairs take the same first failure
+            monkeypatch.setattr(monomial, "_PAIR_BLOCK", block)
+        results = {"passed": 0, "failed": 0}
+        for spec, ell, first, code in self.pairing_cases(m_max):
+            got = outcome(_head_pairing_check, spec, ell, first, code)
+            assert got == outcome(head_pairing_reference, spec, ell, first, code)
+            results["passed" if got is None else "failed"] += 1
+        assert min(results.values()) >= 50
+
+    def test_pairing_pass_over_several_blocks(self):
+        # RM(1) inside RM(2) at m = 9: 502 heads against 382 constraints
+        spec = MonomialCodeSpec(9, reed_muller_set(9, 2), reed_muller_set(9, 1))
+        first = _reach_levels(spec.inner.masks, spec.outer.masks, 2)
+        assert (spec.n - len(spec.inner)) * len(first) > 2 * monomial._PAIR_BLOCK
+        assert outcome(_head_pairing_check, spec, 3, first, "c") is None
+        # RM(2) inside RM(3) plus x1x4..x9: the first failure is pair
+        # 130081 of 179876, in the second block
+        spec = MonomialCodeSpec(9, reed_muller_set(9, 3).union(MonomialSet.from_masks(9, [505])),
+                                reed_muller_set(9, 2))
+        first = _reach_levels(spec.inner.masks, spec.outer.masks, 1)
+        got = outcome(_head_pairing_check, spec, 2, first, "c")
+        assert got is not None and got == outcome(head_pairing_reference, spec, 2, first, "c")
+
+    def test_sieve_is_the_complement_of_the_table(self):
+        rng = random.Random(881018)
+        specs = list(rm_pairs(7)) + [random_decreasing_spec(rng, 7) for _ in range(80)]
+        for spec in specs:
+            for ell in (1, 2, 3, 4):
+                expected = outcome(sieve_reference, spec, ell)
+                assert outcome(decreasing_span_monomials, spec, ell) == expected
+
+    def test_one_table_per_closed_form(self, monkeypatch, rm_spec):
+        # besides the power chain's table from {1}, which the fixing form
+        # needs at ell >= 2 only
+        calls = []
+        table = monomial._reach_levels
+
+        def counted(start, factors, horizon):
+            calls.append(horizon)
+            return table(start, factors, horizon)
+
+        monkeypatch.setattr(monomial, "_reach_levels", counted)
+        for ell in (1, 2, 3):
+            chain = [ell - 1] if ell >= 2 else []
+            for fn, expected in (
+                (closed_form_fixing_group, [ell - 1] + chain),
+                (closed_form_transversal_identity, [ell - 1, ell]),
+                (decreasing_span_monomials, [ell - 1] + chain),
+            ):
+                calls.clear()
+                fn(rm_spec, ell)
+                assert calls == expected, (fn.__name__, ell)
 
 
 class TestMonomialAction:

@@ -131,6 +131,28 @@ class TestAmplitudeFixCheck:
             )
             self.sweep(css, 2)
 
+    def test_y_x_never_changes_the_answer(self):
+        # y_x only signs the amplitudes, and a diagonal gate keeps signs
+        rng = random.Random(20261018)
+        answers = []
+        for _ in range(60):
+            css = random_nested_css(rng)
+            n, ell = css.n, rng.randrange(1, 4)
+            y_z = BitVector(n, rng.randrange(1 << n))
+            plain = css_from_pair(css.pair, y_z=y_z)
+            signed = css_from_pair(css.pair, y_x=BitVector(n, rng.randrange(1, 1 << n)), y_z=y_z)
+            members = fixing_group(plain, ell).gens
+            for j in range(4):
+                if j % 2 and len(members):
+                    b = members[rng.randrange(len(members))]
+                else:
+                    b = np.array([rng.randrange(1 << ell) for _ in range(n)])
+                answer = amplitude_fix_check(plain, ell, b)
+                assert amplitude_fix_check(signed, ell, b) == answer
+                assert answer == (coset_phase_check(signed, ell, b).gate_class.rank >= 1)
+                answers.append(answer)
+        assert 40 <= sum(answers) <= len(answers) - 40
+
 
 class TestSizeCaps:
     def test_enumeration_space_cap(self):
