@@ -24,7 +24,7 @@ from cssgates import (
     reed_muller_fixing_monomials,
     validate_fixing_hypotheses,
 )
-from cssgates.monomial import _level_loop, _reach_levels
+from cssgates.monomial import _complement_form, _reach_levels
 
 
 def show(title):
@@ -56,7 +56,7 @@ try:
 except HypothesisError as exc:
     print(f"validator refuses: code={exc.code}, level={exc.level}")
 # what the formula would produce from the inner reach table, unchecked
-(raw,) = _level_loop(gap, 2, _reach_levels(gap.inner.masks, gap.outer.masks, 1), ())
+raw = _complement_form(gap, 2, _reach_levels(gap.inner.masks, gap.outer.masks, 1))
 true = fixing_group(gap.induced_css(), 2)
 print(f"recursion output length {raw.length}, true group length {true.length}")
 print("equal lengths, but equal modules?", raw == true)

@@ -48,7 +48,7 @@ from .bincode import (
     _unpack,
     schur_power,
 )
-from .zmod import ZModule, dot_mod, howell_form, kernel_perp, module_sum, scale_lift
+from .zmod import ZModule, dot_mod, howell_form, kernel_perp, module_sum
 
 __all__ = [
     "ConsistencyError",

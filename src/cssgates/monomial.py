@@ -7,21 +7,25 @@ x_1 the least significant; the last point is the all-ones assignment.
 Evaluations multiply componentwise, so products of monomial sets map to
 intersections of supports, and weight(ev(u)) = 2^(m - deg u).
 
-For codes spanned by monomial evaluations the three gate groups have
-closed forms, built by one bottom-up level loop over k = 1..ell. Level k
-has a head top_k, spanned by the complement quotients ev(full/u) of the u
-outside an avoid set, and each group is mod_k = top_k + 2 mod_(k-1). The
-avoid sets are thresholds on one breadth-first reach table: u is a
-product of one inner and at most k-1 outer monomials for the fixing
-group H, and of at most k outer monomials for the identity group I and
-the transversal group T. T adds ev(full/u) for u in outer-minus-inner at
-k = 1 only; the textbook recursion T_k = I_k + 2 T_(k-1) equals
-top_k + 2 T_(k-1) because I_(k-1) lies in T_(k-1), so T and I share every
-head. Every closed form checks its applicability hypotheses and raises
-HypothesisError with a machine-readable code when they fail. Each closed
-form builds its reach table once and validates it, pairing every head
-with every constraint in one array pass, before the level loop reads it;
-the span-candidate sieve is the complement of the fixing group's table.
+For codes spanned by monomial evaluations each gate group is one Howell
+form. A breadth-first reach table gives level(u), the least number of
+outer factors that reach u from the inner set (fixing group H) or from
+the outer set (identity group I, transversal group T), or ell when ell-1
+do not. The group spans the heads 2^(ell - level(u)) * ev(full/u) over
+the u with level(u) >= 1; T adds 2^(ell - 1) * ev(full/u) for u in
+outer-minus-inner. This unrolls the textbook recursion
+mod_k = top_k + 2 mod_(k-1), k = 1..ell, where top_k spans ev(full/u) over
+the u with level(u) >= k (T_k = I_k + 2 T_(k-1) is top_k + 2 T_(k-1), as
+I_(k-1) lies in T_(k-1), so T's extras join at k = 1 only): ev(full/u)
+joins at each k <= level(u) and is doubled ell - k times. Multiplying by
+2^(ell - k) embeds Z/2^k into Z/2^ell, so a level's Howell form scales to
+the span of its scaled rows, annihilator rows included; the Howell form
+is unique, so the generators are the recursion's. Every closed form
+checks its hypotheses and raises HypothesisError with a machine-readable
+code when they fail. Each builds its reach table once and validates it,
+pairing every head with every constraint in one array pass, before the
+Howell form reads it; the span-candidate sieve is the complement of the
+fixing group's table.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from .bincode import BitVector, rref_basis, NestedCodePair
 from .gates import CssCode, PhaseProfile, _constraint_spans, css_from_pair, fixing_group, phase_profile
-from .zmod import MAX_LEVEL, ZModule, howell_form, kernel_perp, module_sum, scale_lift
+from .zmod import MAX_LEVEL, ZModule, howell_form, kernel_perp
 
 __all__ = [
     "HypothesisError",
@@ -324,28 +328,18 @@ def _ev_rows(m: int, masks) -> np.ndarray:
     return ((np.arange(1 << m) & w) == w).astype(np.int64)
 
 
-def _level_loop(spec: MonomialCodeSpec, ell: int, first: dict[int, int], *bases) -> list[ZModule]:
-    """The layered closed forms, one module per base mask set, unchecked.
-
-    Level k has the head top_k, spanned by ev(full/u) over the u that the
-    reach table first (up to ell-1 factors) misses below k factors. Each
-    module is top_k plus its own double from level k-1, so the modules
-    share every head; the ev(full/u) of a base set join at level 1 only.
+def _complement_form(spec: MonomialCodeSpec, ell: int, first: dict[int, int], extras=()) -> ZModule:
+    """The closed form read off one reach table, unchecked: one Howell
+    form of 2^(ell - level(u)) * ev(full/u) over every u with
+    level(u) >= 1, where level(u) = first.get(u, ell) and the masks in
+    extras (T's outer-minus-inner, level 0 in its table) count as 1.
     """
     level = np.full(spec.n, ell)
     level[list(first)] = list(first.values())
-    mods: list[ZModule] = []
-    for k in range(1, ell + 1):
-        heads = [spec.full_mask ^ u for u in np.flatnonzero(level >= k)]
-        if k == 1:
-            mods = [
-                howell_form(_ev_rows(spec.m, heads + [spec.full_mask ^ u for u in base]), 1, n=spec.n)
-                for base in bases
-            ]
-        else:
-            top = howell_form(_ev_rows(spec.m, heads), k, n=spec.n)
-            mods = [module_sum(top, scale_lift(mod, k)) for mod in mods]
-    return mods
+    level[list(extras)] = 1
+    heads = np.flatnonzero(level >= 1)
+    rows = _ev_rows(spec.m, spec.full_mask ^ heads) << (ell - level[heads, None])
+    return howell_form(rows, ell, n=spec.n)
 
 
 def _mask_token(m: int, mask: int) -> str:
@@ -359,15 +353,14 @@ def _head_pairing_check(spec: MonomialCodeSpec, ell: int, first: dict[int, int],
     """Verify that every head generator annihilates every constraint row.
 
     first maps each constraint mask w to the factor count t at which it
-    is first reached, and the constraint it gives is 2^t * ev(w). The
-    level loop adds ev(full/u) unscaled at each level k <= first[u];
-    against 2^t * ev(w) the dot product is 2^(t + |u minus w|), so
-    membership in the kernel at level k needs t + |u minus w| >= k. The
-    requirement is binding at the last level where u is still a head, and
-    t is smallest the first time w is reached, so one pairing per (u, w)
-    decides all levels at once. Failures are hypothesis errors: the loop
-    would produce a module that is not contained in the kernel it is
-    meant to describe. The pairs run u-major, both in (degree, mask)
+    is first reached, and the constraint it gives is 2^t * ev(w); later
+    reaches give its multiples. Against it the head 2^(ell - level(u)) *
+    ev(full/u) pairs to 2^(ell - level(u) + t + |u minus w|), which
+    vanishes mod 2^ell exactly when t + |u minus w| >= level(u). The
+    error names the least recursion level t + |u minus w| + 1 at which
+    the unscaled ev(full/u) fails. Failures are hypothesis errors: the
+    closed form would be a module that is not contained in the kernel it
+    is meant to describe. The pairs run u-major, both in (degree, mask)
     order, _PAIR_BLOCK at a time, so the first failing pair is raised.
     """
     level = np.full(spec.n, ell)  # u is a head up to level[u]
@@ -397,10 +390,11 @@ def _head_pairing_check(spec: MonomialCodeSpec, ell: int, first: dict[int, int],
 
 
 def _relative_generator_check(spec: MonomialCodeSpec, ell: int) -> None:
-    """The base-level extra generators of the transversal form must clear
-    the unscaled inner constraints, and for levels above one each must
-    have a second outer divisor so the generic group cannot hold it at a
-    lower scale than the level loop assigns."""
+    """The extra generators 2^(ell - 1) * ev(full/u) of the transversal
+    form, u in outer-minus-inner, must clear the unscaled inner
+    constraints ev(w), which fails when u divides w, and for levels above
+    one each u must have a second outer divisor so the generic group
+    cannot hold ev(full/u) at a lower scale than 2^(ell - 1)."""
     for mono in spec.outer.difference(spec.inner).monomials():
         u = mono.mask
         for w in sorted(spec.inner.masks, key=lambda x: (x.bit_count(), x)):
@@ -429,11 +423,12 @@ def _check_power_chain(spec: MonomialCodeSpec, t: int, ell: int) -> None:
     equals P(t-1) exactly when this closure from {1} stops before level t.
     """
     if t >= 1 and max(_reach_levels((0,), spec.outer.masks, t).values()) < t:
-        raise HypothesisError(
-            "power_chain_stalled",
-            f"outer power chain is stationary at exponent {t}",
-            level=ell,
-        )
+        raise _power_chain_stalled(t, ell)
+
+
+def _power_chain_stalled(t: int, ell: int) -> HypothesisError:
+    message = f"outer power chain is stationary at exponent {t}"
+    return HypothesisError("power_chain_stalled", message, level=ell)
 
 
 def _fixing_reach(spec: MonomialCodeSpec, ell: int) -> dict[int, int]:
@@ -473,13 +468,12 @@ def validate_fixing_hypotheses(spec: MonomialCodeSpec, ell: int) -> None:
 def closed_form_fixing_group(spec: MonomialCodeSpec, ell: int) -> ZModule:
     """Closed-form fixing group of a monomial code.
 
-    Level k contributes the span of ev(full/u) over the u not reachable as
-    a product of one inner and up to k-1 outer monomials, and the doubled
-    group one level down. Applicability is what validate_fixing_hypotheses
-    enforces; when it holds the result equals the kernel computation.
+    One Howell form of the heads 2^(ell - level(u)) * ev(full/u), level
+    read off the inner reach table. Applicability is what
+    validate_fixing_hypotheses enforces; when it holds the result equals
+    the kernel computation.
     """
-    (fixing,) = _level_loop(spec, ell, _fixing_table(spec, ell), ())
-    return fixing
+    return _complement_form(spec, ell, _fixing_table(spec, ell))
 
 
 def _transversal_identity_table(spec: MonomialCodeSpec, ell: int) -> dict[int, int]:
@@ -498,7 +492,11 @@ def _transversal_identity_table(spec: MonomialCodeSpec, ell: int) -> dict[int, i
             "without generating the outer code",
             level=ell,
         )
-    _check_power_chain(spec, ell, ell)
+    # P(ell) equals P(ell - 1) exactly when no product of ell outer
+    # monomials is new; apart from 1, the new ones are the masks this
+    # table first reaches at ell - 1 (see _check_power_chain)
+    if not any(u and t == ell - 1 for u, t in first.items()):
+        raise _power_chain_stalled(ell, ell)
     _head_pairing_check(spec, ell, first, "identity_head_outside_kernel")
     _relative_generator_check(spec, ell)
     return first
@@ -522,16 +520,15 @@ def closed_form_transversal_identity(
 ) -> tuple[ZModule, ZModule]:
     """Closed-form (transversal, identity) groups of a monomial code.
 
-    The identity group at level k spans ev(full/u) over u outside the
-    k-fold outer power, plus the doubled level below; the transversal
-    group adds ev(full/u) for u in outer-minus-inner at the base level
-    only. Applicability is what validate_transversal_identity_hypotheses
-    enforces; when it holds both results equal the kernel computations.
+    One Howell form each of the heads 2^(ell - level(u)) * ev(full/u),
+    level read off the outer reach table, T also taking 2^(ell - 1) *
+    ev(full/u) for u in outer-minus-inner. Applicability is what
+    validate_transversal_identity_hypotheses enforces; when it holds both
+    results equal the kernel computations.
     """
-    transversal, identity = _level_loop(
-        spec, ell, _transversal_identity_table(spec, ell), spec.outer.masks - spec.inner.masks, ()
-    )
-    return transversal, identity
+    first = _transversal_identity_table(spec, ell)
+    transversal = _complement_form(spec, ell, first, spec.outer.masks - spec.inner.masks)
+    return transversal, _complement_form(spec, ell, first)
 
 
 @dataclass(frozen=True)
@@ -547,8 +544,9 @@ def closed_form_fixing_group_general(spec: MonomialCodeSpec) -> GeneralClosedFor
     """General-position fixing group formula at the minimal reachable level.
 
     Finds the least level whose product set contains the full monomial,
-    then spans (ev(u) - ev(1)) over the u that are not complement
-    quotients of reachable monomials, doubled tail below. Raises when the
+    then takes one Howell form of (ev(u) - ev(1)) over the u that are not
+    complement quotients of reachable monomials and of twice the fixing
+    group one level down (closed form, else kernel). Raises when the
     full monomial is never reached or when the product set saturates (for
     divisibility-closed specs reaching the full monomial always saturates
     the set, so the formula only ever applies to non-closed sets).
@@ -576,14 +574,13 @@ def closed_form_fixing_group_general(spec: MonomialCodeSpec) -> GeneralClosedFor
         )
     # u = 0 is left out: ev(1) - ev(1) is the zero row
     rows = (_ev_rows(spec.m, [u for u in range(1, spec.n) if u not in quotients]) - 1) % (1 << ell)
-    top = howell_form(rows, ell, n=spec.n)
-    if ell == 1:
-        return GeneralClosedForm(1, top)
-    try:
-        tail = closed_form_fixing_group(spec, ell - 1)
-    except HypothesisError:
-        tail = fixing_group(spec.induced_pair(), ell - 1)
-    return GeneralClosedForm(ell, module_sum(top, scale_lift(tail, ell)))
+    if ell > 1:
+        try:
+            tail = closed_form_fixing_group(spec, ell - 1)
+        except HypothesisError:
+            tail = fixing_group(spec.induced_pair(), ell - 1)
+        rows = np.vstack([rows, tail.gens << 1])
+    return GeneralClosedForm(ell, howell_form(rows, ell, n=spec.n))
 
 
 def decreasing_span_monomials(spec: MonomialCodeSpec, ell: int) -> MonomialSet:

@@ -10,24 +10,35 @@ import numpy as np
 
 from cssgates import (
     BitVector,
+    GeneralClosedForm,
     MonomialCodeSpec,
     MonomialSet,
     NestedCodePair,
     aligned_bases,
     build_css,
+    closed_form_fixing_group,
     divisibility_closure,
     dual_basis,
+    fixing_group,
+    howell_form,
     kernel_perp,
+    module_sum,
     reed_muller_set,
     rref_basis,
+    scale_lift,
 )
 from cssgates.monomial import (
+    MAX_LEVEL,
     HypothesisError,
     _check_level_arg,
+    _check_power_chain,
+    _complement_form,
+    _ev_rows,
     _fixing_reach,
-    _level_loop,
+    _head_pairing_check,
     _mask_token,
     _reach_levels,
+    _relative_generator_check,
     is_decreasing,
     product_set,
 )
@@ -218,20 +229,91 @@ def product_table_cases():
 
 # ------------------------------------------------ unchecked closed forms
 
+def level_loop_reference(spec: MonomialCodeSpec, ell: int, first: dict, *bases) -> list:
+    """The closed forms built bottom-up, one module per base mask set,
+    unchecked. The reference for monomial._complement_form.
+
+    Level k has the head top_k, spanned by ev(full/u) over the u with
+    first.get(u, ell) >= k. Each module is top_k plus its own double from
+    level k-1, so the modules share every head; the ev(full/u) of a base
+    set join at level 1 only.
+    """
+    level = np.full(spec.n, ell)
+    level[list(first)] = list(first.values())
+    mods = []
+    for k in range(1, ell + 1):
+        heads = [spec.full_mask ^ u for u in np.flatnonzero(level >= k)]
+        if k == 1:
+            mods = [
+                howell_form(_ev_rows(spec.m, heads + [spec.full_mask ^ u for u in base]), 1, n=spec.n)
+                for base in bases
+            ]
+        else:
+            top = howell_form(_ev_rows(spec.m, heads), k, n=spec.n)
+            mods = [module_sum(top, scale_lift(mod, k)) for mod in mods]
+    return mods
+
+
 def raw_fixing(spec: MonomialCodeSpec, ell: int):
-    """The fixing closed form as the level loop builds it, with no
-    hypothesis checked: what the formula would produce."""
-    first = _reach_levels(spec.inner.masks, spec.outer.masks, ell - 1)
-    (fixing,) = _level_loop(spec, ell, first, ())
-    return fixing
+    """The fixing closed form with no hypothesis checked: what the
+    formula would produce."""
+    return _complement_form(spec, ell, _reach_levels(spec.inner.masks, spec.outer.masks, ell - 1))
 
 
 def raw_transversal_identity(spec: MonomialCodeSpec, ell: int):
-    """(T, Id) as the level loop builds them, with no hypothesis checked."""
+    """(T, Id) as the closed forms build them, with no hypothesis checked."""
     first = _reach_levels(spec.outer.masks, spec.outer.masks, ell - 1)
     relative = spec.outer.masks - spec.inner.masks
-    transversal, identity = _level_loop(spec, ell, first, relative, ())
-    return transversal, identity
+    return _complement_form(spec, ell, first, relative), _complement_form(spec, ell, first)
+
+
+def general_fixing_reference(spec: MonomialCodeSpec):
+    """closed_form_fixing_group_general with the head and the doubled
+    tail canonicalised apart and joined by module_sum and scale_lift."""
+    full = spec.full_mask
+    first = _reach_levels(spec.inner.masks, spec.outer.masks, MAX_LEVEL)
+    if full not in first:
+        raise HypothesisError(
+            "full_unreachable",
+            "products of inner and outer monomials never reach the full monomial",
+            level=min(max(first.values()) + 2, MAX_LEVEL + 1),
+        )
+    ell = first[full] + 1
+    quotients = {full ^ w for w, t in first.items() if t < ell}
+    if len(quotients) == spec.n:
+        raise HypothesisError(
+            "product_set_saturated", "every monomial is reachable at the minimal full level", level=ell
+        )
+    rows = (_ev_rows(spec.m, [u for u in range(1, spec.n) if u not in quotients]) - 1) % (1 << ell)
+    top = howell_form(rows, ell, n=spec.n)
+    if ell == 1:
+        return GeneralClosedForm(1, top)
+    try:
+        tail = closed_form_fixing_group(spec, ell - 1)
+    except HypothesisError:
+        tail = fixing_group(spec.induced_pair(), ell - 1)
+    return GeneralClosedForm(ell, module_sum(top, scale_lift(tail, ell)))
+
+
+def transversal_identity_table_reference(spec: MonomialCodeSpec, ell: int) -> dict:
+    """The T/Id hypothesis checks with the power chain read off its own
+    breadth-first table from {1}, in the same order."""
+    _check_level_arg(ell)
+    full = spec.full_mask
+    if full in spec.inner.masks:
+        raise HypothesisError("full_in_inner", "the full monomial generates the inner code", level=ell)
+    first = _reach_levels(spec.outer.masks, spec.outer.masks, ell - 1)
+    if full in first and full not in spec.outer.masks:
+        raise HypothesisError(
+            "full_power_reached",
+            f"the full monomial is a product of at most {ell} outer monomials "
+            "without generating the outer code",
+            level=ell,
+        )
+    _check_power_chain(spec, ell, ell)
+    _head_pairing_check(spec, ell, first, "identity_head_outside_kernel")
+    _relative_generator_check(spec, ell)
+    return first
 
 
 def head_pairing_reference(spec: MonomialCodeSpec, ell: int, first: dict, code: str) -> None:

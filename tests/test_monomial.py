@@ -5,6 +5,7 @@ import pytest
 
 from cssgates import (
     GateClass,
+    GeneralClosedForm,
     HypothesisError,
     Monomial,
     MonomialCodeSpec,
@@ -36,11 +37,14 @@ from cssgates import monomial, zmod
 from cssgates.monomial import _head_pairing_check, _reach_levels, _relative_generator_check
 
 from helpers import (
+    general_fixing_reference,
     head_pairing_reference,
+    level_loop_reference,
     random_decreasing_spec,
     raw_fixing,
     raw_transversal_identity,
     sieve_reference,
+    transversal_identity_table_reference,
 )
 
 
@@ -230,8 +234,8 @@ class TestClosedForms:
 
 
 class TestHowellCalls:
-    """The level loop takes one head per level, shared by T and Id: at
-    most 2ell-1 Howell forms for H and 3ell-1 for T and Id together."""
+    """Each closed form canonicalises once per returned module: one Howell
+    form for H and two for T and Id together, at every level."""
 
     @pytest.fixture
     def howell_calls(self, monkeypatch):
@@ -249,14 +253,14 @@ class TestHowellCalls:
     @pytest.mark.parametrize("ell", [1, 2, 3])
     def test_fixing_group(self, which, ell, mono16_spec, rm_spec, howell_calls):
         closed_form_fixing_group(mono16_spec if which == "mono16" else rm_spec, ell)
-        assert ell <= len(howell_calls) <= 2 * ell - 1
+        assert howell_calls == [ell]
 
     @pytest.mark.parametrize(
         "which,ell", [("mono16", 1), ("mono16", 2), ("rm", 1), ("rm", 2), ("rm", 3)]
     )
     def test_transversal_identity(self, which, ell, mono16_spec, rm_spec, howell_calls):
         closed_form_transversal_identity(mono16_spec if which == "mono16" else rm_spec, ell)
-        assert ell <= len(howell_calls) <= 3 * ell - 1
+        assert howell_calls == [ell, ell]
 
 
 class TestHypothesisChecks:
@@ -449,12 +453,91 @@ class TestReachTable:
             chain = [ell - 1] if ell >= 2 else []
             for fn, expected in (
                 (closed_form_fixing_group, [ell - 1] + chain),
-                (closed_form_transversal_identity, [ell - 1, ell]),
+                (closed_form_transversal_identity, [ell - 1]),
                 (decreasing_span_monomials, [ell - 1] + chain),
             ):
                 calls.clear()
                 fn(rm_spec, ell)
                 assert calls == expected, (fn.__name__, ell)
+
+
+def module_bytes(mod):
+    return mod.n, mod.ell, mod.gens.shape, mod.gens.dtype, mod.gens.tobytes()
+
+
+class TestComplementForm:
+    """The closed forms are one Howell form of the complement rows
+    2^(ell - level(u)) * ev(full/u), equal byte for byte to the level
+    loop that builds them bottom-up."""
+
+    @staticmethod
+    def specs():
+        rng = random.Random(881019)
+        specs = list(rm_pairs(7))
+        specs += [random_decreasing_spec(rng, 5) for _ in range(150)]
+        specs += [random_spec(rng, 5) for _ in range(150)]
+        return specs
+
+    def test_matches_the_level_loop(self, monkeypatch):
+        calls = []
+        howell = monomial.howell_form
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return howell(*args, **kwargs)
+
+        monkeypatch.setattr(monomial, "howell_form", counted)
+        applied = {"H": 0, "T": 0}
+        for spec in self.specs():
+            for ell in (1, 2, 3, 4):
+                inner = _reach_levels(spec.inner.masks, spec.outer.masks, ell - 1)
+                outer = _reach_levels(spec.outer.masks, spec.outer.masks, ell - 1)
+                relative = spec.outer.masks - spec.inner.masks
+                for name, fn, raw, expected in (
+                    ("H", closed_form_fixing_group, raw_fixing, level_loop_reference(spec, ell, inner, ())),
+                    ("T", closed_form_transversal_identity, raw_transversal_identity,
+                     level_loop_reference(spec, ell, outer, relative, ())),
+                ):
+                    calls.clear()
+                    got = outcome(fn, spec, ell)
+                    if isinstance(got, tuple) and isinstance(got[0], str):
+                        # it raises before any Howell form; compare what it would build
+                        assert calls == []
+                        got = raw(spec, ell)
+                    else:
+                        assert calls == [ell] * len(expected)
+                        applied[name] += 1
+                    got = [got] if name == "H" else list(got)
+                    assert list(map(module_bytes, got)) == list(map(module_bytes, expected))
+        assert min(applied.values()) >= 100
+
+    def test_general_form_matches_module_sum(self):
+        answered = 0
+        for spec in self.specs():
+            got = outcome(closed_form_fixing_group_general, spec)
+            expected = outcome(general_fixing_reference, spec)
+            if isinstance(expected, GeneralClosedForm):
+                assert got.ell == expected.ell
+                assert module_bytes(got.module) == module_bytes(expected.module)
+                answered += 1
+            else:
+                assert got == expected
+        assert answered >= 50
+
+    def test_power_chain_read_off_the_outer_table(self):
+        rng = random.Random(881020)
+        ones = MonomialSet.from_masks(3, [0])
+        specs = [MonomialCodeSpec(3, ones, ones)] + list(rm_pairs(7))
+        specs += [random_decreasing_spec(rng, 6) for _ in range(150)]
+        specs += [random_spec(rng) for _ in range(150)]
+        stalled = 0
+        for spec in specs:
+            for ell in (1, 2, 3, 4, 5):
+                got = outcome(validate_transversal_identity_hypotheses, spec, ell)
+                expected = outcome(transversal_identity_table_reference, spec, ell)
+                assert got == (None if isinstance(expected, dict) else expected)
+                stalled += got is not None and got[0] == "power_chain_stalled"
+        assert stalled >= 20
 
 
 class TestMonomialAction:
