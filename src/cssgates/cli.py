@@ -9,16 +9,20 @@ Job format (version 1):
       "y_x": "00",            optional, defaults to all zero
       "y_z": "00",            optional, defaults to all zero
       "gate": "1,3",          optional; "1,3", "1 3", or [1, 3]
-      "tasks": ["groups"],    optional, overridden by the subcommand
+      "tasks": ["groups"],    optional; each a command name, checked, never run
       "seed": 7               optional, echoed into the report
     }
 
 Monomial codes use {"type": "monomial", "m": 4, "M1": [...], "M2": [...]}
 with monomial tokens like "1" and "x1x3". The report is a flat JSON
-object: "params" always, then per requested task the keys "H"/"T"/"Id"
-(Howell generators plus length), "logical_actions", "verify", and
-"closed_form". Keys are sorted and the indent is fixed, so equal jobs
+object: "params" always, then the command's keys: "H"/"T"/"Id" (Howell
+generators plus length), "logical_actions", "verify", "closed_form" or
+"info". Keys are sorted and the indent is fixed, so equal jobs
 give byte-identical reports regardless of --threads.
+
+The command line is `cssgates COMMAND -i JOB [-o REPORT] [--seed N]
+[--gate B] [--threads T]`, options in any order; COMMANDS names the
+five commands, and only action and verify take --gate.
 
 Exit status: 0 on success, 1 on a rejected job or command line (the
 message names the offending field, "arguments" for the command line), 2
@@ -64,8 +68,6 @@ from .monomial import (
 )
 from .oracle import coset_phase_check
 from .zmod import MAX_LEVEL, ZModule, howell_form, kernel_perp, zvector_from_text
-
-TASK_NAMES = ("groups", "action", "verify", "closed-form")
 
 _MAX_VARIABLES = 20
 _MAX_PHASE_QUBITS = 12
@@ -133,9 +135,8 @@ class Job:
         self.seed = _expect(data, "", "seed", int, required=False)
         tasks = _expect(data, "", "tasks", list, required=False, default=[])
         for i, t in enumerate(tasks):
-            if t not in TASK_NAMES:
+            if t not in COMMANDS:
                 raise JobError(f"tasks[{i}]", f"unknown task {t!r}")
-        self.tasks = list(tasks)
 
     def _parse_code(self, code: dict) -> CssCode:
         kind = _expect(code, "code", "type", str)
@@ -209,12 +210,8 @@ class Job:
         return arr
 
 
-def _ints(values) -> list[int]:
-    return [int(x) for x in values]
-
-
 def _module_entry(mod: ZModule) -> dict:
-    return {"length": mod.length, "generators": [_ints(row) for row in mod.gens]}
+    return {"length": mod.length, "generators": mod.gens.tolist()}
 
 
 def _groups(code, ell: int) -> dict[str, ZModule]:
@@ -244,7 +241,7 @@ def _gates_for_action(job: Job) -> list[tuple[str | None, np.ndarray]]:
     ]
 
 
-def _task_action(job: Job) -> list[dict]:
+def _task_action(job: Job) -> dict:
     code = job.code
     spans = _spans(job)
     fixing = kernel_perp(spans["H"], job.ell, n=code.n)
@@ -253,21 +250,21 @@ def _task_action(job: Job) -> list[dict]:
         profile = phase_profile(code, job.ell, arr, group=fixing)
         entry: dict = {
             "name": name,
-            "gate": _ints(arr),
+            "gate": arr.tolist(),
             "in_fixing_group": bool(profile.in_fixing_group),
         }
         if profile.in_fixing_group:
             decomp = decompose_action(code, job.ell, arr, group=fixing)
             entry["global_phase"] = int(profile.global_phase)
             entry["factors"] = [
-                {"J": _ints(f.qubits), "a": int(f.phase)} for f in decomp.factors
+                {"J": list(f.qubits), "a": f.phase} for f in decomp.factors
             ]
             entry["in_transversal"] = spans["T"].kernel_contains(arr)
             entry["is_identity"] = spans["Id"].kernel_contains(arr)
             if code.num_logical <= _MAX_PHASE_QUBITS:
-                entry["logical_phases"] = _ints(profile.phases)
+                entry["logical_phases"] = profile.phases.tolist()
         entries.append(entry)
-    return entries
+    return {"logical_actions": entries}
 
 
 def _task_verify(job: Job) -> dict:
@@ -286,23 +283,23 @@ def _task_verify(job: Job) -> dict:
             f"oracle classified the gate as {result.gate_class.value} "
             f"but the kernel memberships are {memberships}"
         )
-    return {
-        "gate": _ints(arr),
+    return {"verify": {
+        "gate": arr.tolist(),
         "classification": result.gate_class.value,
         "memberships": memberships,
         "agreement": agreement,
-        "phases": _ints(result.phases) if result.phases is not None else None,
+        "phases": result.phases.tolist() if result.phases is not None else None,
         "witness": result.witness,
-    }
+    }}
 
 
 def _mismatch_witness(computed: ZModule, reference: ZModule) -> list[int] | None:
     for row in computed.gens:
         if not reference.contains(row):
-            return _ints(row)
+            return row.tolist()
     for row in reference.gens:
         if not computed.contains(row):
-            return _ints(row)
+            return row.tolist()
     return None
 
 
@@ -376,7 +373,7 @@ def _task_closed_form(job: Job) -> dict:
             "span_in_H": inside,
             "witness": None if inside else _mismatch_witness(span, generic["H"]),
         }
-    return report
+    return {"closed_form": report}
 
 
 def _hypothesis_entry(check) -> dict:
@@ -387,7 +384,7 @@ def _hypothesis_entry(check) -> dict:
     return {"applies": True, "reason": None, "reason_level": None}
 
 
-def _info(job: Job) -> dict:
+def _task_info(job: Job) -> dict:
     code = job.code
     pair = code.pair
     pair_spans = _pair_spans(pair, job.ell)
@@ -436,7 +433,16 @@ def _info(job: Job) -> dict:
             "M1": is_decreasing(spec.outer),
             "M2": is_decreasing(spec.inner),
         }
-    return info
+    return {"info": info}
+
+
+COMMANDS = {
+    "groups": ("compute the three gate groups", _task_groups),
+    "action": ("decompose logical actions of diagonal gates", _task_action),
+    "verify": ("cross-check a gate against the brute-force oracle", _task_verify),
+    "closed-form": ("evaluate monomial-code closed forms", _task_closed_form),
+    "info": ("summarize the code, hypotheses, and the uniform gate", _task_info),
+}
 
 
 def build_report(job: Job, command: str) -> dict:
@@ -447,16 +453,7 @@ def build_report(job: Job, command: str) -> dict:
         "params": [[job.code.n, job.code.num_logical]],
         "seed": job.seed,
     }
-    if command == "groups":
-        report.update(_task_groups(job))
-    elif command == "action":
-        report["logical_actions"] = _task_action(job)
-    elif command == "verify":
-        report["verify"] = _task_verify(job)
-    elif command == "closed-form":
-        report["closed_form"] = _task_closed_form(job)
-    elif command == "info":
-        report["info"] = _info(job)
+    report.update(COMMANDS[command][1](job))
     return report
 
 
@@ -486,38 +483,32 @@ class _Parser(argparse.ArgumentParser):
         raise JobError("arguments", message)
 
 
-def _make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cssgates",
-        description="Diagonal gate groups of CSS codes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "groups": "compute the three gate groups",
-        "action": "decompose logical actions of diagonal gates",
-        "verify": "cross-check a gate against the brute-force oracle",
-        "closed-form": "evaluate monomial-code closed forms",
-        "info": "summarize the code, hypotheses, and the uniform gate",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", "-i", required=True, help="job file, or - for stdin")
-        p.add_argument("--output", "-o", help="report file, defaults to stdout")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint; accepted for compatibility, unused")
-        p.add_argument("--seed", type=int, help="override the job's seed")
-        if name in ("action", "verify"):
-            p.add_argument("--gate", help="gate vector, comma-separated residues")
-    return parser
+_PARSER = _Parser(
+    prog="cssgates",
+    description="Diagonal gate groups of CSS codes.",
+    epilog="commands:\n" + "\n".join(
+        f"  {name:<12} {help_text}" for name, (help_text, _) in COMMANDS.items()
+    ),
+    formatter_class=argparse.RawDescriptionHelpFormatter,
+)
+_PARSER.add_argument("command", choices=COMMANDS, metavar="command", help="one of the commands below")
+_PARSER.add_argument("--input", "-i", required=True, help="job file, or - for stdin")
+_PARSER.add_argument("--output", "-o", help="report file, defaults to stdout")
+_PARSER.add_argument("--threads", type=int, default=1,
+                     help="worker hint; accepted for compatibility, unused")
+_PARSER.add_argument("--seed", type=int, help="override the job's seed")
+_PARSER.add_argument("--gate", help="gate vector, comma-separated residues (action and verify)")
 
 
 def main(argv=None) -> int:
     try:
-        args = _make_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
+        if args.gate is not None and args.command not in ("action", "verify"):
+            _PARSER.error(f"argument --gate: not allowed with {args.command}")
         job = Job(_read_job(args.input))
         if args.seed is not None:
             job.seed = args.seed
-        if getattr(args, "gate", None) is not None:
+        if args.gate is not None:
             job.gate_spec = args.gate
         report = build_report(job, args.command)
     except JobError as exc:

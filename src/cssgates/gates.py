@@ -48,7 +48,7 @@ from .bincode import (
     _unpack,
     schur_power,
 )
-from .zmod import ZModule, dot_mod, howell_form, kernel_perp, module_sum
+from .zmod import ZModule, dot_mod, howell_form, kernel_perp
 
 __all__ = [
     "ConsistencyError",
@@ -212,7 +212,8 @@ def _pair_spans(pair: NestedCodePair, ell: int) -> tuple[ZModule, ZModule, ZModu
     constraints. S_T adds the products of r >= 2 outer basis vectors
     whose least end is an extension vector: a product of inner vectors
     alone is already a stabilizer constraint. S_Id adds the extension
-    vectors. Each span is canonicalised once, growing from the one before.
+    vectors. Each span is one Howell form of the one before and its new
+    rows.
 
     T and Id also have direct constraint systems derived independently of
     these spans. Their spans are compared with S_T and S_Id on the
@@ -224,12 +225,12 @@ def _pair_spans(pair: NestedCodePair, ell: int) -> tuple[ZModule, ZModule, ZModu
     levels = _product_levels([v.bits for v in pair.beta1], ell, n)
     fixing_span = howell_form(_stabilizer_rows(pair, levels[:ell]), ell, n=n)
     extras = _scaled(_products(levels, 2, least_end=len(pair.beta2)), n)
-    transversal_span = module_sum(fixing_span, howell_form(extras, ell, n=n))
+    transversal_span = howell_form(np.vstack([fixing_span.gens, extras]), ell, n=n)
     if pair.num_logical:
         direct_t = howell_form(_transversal_rows_direct(pair, levels), ell, n=n)
         _check_span("transversal", direct_t, transversal_span)
     ext = _unpack([w.bits for w in pair.beta1_ext], n)
-    identity_span = module_sum(transversal_span, howell_form(ext, ell, n=n))
+    identity_span = howell_form(np.vstack([transversal_span.gens, ext]), ell, n=n)
     _check_span("identity", howell_form(_identity_rows_direct(pair, levels), ell, n=n), identity_span)
     return fixing_span, transversal_span, identity_span
 

@@ -12,7 +12,7 @@ import pytest
 
 import cssgates
 from cssgates import ConsistencyError, GateClass, fixing_group, howell_form
-from cssgates.cli import Job, main
+from cssgates.cli import COMMANDS, Job, main
 from cssgates.oracle import OracleResult
 
 
@@ -119,6 +119,9 @@ class TestJobValidation:
         [
             (["groups"], "the following arguments are required: --input/-i"),
             (["bogus"], "invalid choice: 'bogus'"),
+            (["groups", "-i", "-", "--gate", "1,3"], "--gate: not allowed with groups"),
+            (["info", "-i", "-", "--gate", "1,3"], "--gate: not allowed with info"),
+            (["closed-form", "-i", "-", "--gate", "1,3"], "--gate: not allowed with closed-form"),
         ],
     )
     def test_usage_errors_are_rejected_jobs(self, capsys, monkeypatch, argv, reason):
@@ -133,6 +136,50 @@ class TestJobValidation:
             main(["groups", "--help"])
         assert exc.value.code == 0
         assert "--input" in capsys.readouterr().out
+
+
+class TestCommandLine:
+    def test_no_parser_is_built_per_call(self, capsys, monkeypatch):
+        import argparse
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for argv in (["groups", "-i", "-"], ["info", "-i", "-"], ["bogus"], ["groups"]):
+            run_cli(capsys, monkeypatch, argv, EX2_JOB)
+        assert built == []
+
+    def test_options_may_precede_the_command(self, capsys, monkeypatch):
+        _, first, _ = run_cli(capsys, monkeypatch, ["groups", "-i", "-"], EX2_JOB)
+        rc, before, err = run_cli(capsys, monkeypatch, ["-i", "-", "groups"], EX2_JOB)
+        assert rc == 0, err
+        assert before == first
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, (help_text, _) in COMMANDS.items():
+            assert f"  {name}" in out and help_text in out
+
+    def test_readme_commands_are_the_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        listed = [line.split()[1] for line in block.splitlines() if line.startswith("cssgates ")]
+        assert sorted(listed) == sorted(COMMANDS)
+
+    def test_tasks_accept_every_command(self, capsys, monkeypatch):
+        # the command runs; tasks is only checked against the table
+        job = {**EX2_JOB, "tasks": ["groups", "action", "verify", "closed-form", "info"]}
+        rep = run_json(capsys, monkeypatch, ["groups", "-i", "-"], job)
+        assert rep == run_json(capsys, monkeypatch, ["groups", "-i", "-"], EX2_JOB)
 
 
 class TestDeterminism:

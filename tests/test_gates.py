@@ -176,6 +176,23 @@ class TestConstraintSystems:
                 identity_group(code, ell)
                 assert depths == [ell] * 3
 
+    def test_each_span_is_one_howell_form(self, monkeypatch, mono16_css, pair2_css):
+        from cssgates import zmod
+
+        calls = []
+        howell = zmod._howell
+
+        def counted(mat, ell):
+            calls.append(1)
+            return howell(mat, ell)
+
+        monkeypatch.setattr(zmod, "_howell", counted)
+        # S_H, S_T and S_Id, plus the direct T and Id systems checked against them
+        for pair in (mono16_css.pair, pair2_css.pair):
+            calls.clear()
+            gates._pair_spans(pair, 2)
+            assert len(calls) == 5
+
 
 class TestRealignment:
     def test_groups_survive_coset_respecting_realignment(self):
