@@ -22,7 +22,11 @@ give byte-identical reports regardless of --threads.
 
 The command line is `cssgates COMMAND -i JOB [-o REPORT] [--seed N]
 [--gate B] [--threads T]`, options in any order; COMMANDS names the
-five commands, and only action and verify take --gate.
+five commands, and only action and verify take --gate. groups, action,
+info and verify read the groups off exponent tables on a monomial job
+(monomial._TableGroups) and off constraint spans on a matrix job
+(gates._SpanGroups); closed-form compares the closed forms with the
+kernel route (gate_groups).
 
 Exit status: 0 on success, 1 on a rejected job or command line (the
 message names the offending field, "arguments" for the command line), 2
@@ -41,21 +45,21 @@ from .bincode import BitVector, rref_basis
 from .gates import (
     ConsistencyError,
     CssCode,
+    _GROUPS,
+    _SpanGroups,
     _all_ones,
-    _constraint_spans,
-    _flipped_spans,
-    _pair_spans,
+    _decomposition,
     build_css,
-    decompose_action,
     fixing_group,
     gate_groups,
-    phase_profile,
+    logical_phase,
 )
 from .monomial import (
     HypothesisError,
     Monomial,
     MonomialCodeSpec,
     MonomialSet,
+    _TableGroups,
     closed_form_fixing_group,
     closed_form_fixing_group_general,
     closed_form_transversal_identity,
@@ -67,7 +71,7 @@ from .monomial import (
     validate_transversal_identity_hypotheses,
 )
 from .oracle import coset_phase_check
-from .zmod import MAX_LEVEL, ZModule, howell_form, kernel_perp, zvector_from_text
+from .zmod import MAX_LEVEL, ZModule, howell_form, zvector_from_text
 
 _MAX_VARIABLES = 20
 _MAX_PHASE_QUBITS = 12
@@ -214,16 +218,18 @@ def _module_entry(mod: ZModule) -> dict:
     return {"length": mod.length, "generators": mod.gens.tolist()}
 
 
-def _groups(code, ell: int) -> dict[str, ZModule]:
-    return dict(zip(("H", "T", "Id"), gate_groups(code, ell)))
-
-
-def _spans(job: Job) -> dict[str, ZModule]:
-    return dict(zip(("H", "T", "Id"), _constraint_spans(job.code, job.ell)))
+def _pair_groups(job: Job):
+    """The three groups of the job's unshifted pair, by one route per code
+    type: exponent tables on a monomial job, constraint spans on a matrix
+    job. Both answer module, length and contains by group name."""
+    if job.spec is not None:
+        return _TableGroups(job.spec, job.ell)
+    return _SpanGroups(job.code.pair, job.ell)
 
 
 def _task_groups(job: Job) -> dict:
-    return {name: _module_entry(mod) for name, mod in _groups(job.code, job.ell).items()}
+    groups = _pair_groups(job).shifted(job.code)
+    return {name: _module_entry(groups.module(name)) for name in _GROUPS}
 
 
 def _gates_for_action(job: Job) -> list[tuple[str | None, np.ndarray]]:
@@ -243,26 +249,24 @@ def _gates_for_action(job: Job) -> list[tuple[str | None, np.ndarray]]:
 
 def _task_action(job: Job) -> dict:
     code = job.code
-    spans = _spans(job)
-    fixing = kernel_perp(spans["H"], job.ell, n=code.n)
+    groups = _pair_groups(job).shifted(code)
+    fixing = groups.module("H")
     entries = []
     for name, arr in _gates_for_action(job):
-        profile = phase_profile(code, job.ell, arr, group=fixing)
-        entry: dict = {
-            "name": name,
-            "gate": arr.tolist(),
-            "in_fixing_group": bool(profile.in_fixing_group),
-        }
-        if profile.in_fixing_group:
-            decomp = decompose_action(code, job.ell, arr, group=fixing)
-            entry["global_phase"] = int(profile.global_phase)
+        # one pass of coefficients gives both the factors and the phases
+        decomp = _decomposition(code, job.ell, arr)
+        phases = decomp.phase_table()
+        in_fixing = fixing.contains(arr)
+        entry: dict = {"name": name, "gate": arr.tolist(), "in_fixing_group": in_fixing}
+        if in_fixing:
+            entry["global_phase"] = logical_phase(code, job.ell, arr, 0)
             entry["factors"] = [
                 {"J": list(f.qubits), "a": f.phase} for f in decomp.factors
             ]
-            entry["in_transversal"] = spans["T"].kernel_contains(arr)
-            entry["is_identity"] = spans["Id"].kernel_contains(arr)
+            entry["in_transversal"] = groups.contains("T", arr)
+            entry["is_identity"] = groups.contains("Id", arr)
             if code.num_logical <= _MAX_PHASE_QUBITS:
-                entry["logical_phases"] = profile.phases.tolist()
+                entry["logical_phases"] = phases.tolist()
         entries.append(entry)
     return {"logical_actions": entries}
 
@@ -274,7 +278,8 @@ def _task_verify(job: Job) -> dict:
         result = coset_phase_check(code, job.ell, arr)
     except ValueError as exc:
         raise JobError("code", str(exc)) from exc
-    memberships = {name: span.kernel_contains(arr) for name, span in _spans(job).items()}
+    groups = _pair_groups(job).shifted(code)
+    memberships = {name: groups.contains(name, arr) for name in _GROUPS}
     rank = result.gate_class.rank
     expected = {"H": rank >= 1, "T": rank >= 2, "Id": rank >= 3}
     agreement = {name: memberships[name] == expected[name] for name in expected}
@@ -309,7 +314,7 @@ def _task_closed_form(job: Job) -> dict:
     spec = job.spec
     ell = job.ell
     pair = job.code.pair  # the closed forms describe the pair, whatever y_z is
-    generic = _groups(pair, ell)
+    generic = dict(zip(_GROUPS, gate_groups(pair, ell)))
     report: dict = {}
 
     def theorem_entry(key: str, outcome: ZModule | HypothesisError) -> None:
@@ -387,12 +392,12 @@ def _hypothesis_entry(check) -> dict:
 def _task_info(job: Job) -> dict:
     code = job.code
     pair = code.pair
-    pair_spans = _pair_spans(pair, job.ell)
-    spans = dict(zip(("H", "T", "Id"), _flipped_spans(code, job.ell, pair_spans)))
-    ones = _all_ones(pair, job.ell, pair_spans)
+    pair_groups = _pair_groups(job)
+    groups = pair_groups.shifted(code)
+    uniform = np.ones(code.n, dtype=np.int64)
+    ones = _all_ones(pair, job.ell, [pair_groups.contains(name, uniform) for name in _GROUPS])
     info: dict = {
-        # a group's length is n * ell minus its span's
-        "lengths": {name: code.n * job.ell - span.length for name, span in spans.items()},
+        "lengths": {name: groups.length(name) for name in _GROUPS},
         "dimensions": {"k1": pair.c1.k, "k2": pair.c2.k},
         "all_ones": {
             "in_H": ones.in_fixing_group,

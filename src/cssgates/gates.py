@@ -29,11 +29,14 @@ exactly when their kernels are, so the two derivations are cross-checked
 by comparing Howell forms of their spans, and a mismatch raises
 ConsistencyError. A nonzero y_z enters by flipping the signs of the span
 generators on its support; conjugate_by_yz transfers single memberships
-and actions the same way.
+and actions the same way. _SpanGroups answers modules, lengths and
+memberships off the spans; monomial codes read the same answers off
+exponent tables instead (monomial._TableGroups).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 import numpy as np
 
@@ -75,6 +78,9 @@ __all__ = [
 
 class ConsistencyError(RuntimeError):
     """Two formulations that must agree produced different results."""
+
+
+_GROUPS = ("H", "T", "Id")
 
 
 @dataclass(frozen=True)
@@ -193,15 +199,19 @@ def _identity_rows_direct(pair: NestedCodePair, levels: list[dict[int, int]]) ->
     return _scaled(_products(levels, 1), pair.n)
 
 
+def _span_mismatch(group: str, direct_length: int, refined_length: int) -> ConsistencyError:
+    return ConsistencyError(
+        f"{group} group: the two constraint systems disagree "
+        f"(constraint span lengths {direct_length} vs {refined_length})"
+    )
+
+
 def _check_span(group: str, direct: ZModule, refined: ZModule) -> None:
     # over Z/2^ell two constraint spans are equal exactly when their
     # kernels are, so comparing the spans checks the two derivations of
     # the group without solving either system
     if direct != refined:
-        raise ConsistencyError(
-            f"{group} group: the two constraint systems disagree "
-            f"(constraint span lengths {direct.length} vs {refined.length})"
-        )
+        raise _span_mismatch(group, direct.length, refined.length)
 
 
 def _pair_spans(pair: NestedCodePair, ell: int) -> tuple[ZModule, ZModule, ZModule]:
@@ -247,6 +257,32 @@ def _flipped_spans(code, ell: int, spans: tuple) -> tuple[ZModule, ZModule, ZMod
 def _constraint_spans(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
     """The constraint spans of code: its pair's (_pair_spans), flipped."""
     return _flipped_spans(code, ell, _pair_spans(_pair_of(code), ell))
+
+
+class _SpanGroups:
+    """The three groups of a code, read off its constraint spans: a group
+    holds b exactly when b annihilates its span, its length is n * ell
+    minus the span's, and only a returned module solves a kernel. Built
+    for the unshifted pair (_pair_spans, cross-checked there); shifted
+    moves it to a code with a Z shift."""
+
+    def __init__(self, pair: NestedCodePair, ell: int):
+        self.n, self.ell = pair.n, ell
+        self.spans = dict(zip(_GROUPS, _pair_spans(pair, ell)))
+
+    def shifted(self, code) -> "_SpanGroups":
+        moved = copy.copy(self)
+        moved.spans = dict(zip(_GROUPS, _flipped_spans(code, self.ell, tuple(self.spans.values()))))
+        return moved
+
+    def module(self, name: str) -> ZModule:
+        return kernel_perp(self.spans[name], self.ell, n=self.n)
+
+    def length(self, name: str) -> int:
+        return self.n * self.ell - self.spans[name].length
+
+    def contains(self, name: str, b) -> bool:
+        return self.spans[name].kernel_contains(b)
 
 
 def gate_groups(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
@@ -354,31 +390,27 @@ class PhaseProfile:
     in_fixing_group: bool
 
 
+def _check_table_size(num_logical: int) -> None:
+    if num_logical > 20:
+        raise ValueError("profile table limited to 20 logical qubits")
+
+
 def phase_profile(code: CssCode, ell: int, b, *, group: ZModule | None = None) -> PhaseProfile:
     """Phases of the cosets under U(b) relative to coset 0, and b . y_z.
 
     By x xor y = x + y - 2xy, phases[v] sums the a_J of _controlled_phases
-    over J inside v: one in-place subset-sum pass per logical qubit, with
-    no 2^K x n label table; at most 2^20 terms below 2^ell stay exact in int64.
+    over J inside v: the phase table of the decomposition of b, with no
+    2^K x n label table.
     """
-    K = code.num_logical
-    if K > 20:
-        raise ValueError("profile table limited to 20 logical qubits")
+    _check_table_size(code.num_logical)
     N = 1 << ell
     arr = np.asarray(b, dtype=np.int64) % N
     if group is None:
         group = fixing_group(code, ell)
-    phases = np.zeros(1 << K, dtype=np.int64)
-    for index, coeffs in _controlled_phases(code, ell, _flipped(code, arr) % N):
-        phases[(1 << index).sum(axis=1)] = coeffs
-    for i in range(K):
-        view = phases.reshape(-1, 2, 1 << i)
-        view[:, 1] += view[:, 0]
-    phases %= N
     return PhaseProfile(
         ell=ell,
-        num_logical=K,
-        phases=phases,
+        num_logical=code.num_logical,
+        phases=_decomposition(code, ell, arr).phase_table(),
         global_phase=int(code.y_z.to_array() @ arr) % N,
         in_fixing_group=group.contains(arr),
     )
@@ -409,6 +441,25 @@ class LogicalDecomposition:
         inside = (f.phase for f in self.factors if all(mask >> (q - 1) & 1 for q in f.qubits))
         return sum(inside) % (1 << self.ell)
 
+    def phase_table(self) -> np.ndarray:
+        """phase_at of every basis state, indexed by its bitmask.
+
+        Each factor's phase sits at the mask of its qubits, and one
+        in-place subset-sum pass per logical qubit adds it to every mask
+        containing that one: at most 2^20 terms below 2^ell stay exact in
+        int64.
+        """
+        K = self.num_logical
+        _check_table_size(K)
+        phases = np.zeros(1 << K, dtype=np.int64)
+        for f in self.factors:
+            phases[sum(1 << (q - 1) for q in f.qubits)] = f.phase
+        for i in range(K):
+            view = phases.reshape(-1, 2, 1 << i)
+            view[:, 1] += view[:, 0]
+        phases %= 1 << self.ell
+        return phases
+
 
 def decompose_action(
     code: CssCode, ell: int, b, *, group: ZModule | None = None
@@ -423,13 +474,18 @@ def decompose_action(
     coset 0 exactly as for unshifted codes. Requires b in the fixing
     group.
     """
-    N = 1 << ell
-    arr = np.asarray(b, dtype=np.int64) % N
+    arr = np.asarray(b, dtype=np.int64) % (1 << ell)
     if group is None:
         group = fixing_group(code, ell)
     if not group.contains(arr):
         raise ValueError("gate does not preserve the code space")
-    blocks = _controlled_phases(code, ell, _flipped(code, arr) % N)
+    return _decomposition(code, ell, arr)
+
+
+def _decomposition(code: CssCode, ell: int, arr: np.ndarray) -> LogicalDecomposition:
+    """The factors of U(arr), arr reduced mod 2^ell, from one pass of
+    _controlled_phases; membership in the fixing group is not checked."""
+    blocks = _controlled_phases(code, ell, _flipped(code, arr) % (1 << ell))
     factors = tuple(ControlledFactor(tuple(J), a) for index, coeffs in blocks
                     for J, a in zip((index + 1).tolist(), coeffs.tolist()) if a)
     return LogicalDecomposition(ell=ell, num_logical=code.num_logical, factors=factors)
@@ -535,13 +591,14 @@ def all_ones_report(code, ell: int) -> AllOnesReport:
     dual of the (ell-1)-th power of the outer code.
     """
     pair = _pair_of(code)
-    return _all_ones(pair, ell, _pair_spans(pair, ell))
-
-
-def _all_ones(pair: NestedCodePair, ell: int, spans: tuple) -> AllOnesReport:
-    """all_ones_report of pair, given the pair's constraint spans."""
     ones = np.ones(pair.n, dtype=np.int64)
-    in_h, in_t, in_id = (span.kernel_contains(ones) for span in spans)
+    return _all_ones(pair, ell, [span.kernel_contains(ones) for span in _pair_spans(pair, ell)])
+
+
+def _all_ones(pair: NestedCodePair, ell: int, memberships) -> AllOnesReport:
+    """all_ones_report of pair, given the uniform gate's memberships in
+    the pair's H, T and Id."""
+    in_h, in_t, in_id = memberships
 
     if ell == 1:
         power = rref_basis([BitVector.all_ones(pair.n)], n=pair.n)

@@ -26,10 +26,27 @@ code when they fail. Each builds its reach table once and validates it,
 pairing every head with every constraint in one array pass, before the
 Howell form reads it; the span-candidate sieve is the complement of the
 fixing group's table.
+
+The groups themselves need no hypothesis. Every constraint of a monomial
+code is some 2^t * ev(w), so each group's constraint span is diagonal in
+the ev basis: the sum of 2^t(v) * ev(v), t(v) the least scale of ev(v) in
+the span (ell when there is none). That basis is unimodular, the zeta
+matrix [v inside i] being unitriangular over Z, and by Moebius inversion
+its dual under the dot product is e*_v = sum over i inside v of
+(-1)^(|v| - |i|) e_i. So each group is the sum of 2^(ell - t(v)) * e*_v:
+its length is the sum of the t(v), and b lies in it exactly when
+2^(ell - t(w)) divides b . ev(w), the sum of b_i over the i containing w,
+for every w. _TableGroups reads the three tables off the reach tables
+and answers memberships with zeta transforms (Bjorklund, Husfeldt, Kaski
+and Koivisto, "Fourier meets Moebius", STOC 2007). A zeta or Moebius
+pass sums at most 2^m terms of magnitude below 2^ell, so its entries stay
+below 2^(m + ell), exact in int64 while m + ell <= 62, which _TableGroups
+checks.
 """
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,8 +54,16 @@ from functools import lru_cache
 import numpy as np
 
 from .bincode import BitVector, rref_basis, NestedCodePair
-from .gates import CssCode, PhaseProfile, _constraint_spans, css_from_pair, fixing_group, phase_profile
-from .zmod import MAX_LEVEL, ZModule, howell_form, kernel_perp
+from .gates import (
+    CssCode,
+    PhaseProfile,
+    _GROUPS,
+    _span_mismatch,
+    css_from_pair,
+    fixing_group,
+    phase_profile,
+)
+from .zmod import MAX_LEVEL, ZModule, howell_form
 
 __all__ = [
     "HypothesisError",
@@ -328,14 +353,28 @@ def _ev_rows(m: int, masks) -> np.ndarray:
     return ((np.arange(1 << m) & w) == w).astype(np.int64)
 
 
+def _level_array(n: int, ell: int, first: dict[int, int]) -> np.ndarray:
+    """first.get(u, ell) for every mask u < n."""
+    level = np.full(n, ell)
+    level[list(first)] = list(first.values())
+    return level
+
+
+def _degrees(m: int) -> np.ndarray:
+    """|u| for every mask u < 2^m."""
+    degree = np.zeros(1 << m, dtype=np.int64)
+    for k in range(m):
+        degree[1 << k : 2 << k] = degree[: 1 << k] + 1
+    return degree
+
+
 def _complement_form(spec: MonomialCodeSpec, ell: int, first: dict[int, int], extras=()) -> ZModule:
     """The closed form read off one reach table, unchecked: one Howell
     form of 2^(ell - level(u)) * ev(full/u) over every u with
     level(u) >= 1, where level(u) = first.get(u, ell) and the masks in
     extras (T's outer-minus-inner, level 0 in its table) count as 1.
     """
-    level = np.full(spec.n, ell)
-    level[list(first)] = list(first.values())
+    level = _level_array(spec.n, ell, first)
     level[list(extras)] = 1
     heads = np.flatnonzero(level >= 1)
     rows = _ev_rows(spec.m, spec.full_mask ^ heads) << (ell - level[heads, None])
@@ -363,11 +402,8 @@ def _head_pairing_check(spec: MonomialCodeSpec, ell: int, first: dict[int, int],
     is meant to describe. The pairs run u-major, both in (degree, mask)
     order, _PAIR_BLOCK at a time, so the first failing pair is raised.
     """
-    level = np.full(spec.n, ell)  # u is a head up to level[u]
-    level[list(first)] = list(first.values())
-    degree = np.zeros(spec.n, dtype=np.int64)
-    for k in range(spec.m):
-        degree[1 << k : 2 << k] = degree[: 1 << k] + 1
+    level = _level_array(spec.n, ell, first)  # u is a head up to level[u]
+    degree = _degrees(spec.m)
     order = np.argsort(degree, kind="stable")
     heads, constraints = order[level[order] >= 1], order[level[order] < ell]
     total = heads.size * constraints.size
@@ -604,6 +640,124 @@ def decreasing_span_monomials(spec: MonomialCodeSpec, ell: int) -> MonomialSet:
     return MonomialSet.from_masks(spec.m, (spec.full_mask ^ w for w in range(spec.n) if w not in first))
 
 
+def _subset_sums(a: np.ndarray, m: int, sign: int = 1) -> np.ndarray:
+    """In place, a[v] becomes the sum of a[i] over the masks i inside v
+    (the zeta transform), or with sign -1 its Moebius inverse, the sum of
+    (-1)^(|v| - |i|) a[i]: one vectorised pass per variable."""
+    for k in range(m):
+        view = a.reshape(-1, 2, 1 << k)
+        view[:, 1] += sign * view[:, 0]
+    return a
+
+
+def _dual_rows(m: int, masks: np.ndarray) -> np.ndarray:
+    """The rows e*_v = sum over i inside v of (-1)^(|v| - |i|) e_i, one
+    per mask v: by Moebius inversion e*_v . ev(w) is 1 when v = w and 0
+    otherwise, so {e*_v} is the basis dual to {ev(w)}."""
+    i = np.arange(1 << m)
+    v = masks[:, None]
+    degree = _degrees(m)
+    return np.where(i & v == i, 1 - 2 * ((degree[v] - degree) & 1), 0)
+
+
+def _check_table(group: str, ell: int, direct: np.ndarray, refined: np.ndarray) -> None:
+    # both spans are diagonal in the ev basis, so they are equal exactly
+    # when their tables are; a span's length is the sum of ell - t(v)
+    if not np.array_equal(direct, refined):
+        raise _span_mismatch(group, int((ell - direct).sum()), int((ell - refined).sum()))
+
+
+class _TableGroups:
+    """H, T and Id of a monomial code, read off one exponent table each.
+
+    Table t_g holds, for every mask v, the least scale t with 2^t * ev(v)
+    in the constraint span of g, ell when there is none (see the module
+    docstring). t_H is the inner reach table and t_Id the outer one, each
+    up to ell - 1 factors. Built for the unshifted code, with T's and
+    Id's tables cross-checked against their direct systems; shifted
+    moves it to a code with a Z shift. A module is one Howell form, a
+    length or a membership none.
+    """
+
+    def __init__(self, spec: MonomialCodeSpec, ell: int):
+        _check_level_arg(ell)
+        if spec.m + ell > 62:
+            raise ValueError("exponent tables are exact in int64 only for m + ell <= 62")
+        self.m, self.ell, self.y_z = spec.m, ell, None
+        fixing = _level_array(spec.n, ell, _reach_levels(spec.inner.masks, spec.outer.masks, ell - 1))
+        identity = _level_array(spec.n, ell, _reach_levels(spec.outer.masks, spec.outer.masks, ell - 1))
+        outer = np.zeros(spec.n, dtype=bool)
+        outer[list(spec.outer.masks)] = True
+        inner = np.zeros(spec.n, dtype=bool)
+        inner[list(spec.inner.masks)] = True
+        # T's rows beyond H: the products of r >= 2 distinct outer monomials
+        # at scale 2^(r - 1), which is the identity table off the outer set;
+        # an outer monomial is such a product (at scale 2) exactly when it
+        # has a proper outer divisor
+        divisors = _subset_sums(outer.astype(np.int64), spec.m)
+        extras = np.where(outer, np.where(divisors > 1, 1, ell), identity)
+        transversal = np.minimum(fixing, extras)
+        if len(spec.outer) > len(spec.inner):
+            _check_table("transversal", ell, np.where(inner, 0, extras), transversal)
+        _check_table("identity", ell, identity, np.where(outer & ~inner, 0, transversal))
+        self.tables = dict(zip(_GROUPS, (fixing, transversal, identity)))
+
+    def shifted(self, code: CssCode) -> "_TableGroups":
+        """The groups of code, this spec's code with code.y_z: a nonzero Z
+        shift flips the coordinates on its support (D = diag(1 - 2 y_z),
+        so the groups become D times these), and Id also needs b . y_z = 0."""
+        moved = copy.copy(self)
+        moved.y_z = code.y_z.to_array() if code.y_z.bits else None
+        return moved
+
+    def module(self, name: str) -> ZModule:
+        """One Howell form of the rows 2^(ell - t(v)) * e*_v over the v with
+        t(v) >= 1; with a Z shift of the flipped rows R, and for Id of
+        [R y_z | R], whose rows that vanish in column 0, cut to the rest,
+        span the b in span(R) with b . y_z = 0 (the argument of
+        kernel_perp)."""
+        n, ell, t = 1 << self.m, self.ell, self.tables[name]
+        heads = np.flatnonzero(t)
+        rows = _dual_rows(self.m, heads) << (ell - t[heads, None])
+        if self.y_z is None:
+            return howell_form(rows, ell, n=n)
+        rows *= 1 - 2 * self.y_z
+        if name != "Id":
+            return howell_form(rows, ell, n=n)
+        aug = howell_form(np.hstack([(rows @ self.y_z)[:, None], rows]), ell, n=n + 1).gens
+        return ZModule(n, ell, aug[aug[:, 0] == 0, 1:])
+
+    def length(self, name: str) -> int:
+        """The sum of t(v); with a Z shift, Id loses the length ell - s of
+        the image 2^s Z/2^ell of b -> b . y_z, s the least valuation of the
+        images 2^(ell - t(v)) * (e*_v . y_z) of its generators, capped at
+        ell."""
+        ell, t = self.ell, self.tables[name]
+        total = int(t.sum())
+        if name == "Id" and self.y_z is not None:
+            N = 1 << ell
+            dots = _subset_sums(self.y_z.copy(), self.m, -1) % N
+            images = int(np.bitwise_or.reduce((dots << (ell - t)) % N))
+            total -= ell - ((images & -images).bit_length() - 1 if images else ell)
+        return total
+
+    def contains(self, name: str, b) -> bool:
+        """Whether 2^(ell - t(w)) divides b . ev(w), the sum of b_i over the
+        i containing w, for every w: the subset sums of b read backwards,
+        since the complement of a mask u < n is n - 1 - u. With a Z shift
+        D b is tested, and for Id also b . y_z = 0."""
+        N = 1 << self.ell
+        vec = np.asarray(b, dtype=np.int64) % N
+        if vec.shape != (1 << self.m,):
+            raise ValueError("vector length mismatch")
+        if self.y_z is not None:
+            if name == "Id" and vec @ self.y_z % N:
+                return False
+            vec = vec * (1 - 2 * self.y_z) % N
+        dots = _subset_sums(vec[::-1].copy(), self.m)[::-1] % N
+        return not (dots & ((1 << (self.ell - self.tables[name])) - 1)).any()
+
+
 @dataclass(frozen=True)
 class MonomialActionResult:
     """Formula coefficients and membership flags for one monomial gate."""
@@ -633,16 +787,15 @@ def monomial_action(spec: MonomialCodeSpec, ell: int, u) -> MonomialActionResult
         [pow(2, spec.m - (mono.mask | e.mask).bit_count(), N) for e in spec.encoding()],
         dtype=np.int64,
     )
-    css = spec.induced_css()
-    fixing_span, transversal_span, _ = _constraint_spans(css, ell)
+    groups = _TableGroups(spec, ell)
     b = evaluate(spec.m, mono.mask).to_array()
     return MonomialActionResult(
         monomial=mono,
         ell=ell,
         coefficients=coeffs,
-        in_fixing_group=fixing_span.kernel_contains(b),
-        in_transversal_group=transversal_span.kernel_contains(b),
-        profile=phase_profile(css, ell, b, group=kernel_perp(fixing_span, ell, n=css.n)),
+        in_fixing_group=groups.contains("H", b),
+        in_transversal_group=groups.contains("T", b),
+        profile=phase_profile(spec.induced_css(), ell, b, group=groups.module("H")),
     )
 
 

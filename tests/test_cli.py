@@ -504,9 +504,63 @@ class TestKernelCalls:
         if y_z:
             n = Job(base).code.n
             job["y_z"] = "1" + "0" * (n - 1)
-        # the lengths and the uniform-gate report share one build
+        # the lengths and the uniform-gate report share one build; a
+        # monomial job reads its exponent tables instead
         run_json(capsys, monkeypatch, ["info", "-i", "-"], job)
-        assert len(calls) == 1
+        assert len(calls) == (0 if base is MONO16_JOB else 1)
+
+
+    @pytest.mark.parametrize("y_z", [False, True])
+    def test_monomial_jobs_read_the_exponent_tables(self, capsys, monkeypatch, y_z):
+        from cssgates import gates, zmod
+
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(gates, "kernel_perp", counting("kernel_perp", zmod.kernel_perp))
+        monkeypatch.setattr(zmod, "kernel_perp", counting("kernel_perp", zmod.kernel_perp))
+        for name in ("_product_levels", "_pair_spans"):
+            monkeypatch.setattr(gates, name, counting(name, getattr(gates, name)))
+        job = {**MONO16_JOB, "gate": ",".join("1" * 16)}
+        if y_z:
+            job["y_z"] = "0110" * 4
+        for command in ("groups", "info", "action", "verify"):
+            run_json(capsys, monkeypatch, [command, "-i", "-"], job)
+            assert calls == [], command
+
+    @pytest.mark.parametrize("y_z", [None, "1" + "0" * 15])
+    def test_one_coefficient_pass_per_member_gate(self, capsys, monkeypatch, y_z):
+        from cssgates import gates, zmod
+
+        passes, checks = [], []
+        coefficients, contains = gates._controlled_phases, zmod.ZModule.contains
+
+        def counted_pass(*args):
+            passes.append(1)
+            return coefficients(*args)
+
+        def counted_check(self, v):
+            checks.append(1)
+            return contains(self, v)
+
+        monkeypatch.setattr(gates, "_controlled_phases", counted_pass)
+        monkeypatch.setattr(zmod.ZModule, "contains", counted_check)
+        # RM(0) inside RM(1) at m = 4, ell = 2: the span-candidate sieve
+        # gives the gates, all in the fixing group of the unshifted code
+        job = {**RM_JOB, "ell": 2}
+        if y_z is not None:
+            job["y_z"] = y_z
+        entries = run_json(capsys, monkeypatch, ["action", "-i", "-"], job)["logical_actions"]
+        members = sum(e["in_fixing_group"] for e in entries)
+        assert members > 1 and (y_z is not None or members == len(entries))
+        # one pass and one membership test per gate, factors and phases
+        # both read off the pass
+        assert len(passes) == len(checks) == len(entries)
 
 
 class TestConsistencyGuard:
@@ -541,6 +595,27 @@ class TestConsistencyGuard:
         with pytest.raises(ConsistencyError, match=f"^{group} group"):
             gates.gate_groups(Job(EX2_JOB).code, EX2_JOB["ell"])
         rc, out, err = run_cli(capsys, monkeypatch, ["groups", "-i", "-"], EX2_JOB)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"inconsistency: {group} group")
+
+    @pytest.mark.parametrize("start, group", [("inner", "transversal"), ("outer", "identity")])
+    @pytest.mark.parametrize("command", ["groups", "info", "action", "verify"])
+    def test_exponent_table_disagreement_exits_two(self, capsys, monkeypatch, start, group, command):
+        from cssgates import monomial
+
+        # no start mask at level 0: the inner set leaves H's table, which
+        # T's direct table keeps, or the outer set leaves Id's
+        starts = getattr(Job(MONO16_JOB).spec, start).masks
+        reach = monomial._reach_levels
+
+        def corrupted(first, factors, horizon):
+            table = reach(first, factors, horizon)
+            return {w: max(t, 1) for w, t in table.items()} if first == starts else table
+
+        monkeypatch.setattr(monomial, "_reach_levels", corrupted)
+        job = {**MONO16_JOB, "gate": ",".join("0" * 16)}
+        rc, out, err = run_cli(capsys, monkeypatch, [command, "-i", "-"], job)
         assert rc == 2
         assert out == ""
         assert err.startswith(f"inconsistency: {group} group")

@@ -427,6 +427,18 @@ class TestPhasesAgainstReference:
         assert prof.in_fixing_group and len(prof.phases) == 1 << 20
         assert peak < 3 * 8 * (1 << 20)
 
+    def test_tables_stop_above_twenty_logical_qubits(self):
+        # RM(1) inside RM(2) at m = 7: K = 21, so the profile and the
+        # decomposition's table both refuse before allocating 2^21 phases
+        code = MonomialCodeSpec(7, reed_muller_set(7, 2), reed_muller_set(7, 1)).induced_css()
+        assert code.num_logical == 21
+        b = np.zeros(code.n, dtype=np.int64)
+        everything = _everything(code.n, 1)
+        with pytest.raises(ValueError, match="limited to 20 logical qubits"):
+            phase_profile(code, 1, b, group=everything)
+        with pytest.raises(ValueError, match="limited to 20 logical qubits"):
+            decompose_action(code, 1, b, group=everything).phase_table()
+
 
 class TestKernelsPerGroup:
     def _kernel_inputs(self, monkeypatch, code_n):

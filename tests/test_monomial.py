@@ -33,8 +33,8 @@ from cssgates import (
     validate_fixing_hypotheses,
     validate_transversal_identity_hypotheses,
 )
-from cssgates import monomial, zmod
-from cssgates.monomial import _head_pairing_check, _reach_levels, _relative_generator_check
+from cssgates import BitVector, CssCode, gates, monomial, zmod
+from cssgates.monomial import _TableGroups, _head_pairing_check, _reach_levels, _relative_generator_check
 
 from helpers import (
     general_fixing_reference,
@@ -540,6 +540,55 @@ class TestComplementForm:
         assert stalled >= 20
 
 
+class TestTableRoute:
+    """The groups read off the exponent tables are the kernel route's
+    (gate_groups: the kernels of the pair's spans, flipped on a Z shift)
+    byte for byte, with the same lengths and memberships."""
+
+    @staticmethod
+    def cases():
+        """Every RM pair with m <= 6 and 300 seeded specs with m <= 5,
+        half of them not divisibility-closed, at ell = 1..4. The kernel
+        references are the cost, so the m = 6 pairs and the seeded specs
+        take one level each, in turn."""
+        for i, spec in enumerate(rm_pairs(6)):
+            for ell in (1, 2, 3, 4) if spec.m < 6 else (1 + i % 4,):
+                yield spec, ell
+        rng = random.Random(130013)
+        specs = [random_decreasing_spec(rng, 5) for _ in range(150)]
+        specs += [random_spec(rng, 5) for _ in range(150)]
+        for i, spec in enumerate(specs):
+            yield spec, 1 + i % 4
+
+    def test_matches_the_kernel_route(self):
+        rng = np.random.default_rng(130013)
+        for spec, ell in self.cases():
+            N = 1 << ell
+            pair = spec.induced_pair()
+            shifted = CssCode(pair, BitVector(spec.n), BitVector.from_ints(rng.integers(0, 2, spec.n).tolist()))
+            spans = gates._pair_spans(pair, ell)
+            tables = _TableGroups(spec, ell)
+            for groups, code_spans in ((tables, spans),
+                                       (tables.shifted(shifted), gates._flipped_spans(shifted, ell, spans))):
+                kernels = [zmod.kernel_perp(span, ell, n=spec.n) for span in code_spans]
+                # a random vector, and a random element of each group with
+                # one entry moved by 2^(ell - 1), which may leave the group
+                elements = np.vstack([rng.integers(0, N, len(k.gens)) @ k.gens % N for k in kernels])
+                moved = elements.copy()
+                moved[:, rng.integers(spec.n)] += N >> 1
+                vectors = np.vstack([rng.integers(0, N, (1, spec.n)), elements, moved])
+                for name, span, kernel in zip(("H", "T", "Id"), code_spans, kernels):
+                    assert module_bytes(groups.module(name)) == module_bytes(kernel), (spec, ell, name)
+                    assert groups.length(name) == kernel.length
+                    for b in vectors:
+                        assert groups.contains(name, b) is span.kernel_contains(b)
+
+    def test_rejects_a_wrong_length(self, mono16_spec):
+        groups = _TableGroups(mono16_spec, 2)
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            groups.contains("H", np.zeros(mono16_spec.n + 1, dtype=np.int64))
+
+
 class TestMonomialAction:
     def test_rm_degree_three_coefficients(self, rm_spec):
         act = monomial_action(rm_spec, 2, "x2x3x4")
@@ -585,11 +634,11 @@ class TestMonomialAction:
 
         monkeypatch.setattr(gates, "kernel_perp", counted)
         monkeypatch.setattr(monomial, "kernel_perp", counted, raising=False)
-        # memberships are read off the spans; only H is solved, for the profile
+        # memberships and H are read off the exponent tables: no kernel
         for token in ("1", "x1", "x3", "x1x2", "x2x3x4"):
             calls.clear()
             act = monomial_action(mono16_spec, 3, token)
-            assert len(calls) == 1, token
+            assert len(calls) == 0, token
             b = evaluate(4, act.monomial.mask).to_array()
             assert act.in_fixing_group is h.contains(b)
             assert act.in_transversal_group is t.contains(b)
