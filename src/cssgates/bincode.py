@@ -5,6 +5,11 @@ which keeps row reduction allocation-free and makes componentwise products
 plain integer ANDs. Rows are lifted to 0/1 integer arrays only at the
 end, many at a time, by np.unpackbits over their little-endian bytes.
 
+Many rows at once are arrays of 64-bit limbs (_limbs). Every codeword of
+a span comes from one enumerator, _span_words, by XOR doubling, or from
+_span_blocks in blocks of 2^16 words: the weight scan in gates and every
+walk of the oracle read codewords through it.
+
 Products of distinct basis rows come from one breadth-first table,
 _product_levels: level r maps each distinct product of r distinct rows
 to the least row index that ends such a product. star_family and
@@ -114,12 +119,64 @@ class BitVector:
         return self.to_string()
 
 
+_BLOCK_BITS = 16
+
+
+def _limbs(masks: Sequence[int], n: int) -> np.ndarray:
+    """Int-packed rows as a len(masks) x ceil(n/64) array of little-endian
+    uint64 limbs: coordinate 64j + i + 1 is bit i of limb j."""
+    width = 8 * ((n + 63) // 64)
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    return np.frombuffer(raw, "<u8").reshape(len(masks), width // 8)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Rows of 0/1 entries packed into limbs, as _limbs lays them out."""
+    n = bits.shape[1]
+    raw = np.zeros((len(bits), 8 * ((n + 63) // 64)), dtype=np.uint8)
+    raw[:, : (n + 7) // 8] = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    return raw.view("<u8")
+
+
+def _lift(words: np.ndarray, n: int) -> np.ndarray:
+    """Limb rows lifted to a len(words) x n int64 matrix of 0/1."""
+    raw = words.view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little").astype(np.int64)
+
+
 def _unpack(masks: Sequence[int], n: int) -> np.ndarray:
     """Int-packed rows lifted to a len(masks) x n int64 matrix of 0/1."""
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little")
-    return bits.astype(np.int64)
+    return _lift(_limbs(masks, n), n)
+
+
+def _span_words(rows: np.ndarray, op=np.bitwise_xor, first=None) -> np.ndarray:
+    """Every op-sum of the rows of a (k, L) array, as a (2^k, L) array.
+
+    Built by doubling: index v holds first (zero by default) plus the rows
+    on the set bits of v, row 0 lowest. With XOR on limb rows these are
+    the codewords of the span, shifted by first; with np.add on integer
+    rows, the subset sums.
+    """
+    out = np.zeros((1 << len(rows), rows.shape[1]), dtype=rows.dtype)
+    if first is not None:
+        out[0] = first
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        op(out[:bit], row, out=out[bit : 2 * bit])
+    return out
+
+
+def _span_blocks(rows: np.ndarray, op=np.bitwise_xor, first=None):
+    """_span_words(rows, op, first) as consecutive (start, block) pairs of
+    2^16 rows (fewer when k < 16), so the working set stays two blocks
+    whatever k is. The table of the low 16 rows is built once; each block
+    adds to it the sum of one combination of the high rows."""
+    table = _span_words(rows[:_BLOCK_BITS], op, first)
+    high = rows[_BLOCK_BITS:]
+    yield 0, table
+    for h in range(1, 1 << len(high)):
+        picked = high[(h >> np.arange(len(high))) & 1 == 1]
+        yield h << _BLOCK_BITS, op(table, op.reduce(picked, axis=0))
 
 
 def _product_levels(masks: Sequence[int], depth: int, n: int) -> list[dict[int, int]]:

@@ -47,7 +47,9 @@ from .bincode import (
     aligned_bases,
     dual_basis,
     rref_basis,
+    _limbs,
     _product_levels,
+    _span_blocks,
     _unpack,
     schur_power,
 )
@@ -551,29 +553,21 @@ def _weight_scan(pair: NestedCodePair, ell: int) -> tuple[bool, bool]:
     """(all outer weights divisible by 2^ell, coset weight rule holds).
 
     The coset rule asks that every word of coset v weigh the v-weighted
-    sum of the extension weights mod 2^ell. Enumerates the outer code by
-    coefficient blocks.
+    sum of the extension weights mod 2^ell. Walks the outer code as
+    packed words in blocks, and the expected weights in the same blocks
+    by the same doubling on the row weights (zero for inner rows).
     """
     N = 1 << ell
-    k2 = len(pair.beta2)
-    K = pair.num_logical
-    k1 = k2 + K
-    rows01 = _unpack([v.bits for v in pair.beta1], pair.n).astype(np.uint8)
-    ext_weights = np.array([w.weight for w in pair.beta1_ext], dtype=np.int64)
+    words = _span_blocks(_limbs([v.bits for v in pair.beta1], pair.n))
+    row_weights = [0] * len(pair.beta2) + [w.weight for w in pair.beta1_ext]
+    expected = _span_blocks(np.array(row_weights, dtype=np.int64)[:, None], np.add)
     divisible = True
     coset_rule = True
-    total = 1 << k1
-    step = min(total, 1 << 16)
-    shifts = np.arange(k1, dtype=np.uint32)
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.uint32)
-        coeffs = (idx[:, None] >> shifts) & 1
-        words = coeffs.astype(np.uint8) @ rows01 & 1
-        weights = words.sum(axis=1, dtype=np.int64)
-        if weights.size and (weights % N).any():
+    for (_, block), (_, sums) in zip(words, expected):
+        weights = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
+        if (weights % N).any():
             divisible = False
-        expected = coeffs[:, k2:].astype(np.int64) @ ext_weights % N if K else np.zeros(len(idx), dtype=np.int64)
-        if ((weights - expected) % N).any():
+        if ((weights - sums[:, 0]) % N).any():
             coset_rule = False
         if not divisible and not coset_rule:
             break

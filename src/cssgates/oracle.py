@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bincode import BitVector
+from .bincode import BitVector, _limbs, _lift, _pack, _span_blocks, _span_words
 from .gates import ConsistencyError, CssCode
 from .zmod import MAX_LEVEL, howell_form
 
@@ -76,29 +76,44 @@ def _check_level(ell: int) -> int:
     return 1 << ell
 
 
-def _span_words(rows: list[BitVector], n: int) -> np.ndarray:
-    """All 2^k sums of the rows as a (2^k, n) 0/1 int64 matrix, ordered so
-    that index v picks the rows on the set bits of v (row 0 first)."""
-    out = np.zeros((1 << len(rows), n), dtype=np.int64)
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        out[bit : 2 * bit] = out[:bit] ^ row.to_array()
+def _outer_blocks(code: CssCode):
+    """Every word of y_z + C1 as packed limb rows, in blocks (_span_blocks).
+    Word v * 2^k2 + u is y_z plus the extension rows on the set bits of v
+    and the inner rows on the set bits of u: coset v, inner word u."""
+    rows = _limbs([v.bits for v in code.pair.beta1], code.n)
+    return _span_blocks(rows, first=_limbs([code.y_z.bits], code.n)[0])
+
+
+def _gate_masks(code: CssCode, ell: int, b) -> np.ndarray:
+    """Row j packs the coordinates whose residue of b mod 2^ell has bit j
+    set, so the phase of a word w is sum_j 2^j * popcount(w & mask_j).
+
+    That phase is at most n * (2^ell - 1), exact in int64 for n < 2^33.
+    """
+    arr = np.asarray(b, dtype=np.int64) % (1 << ell)
+    if arr.ndim != 1:
+        raise ValueError("gate vector must be one-dimensional")
+    if arr.shape[0] != code.n:
+        raise ValueError("gate vector length does not match the code length")
+    assert code.n * ((1 << ell) - 1) < 1 << 63
+    return _pack(arr >> np.arange(ell)[:, None] & 1)
+
+
+def _phases(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The exact phase exponent of each packed word (see _gate_masks)."""
+    out = np.zeros(len(words), dtype=np.int64)
+    for j, mask in enumerate(masks):
+        if mask.any():
+            out += np.bitwise_count(words & mask).sum(axis=1, dtype=np.int64) << j
     return out
 
 
-def _coset_labels(code: CssCode) -> np.ndarray:
-    """Physical labels of the representative word of each logical index:
-    y_z plus the chosen extension rows on the set bits."""
-    base = _span_words(list(code.pair.beta1_ext), code.n)
-    return base ^ code.y_z.to_array()
-
-
-def _gate_array(ell: int, b) -> np.ndarray:
-    N = 1 << ell
-    arr = np.asarray(b, dtype=np.int64) % N
-    if arr.ndim != 1:
-        raise ValueError("gate vector must be one-dimensional")
-    return arr
+def _additive(norm: np.ndarray, N: int) -> np.ndarray:
+    """The rows, one per coset, that each coset's phases would have if
+    they were additive: the one-hot cosets' rows summed over the set bits
+    of the coset index, mod N."""
+    K = len(norm).bit_length() - 1
+    return _span_words(norm[1 << np.arange(K)], np.add) % N
 
 
 def coset_phase_check(code: CssCode, ell: int, b) -> OracleResult:
@@ -108,6 +123,8 @@ def coset_phase_check(code: CssCode, ell: int, b) -> OracleResult:
     coset; it is transversal iff on top of that the normalized coset
     phases are additive over the logical bits, and logical identity iff
     every raw phase vanishes. Caps: dim C2 <= 24, logical qubits <= 16.
+    The words are walked in packed blocks, cosets in order, so memory
+    stays bounded by the block size whatever dim C2 is.
     """
     N = _check_level(ell)
     pair = code.pair
@@ -115,29 +132,32 @@ def coset_phase_check(code: CssCode, ell: int, b) -> OracleResult:
         raise ValueError(f"inner code dimension exceeds the cap of {_INNER_CAP}")
     if code.num_logical > _LOGICAL_CAP:
         raise ValueError(f"logical qubit count exceeds the cap of {_LOGICAL_CAP}")
-    arr = _gate_array(ell, b)
-    if arr.shape[0] != code.n:
-        raise ValueError("gate vector length does not match the code length")
-    inner = _span_words(list(pair.beta2), code.n)
-    labels = _coset_labels(code)
-    phases = np.zeros(len(labels), dtype=np.int64)
-    for v, label in enumerate(labels):
-        words = inner ^ label
-        ph = words @ arr % N
-        if not (ph == ph[0]).all():
-            bad = int(np.flatnonzero(ph != ph[0])[0])
-            word = "".join(str(x) for x in words[bad])
+    masks = _gate_masks(code, ell, b)
+    k2 = pair.c2.k
+    phases = np.zeros(1 << code.num_logical, dtype=np.int64)
+    for start, words in _outer_blocks(code):
+        ph = _phases(words, masks) % N
+        # one row per coset in the block, or one row inside a long coset
+        per = ph.reshape(-1, min(len(ph), 1 << k2))
+        if start % (1 << k2) == 0:
+            ref = per[:, :1]
+            phases[start >> k2 : (start >> k2) + len(per)] = ref[:, 0]
+        bad = np.flatnonzero(per != ref)
+        if bad.size:
+            i = int(bad[0])
+            word = BitVector(code.n, int.from_bytes(words[i].tobytes(), "little"))
             return OracleResult(
                 GateClass.OUTSIDE,
                 None,
-                {"coset": v, "word": word, "phase": int(ph[bad]), "expected": int(ph[0])},
+                {
+                    "coset": (start + i) >> k2,
+                    "word": word.to_string(),
+                    "phase": int(ph[i]),
+                    "expected": int(ref[i // per.shape[1], 0]),
+                },
             )
-        phases[v] = ph[0]
     norm = (phases - phases[0]) % N
-    additive = np.zeros_like(norm)
-    for v in range(1, len(norm)):
-        low = v & -v
-        additive[v] = (additive[v & (v - 1)] + norm[low]) % N
+    additive = _additive(norm[:, None], N)[:, 0]
     if (phases == 0).all():
         return OracleResult(GateClass.IDENTITY, phases, None)
     mismatch = np.flatnonzero(norm != additive)
@@ -167,9 +187,9 @@ def enumerate_group(code: CssCode, ell: int, which: str = "fixing") -> np.ndarra
     total = N**n
     if total > _ENUM_CAP:
         raise ValueError(f"enumeration space {total} exceeds the cap of {_ENUM_CAP}")
-    pair = code.pair
-    inner = _span_words(list(pair.beta2), n)
-    labels = _coset_labels(code)
+    # the codewords, one (2^k2, n) 0/1 matrix per coset, for the matmuls
+    words = np.vstack([block for _, block in _outer_blocks(code)])
+    cosets = _lift(words, n).reshape(1 << code.num_logical, -1, n)
     shifts = (ell * (n - 1 - np.arange(n))).astype(np.int64)
     kept: list[np.ndarray] = []
     chunk = 1 << 14
@@ -177,20 +197,16 @@ def enumerate_group(code: CssCode, ell: int, which: str = "fixing") -> np.ndarra
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         gates = (idx[:, None] >> shifts[None, :]) & (N - 1)
         ok = np.ones(len(idx), dtype=bool)
-        coset_phase = np.zeros((len(labels), len(idx)), dtype=np.int64)
-        for v, label in enumerate(labels):
-            ph = (inner ^ label) @ gates.T % N
+        coset_phase = np.zeros((len(cosets), len(idx)), dtype=np.int64)
+        for v, words in enumerate(cosets):
+            ph = words @ gates.T % N
             ok &= (ph == ph[0]).all(axis=0)
             coset_phase[v] = ph[0]
         if which == "identity":
             ok &= (coset_phase == 0).all(axis=0)
         elif which == "transversal":
             norm = (coset_phase - coset_phase[0]) % N
-            additive = np.zeros_like(norm)
-            for v in range(1, len(labels)):
-                low = v & -v
-                additive[v] = (additive[v & (v - 1)] + norm[low]) % N
-            ok &= (norm == additive).all(axis=0)
+            ok &= (norm == _additive(norm, N)).all(axis=0)
         kept.append(gates[ok])
     members = np.vstack(kept)
     span = howell_form(list(members), ell, n=n)
@@ -217,19 +233,19 @@ def amplitude_fix_check(code: CssCode, ell: int, b) -> bool:
         raise ValueError("inner code dimension exceeds the cap of 16")
     if code.n > 24:
         raise ValueError("code length exceeds the cap of 24")
-    arr = _gate_array(ell, b)
-    if arr.shape[0] != code.n:
-        raise ValueError("gate vector length does not match the code length")
-    inner = _span_words(list(pair.beta2), code.n)
-    packer = np.int64(1) << np.arange(code.n, dtype=np.int64)
+    masks = _gate_masks(code, ell, b)
+    span = 1 << pair.c2.k
     supports = set()
     fixes = True
-    for label in _coset_labels(code):
-        words = inner ^ label
-        key = np.sort(words @ packer).tobytes()
-        if key in supports:
-            raise ConsistencyError("two cosets share a support set")
-        supports.add(key)
-        phases = words @ arr % N
-        fixes = fixes and bool((phases == phases[0]).all())
+    for _, words in _outer_blocks(code):
+        # dim C2 <= 16 puts whole cosets in each block, n <= 24 one limb in
+        # each word: a row of words is one coset's support
+        for key in np.sort(words[:, 0].reshape(-1, span), axis=1):
+            key = key.tobytes()
+            if key in supports:
+                raise ConsistencyError("two cosets share a support set")
+            supports.add(key)
+        if fixes:
+            phases = (_phases(words, masks) % N).reshape(-1, span)
+            fixes = bool((phases == phases[:, :1]).all())
     return fixes

@@ -10,12 +10,15 @@ import numpy as np
 
 from cssgates import (
     BitVector,
+    GateClass,
     GeneralClosedForm,
     MonomialCodeSpec,
     MonomialSet,
     NestedCodePair,
+    OracleResult,
     aligned_bases,
     build_css,
+    css_from_pair,
     closed_form_fixing_group,
     divisibility_closure,
     dual_basis,
@@ -124,10 +127,15 @@ def random_css_with_logicals(rng: random.Random, K: int, n_max: int = 12):
     basis vectors (at least one when K = 0), as a CSS code."""
     k2 = rng.randrange(0 if K else 1, 3)
     c1 = random_binary_code(rng, rng.randrange(max(K + k2, 2), n_max + 1), K + k2)
+    return build_css(c1, random_subcode(rng, c1, k2))
+
+
+def random_subcode(rng: random.Random, c1, k2: int):
+    """Span of random codewords of c1, drawn until it has dimension k2."""
     rows = []
     while rref_basis(rows, n=c1.n).k < k2:
         rows.append(c1.codeword(rng.randrange(1, 1 << c1.k)))
-    return build_css(c1, rref_basis(rows, n=c1.n))
+    return rref_basis(rows, n=c1.n)
 
 
 def random_decreasing_spec(rng: random.Random, m_max: int = 5) -> MonomialCodeSpec:
@@ -225,6 +233,45 @@ def product_table_cases():
         special.append(NestedCodePair(
             rref_basis(beta2 + beta1_ext), rref_basis(beta2), beta2, beta1_ext))
     return cases + [(pair, ell) for pair in special for ell in (1, 2, 3, 4)]
+
+
+def repeated(code, times: int):
+    """The code whose words are `times` copies of a word of code, side by
+    side: every weight is a multiple of times."""
+    n = code.n
+    rows = [BitVector(n * times, sum(v.bits << n * t for t in range(times))) for v in code.basis]
+    return rref_basis(rows, n=n * times)
+
+
+def scan_cases():
+    """Seeded (name, code) cases for the packed codeword walks.
+
+    Small random codes, every other one with a Z shift; RM(0,7) inside
+    RM(1,7) at n = 128, two limbs a word, plain and shifted; a random
+    pair with k1 = 18, so the walk has high blocks, and its four-fold
+    repetition at n = 80, whose weights are all divisible by 4; a shifted
+    pair with dim C2 = 17, so one coset spans several blocks; and a pair
+    with no logical qubits.
+    """
+    rng = random.Random(POOL_SEED + 11)
+    cases = []
+    for i in range(8):
+        css = random_nested_css(rng, n_max=9, k1_max=6)
+        y_z = BitVector(css.n, rng.randrange(1 << css.n)) if i % 2 else None
+        cases.append((f"random{i}", css_from_pair(css.pair, y_z=y_z)))
+    rm = MonomialCodeSpec(7, reed_muller_set(7, 1), reed_muller_set(7, 0)).induced_css()
+    cases.append(("rm07_17", rm))
+    cases.append(("rm07_17_shifted", css_from_pair(rm.pair, y_z=BitVector(128, rng.randrange(1 << 128)))))
+    c1 = random_binary_code(rng, 20, 18)
+    c2 = random_subcode(rng, c1, 6)
+    cases.append(("k1_18", build_css(c1, c2)))
+    cases.append(("k1_18_repeated4", build_css(repeated(c1, 4), repeated(c2, 4))))
+    c1 = random_binary_code(rng, 20, 19)
+    pair = build_css(c1, random_subcode(rng, c1, 17)).pair
+    cases.append(("k2_17_shifted", css_from_pair(pair, y_z=BitVector(20, rng.randrange(1 << 20)))))
+    c1 = random_binary_code(rng, 10, 6)
+    cases.append(("no_logicals", build_css(c1, c1)))
+    return cases
 
 
 # ------------------------------------------------ unchecked closed forms
@@ -508,6 +555,82 @@ def profile_reference(code, ell: int, b) -> tuple[np.ndarray, int]:
     labels = (coeffs @ ext + code.y_z.to_array()) % 2
     direct = labels @ (np.asarray(b, dtype=np.int64) % N) % N
     return (direct - direct[0]) % N, int(direct[0])
+
+
+def weight_scan_reference(pair: NestedCodePair, ell: int) -> tuple[bool, bool]:
+    """(all outer weights divisible by 2^ell, coset weight rule holds), by
+    0/1 coefficient blocks times the 0/1 basis matrix. The reference for
+    gates._weight_scan."""
+    N = 1 << ell
+    k2 = len(pair.beta2)
+    K = pair.num_logical
+    k1 = k2 + K
+    rows01 = np.array([v.to_array() for v in pair.beta1], dtype=np.uint8).reshape(k1, pair.n)
+    ext_weights = np.array([w.weight for w in pair.beta1_ext], dtype=np.int64)
+    divisible = True
+    coset_rule = True
+    total = 1 << k1
+    step = min(total, 1 << 16)
+    shifts = np.arange(k1, dtype=np.uint32)
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total), dtype=np.uint32)
+        coeffs = (idx[:, None] >> shifts) & 1
+        words = coeffs.astype(np.uint8) @ rows01 & 1
+        weights = words.sum(axis=1, dtype=np.int64)
+        if (weights % N).any():
+            divisible = False
+        expected = coeffs[:, k2:].astype(np.int64) @ ext_weights % N
+        if ((weights - expected) % N).any():
+            coset_rule = False
+    return divisible, coset_rule
+
+
+def _span_words_reference(rows, n: int) -> np.ndarray:
+    # all 2^k sums of the rows as a 0/1 int64 matrix, row 0 on bit 0
+    out = np.zeros((1 << len(rows), n), dtype=np.int64)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        out[bit : 2 * bit] = out[:bit] ^ row.to_array()
+    return out
+
+
+def coset_phase_reference(code, ell: int, b) -> OracleResult:
+    """oracle.coset_phase_check one coset at a time: each coset's words as
+    a 0/1 int64 matrix times b, and the additive phases one coset at a
+    time. The reference for the packed, blocked walk."""
+    N = 1 << ell
+    arr = np.asarray(b, dtype=np.int64) % N
+    inner = _span_words_reference(code.pair.beta2, code.n)
+    labels = _span_words_reference(code.pair.beta1_ext, code.n) ^ code.y_z.to_array()
+    phases = np.zeros(len(labels), dtype=np.int64)
+    for v, label in enumerate(labels):
+        words = inner ^ label
+        ph = words @ arr % N
+        if not (ph == ph[0]).all():
+            bad = int(np.flatnonzero(ph != ph[0])[0])
+            word = "".join(str(x) for x in words[bad])
+            return OracleResult(
+                GateClass.OUTSIDE,
+                None,
+                {"coset": v, "word": word, "phase": int(ph[bad]), "expected": int(ph[0])},
+            )
+        phases[v] = ph[0]
+    norm = (phases - phases[0]) % N
+    additive = np.zeros_like(norm)
+    for v in range(1, len(norm)):
+        low = v & -v
+        additive[v] = (additive[v & (v - 1)] + norm[low]) % N
+    if (phases == 0).all():
+        return OracleResult(GateClass.IDENTITY, phases, None)
+    mismatch = np.flatnonzero(norm != additive)
+    if mismatch.size:
+        v = int(mismatch[0])
+        return OracleResult(
+            GateClass.FIXES_CODE,
+            phases,
+            {"coset": v, "phase": int(norm[v]), "additive": int(additive[v])},
+        )
+    return OracleResult(GateClass.TRANSVERSAL, phases, None)
 
 
 # ----------------------------------------------------------------- misc

@@ -34,7 +34,7 @@ from cssgates import (
 )
 from cssgates import gates
 from cssgates.bincode import _product_levels
-from cssgates.gates import stabilizer_constraints
+from cssgates.gates import _weight_scan, stabilizer_constraints
 from cssgates.zmod import module_sum
 
 from helpers import (
@@ -47,7 +47,9 @@ from helpers import (
     random_css_with_logicals,
     random_nested_css,
     realign_pair,
+    scan_cases,
     stabilizer_rows_reference,
+    weight_scan_reference,
 )
 
 # frozen module sizes (log2 of the group order) for the two monomial fixtures
@@ -584,6 +586,19 @@ class TestAllOnes:
         )
         weights = {sum(w) for w in words}
         assert weights == {0, 3, 4, 7}
+
+
+class TestWeightScan:
+    def test_matches_reference(self):
+        # several limbs, high blocks, K = 0 and Z shifts (which the scan
+        # ignores: it reads the pair)
+        outcomes = set()
+        for name, code in scan_cases():
+            for ell in (1, 2, 3):
+                got = _weight_scan(code.pair, ell)
+                assert got == weight_scan_reference(code.pair, ell), (name, ell)
+                outcomes.add(got)
+        assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 class TestRebase:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,16 +8,26 @@ from cssgates import (
     BitVector,
     GateClass,
     aligned_bases,
+    build_css,
     css_from_pair,
+    dual_basis,
     evaluate,
     fixing_group,
+    gate_groups,
     identity_group,
     rref_basis,
     transversal_group,
 )
 from cssgates.oracle import amplitude_fix_check, coset_phase_check, enumerate_group
 
-from helpers import points, random_nested_css
+from helpers import (
+    coset_phase_reference,
+    points,
+    random_binary_code,
+    random_nested_css,
+    random_subcode,
+    scan_cases,
+)
 
 
 def eye_code(n, k):
@@ -41,10 +52,14 @@ class TestEnumerate:
 
     def test_enumeration_matches_module_route(self):
         """Brute force over all N^n phase vectors must agree with the
-        kernel computation; the two routes share no code path."""
+        kernel computation, with and without a Z shift; the two routes
+        share no code path."""
         rng = random.Random(990001)
-        for _ in range(6):
+        shift_rng = random.Random(990002)
+        for i in range(6):
             css = random_nested_css(rng, n_max=4, k1_max=3)
+            if i % 2:
+                css = css_from_pair(css.pair, y_z=BitVector(css.n, shift_rng.randrange(1, 1 << css.n)))
             ell = rng.randrange(1, 3)
             for which, group in (
                 ("fixing", fixing_group),
@@ -104,6 +119,68 @@ class TestCosetPhaseCheck:
             assert (cls.rank >= 1) == in_h
             assert (cls.rank >= 2) == in_t
             assert (cls.rank >= 3) == in_id
+
+
+class TestAgainstReference:
+    def test_packed_walk_matches_coset_loop(self):
+        """Class, phases and witness equal the one-coset-at-a-time loop on
+        several limbs, high blocks, long cosets, K = 0 and Z shifts, for
+        the zero gate, a random gate and random members of each group;
+        the amplitude route agrees wherever its caps allow."""
+        rng = np.random.default_rng(20261019)
+        classes = set()
+        for name, code in scan_cases():
+            for ell in (1, 2, 3):
+                N = 1 << ell
+                gates = [np.zeros(code.n, dtype=np.int64), rng.integers(0, N, code.n)]
+                for group in gate_groups(code, ell):
+                    gates.append(rng.integers(0, N, len(group.gens)) @ group.gens % N)
+                for b in gates:
+                    got = coset_phase_check(code, ell, b)
+                    want = coset_phase_reference(code, ell, b)
+                    assert got.gate_class is want.gate_class, (name, ell, b)
+                    assert got.witness == want.witness, (name, ell, b)
+                    if want.phases is None:
+                        assert got.phases is None
+                    else:
+                        assert got.phases.tolist() == want.phases.tolist()
+                    if code.pair.c2.k <= 16 and code.n <= 24:
+                        assert amplitude_fix_check(code, ell, b) == (got.gate_class.rank >= 1)
+                    classes.add(got.gate_class)
+        assert classes == set(GateClass)
+
+
+    def test_long_coset_breaking_in_its_second_block(self):
+        # dim C2 = 17: coset 0 spans two blocks of 2^16 words. At ell = 1
+        # the phase is linear, so a gate orthogonal to the low 16 inner
+        # rows but not to the 17th is constant on the first block and
+        # changes only in the second
+        code = dict(scan_cases())["k2_17_shifted"]
+        beta2 = code.pair.beta2
+        low_dual = dual_basis(rref_basis(beta2[:16], n=code.n))
+        b = next(d for d in low_dual.basis if (d & beta2[16]).weight % 2).to_array()
+        got = coset_phase_check(code, 1, b)
+        assert got.gate_class is GateClass.OUTSIDE
+        assert got.witness == coset_phase_reference(code, 1, b).witness
+        assert got.witness["coset"] == 0
+
+
+class TestBoundedMemory:
+    def test_coset_walk_stays_within_blocks(self):
+        # the word matrix of one coset alone would be 2^20 x 24 int64
+        # entries, 200 MB; the packed walk holds a few blocks of 2^16 words
+        rng = random.Random(20261019)
+        c1 = random_binary_code(rng, 24, 22)
+        code = build_css(c1, random_subcode(rng, c1, 20))
+        b = gate_groups(code, 2)[0].gens[-1]
+        tracemalloc.start()
+        try:
+            result = coset_phase_check(code, 2, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.gate_class.rank >= 1
+        assert peak < 8 << 20
 
 
 class TestAmplitudeFixCheck:
