@@ -23,10 +23,11 @@ give byte-identical reports regardless of --threads.
 The command line is `cssgates COMMAND -i JOB [-o REPORT] [--seed N]
 [--gate B] [--threads T]`, options in any order; COMMANDS names the
 five commands, and only action and verify take --gate. groups, action,
-info and verify read the groups off exponent tables on a monomial job
-(monomial._TableGroups) and off constraint spans on a matrix job
-(gates._SpanGroups); closed-form compares the closed forms with the
-kernel route (gate_groups).
+info and verify read the groups of the unshifted pair off exponent tables
+on a monomial job (monomial._TableGroups) and off constraint spans on a
+matrix job (gates._SpanGroups, the object gate_groups reads too); a y_z
+moves either by the one rule of gates._Groups. closed-form compares the
+closed forms with the kernel route (gate_groups).
 
 Exit status: 0 on success, 1 on a rejected job or command line (the
 message names the offending field, "arguments" for the command line), 2
@@ -219,9 +220,8 @@ def _module_entry(mod: ZModule) -> dict:
 
 
 def _pair_groups(job: Job):
-    """The three groups of the job's unshifted pair, by one route per code
-    type: exponent tables on a monomial job, constraint spans on a matrix
-    job. Both answer module, length and contains by group name."""
+    """The groups of the job's unshifted pair: exponent tables on a
+    monomial job, constraint spans on a matrix job (see gates._Groups)."""
     if job.spec is not None:
         return _TableGroups(job.spec, job.ell)
     return _SpanGroups(job.code.pair, job.ell)

@@ -27,11 +27,12 @@ projections one each. The constraints of T and of Id are also derived a
 second, independent way; over Z/2^ell two constraint spans are equal
 exactly when their kernels are, so the two derivations are cross-checked
 by comparing Howell forms of their spans, and a mismatch raises
-ConsistencyError. A nonzero y_z enters by flipping the signs of the span
-generators on its support; conjugate_by_yz transfers single memberships
-and actions the same way. _SpanGroups answers modules, lengths and
-memberships off the spans; monomial codes read the same answers off
-exponent tables instead (monomial._TableGroups).
+ConsistencyError. A nonzero Z shift y_z moves each group by the flip
+D = diag(1 - 2 y_z), and Id also needs b . y_z = 0: that rule is written
+once, in _Groups, over a route that answers for the unshifted pair
+(_SpanGroups off the spans, monomial._TableGroups off exponent tables).
+gate_groups, the projections, all_ones_report and the CLI read one
+_SpanGroups; fixing_group builds S_H alone and moves by the same rule.
 """
 
 from __future__ import annotations
@@ -167,27 +168,13 @@ def _scaled(rows: list[tuple[int, int]], n: int) -> np.ndarray:
     return _unpack([p for p, _ in rows], n) << shifts[:, None]
 
 
-def _flip_vector(code) -> np.ndarray | None:
-    """Sign pattern 1 - 2*y_z when the code carries a nonzero Z shift."""
-    if isinstance(code, CssCode) and code.y_z.bits:
-        return 1 - 2 * code.y_z.to_array()
-    return None
-
-
-def _flipped(code, rows: np.ndarray) -> np.ndarray:
-    """Rows of the unshifted pair, moved to code: a gate relates to a code
-    with a Z shift as its coordinate-flipped partner relates to the pair,
-    and flipping is self-adjoint, so there the rows are flipped."""
-    flip = _flip_vector(code)
-    return rows if flip is None else rows * flip
-
-
 def fixing_group(code, ell: int) -> ZModule:
     """Exponent vectors whose gate preserves the code space: the kernel
-    of the span of the stabilizer constraints."""
-    n = _pair_of(code).n
-    rows = _flipped(code, stabilizer_constraints(code, ell))
-    return kernel_perp(howell_form(rows, ell, n=n), ell, n=n)
+    of the span of the stabilizer constraints alone, moved to code by the
+    Z-shift rule of _Groups."""
+    pair = _pair_of(code)
+    span = howell_form(stabilizer_constraints(pair, ell), ell, n=pair.n)
+    return _SpanGroups(pair, ell, {"H": span}).shifted(code).module("H")
 
 
 def _transversal_rows_direct(pair: NestedCodePair, levels: list[dict[int, int]]) -> np.ndarray:
@@ -247,51 +234,78 @@ def _pair_spans(pair: NestedCodePair, ell: int) -> tuple[ZModule, ZModule, ZModu
     return fixing_span, transversal_span, identity_span
 
 
-def _flipped_spans(code, ell: int, spans: tuple) -> tuple[ZModule, ZModule, ZModule]:
-    """The pair's spans moved to code: on a code with a Z shift the three
-    spans are flipped, and y_z itself joins the constraints of Id."""
-    if _flip_vector(code) is None:
-        return spans
-    rows = [spans[0].gens, spans[1].gens, np.vstack([spans[2].gens, code.y_z.to_array()])]
-    return tuple(howell_form(_flipped(code, gens), ell, n=code.n) for gens in rows)
+class _Groups:
+    """H, T and Id of a code. A route answers for the unshifted pair:
+    _generators(name) (a ZModule is taken as canonical, other rows are
+    canonicalised once), _length(name), _contains(name, b), and
+    _id_drop(), the least j >= 0 with 2^j * y_z in Id's constraint span.
+    shifted moves every answer to a code with a Z shift: a gate relates
+    to it as D b relates to the pair, so each group is D times the
+    pair's, and b . y_z = 0 cuts Id by the image 2^s Z/2^ell of
+    b -> b . y_z, whose length ell - s is j by duality.
+    """
 
+    y_z: BitVector | None = None
 
-def _constraint_spans(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
-    """The constraint spans of code: its pair's (_pair_spans), flipped."""
-    return _flipped_spans(code, ell, _pair_spans(_pair_of(code), ell))
-
-
-class _SpanGroups:
-    """The three groups of a code, read off its constraint spans: a group
-    holds b exactly when b annihilates its span, its length is n * ell
-    minus the span's, and only a returned module solves a kernel. Built
-    for the unshifted pair (_pair_spans, cross-checked there); shifted
-    moves it to a code with a Z shift."""
-
-    def __init__(self, pair: NestedCodePair, ell: int):
-        self.n, self.ell = pair.n, ell
-        self.spans = dict(zip(_GROUPS, _pair_spans(pair, ell)))
-
-    def shifted(self, code) -> "_SpanGroups":
+    def shifted(self, code) -> "_Groups":
         moved = copy.copy(self)
-        moved.spans = dict(zip(_GROUPS, _flipped_spans(code, self.ell, tuple(self.spans.values()))))
+        moved.y_z = code.y_z if isinstance(code, CssCode) and code.y_z.bits else None
         return moved
 
     def module(self, name: str) -> ZModule:
-        return kernel_perp(self.spans[name], self.ell, n=self.n)
+        """One Howell form of the generators, with a Z shift of the flipped
+        rows R; for Id of [R y_z | R], whose rows that vanish in column 0 span
+        the b in span(R) with b . y_z = 0 (the argument of kernel_perp)."""
+        gens = self._generators(name)
+        if self.y_z is None:
+            return howell_form(gens, self.ell, n=self.n)
+        y_z = self.y_z.to_array()
+        rows = (gens.gens if isinstance(gens, ZModule) else gens) * (1 - 2 * y_z)
+        if name != "Id":
+            return howell_form(rows, self.ell, n=self.n)
+        aug = howell_form(np.hstack([(rows @ y_z)[:, None], rows]), self.ell, n=self.n + 1).gens
+        return ZModule(self.n, self.ell, aug[aug[:, 0] == 0, 1:])
 
     def length(self, name: str) -> int:
-        return self.n * self.ell - self.spans[name].length
+        drop = self._id_drop() if name == "Id" and self.y_z is not None else 0
+        return self._length(name) - drop
 
     def contains(self, name: str, b) -> bool:
+        if self.y_z is None:
+            return self._contains(name, b)
+        moved, phase = conjugate_by_yz(b, self.y_z, self.ell)
+        return not (name == "Id" and phase) and self._contains(name, moved)
+
+
+class _SpanGroups(_Groups):
+    """The groups of a pair, read off its constraint spans: a group holds b
+    exactly when b annihilates its span, its length is n * ell minus the
+    span's, and only a returned module solves a kernel. spans defaults to
+    the three of _pair_spans, cross-checked there."""
+
+    def __init__(self, pair: NestedCodePair, ell: int, spans: dict | None = None):
+        self.n, self.ell = pair.n, ell
+        self.spans = spans or dict(zip(_GROUPS, _pair_spans(pair, ell)))
+
+    def _generators(self, name: str) -> ZModule:
+        return kernel_perp(self.spans[name], self.ell, n=self.n)
+
+    def _length(self, name: str) -> int:
+        return self.n * self.ell - self.spans[name].length
+
+    def _contains(self, name: str, b) -> bool:
         return self.spans[name].kernel_contains(b)
+
+    def _id_drop(self) -> int:
+        y_z = self.y_z.to_array()
+        return next((j for j in range(self.ell) if self.spans["Id"].contains(y_z << j)), self.ell)
 
 
 def gate_groups(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
-    """The fixing, transversal and identity groups: the kernels of the
-    spans of _constraint_spans, built and cross-checked once."""
-    n = _pair_of(code).n
-    return tuple(kernel_perp(span, ell, n=n) for span in _constraint_spans(code, ell))
+    """The fixing, transversal and identity groups: three kernels of the
+    spans of _pair_spans, built and cross-checked once, moved to code."""
+    groups = _SpanGroups(_pair_of(code), ell).shifted(code)
+    return tuple(groups.module(name) for name in _GROUPS)
 
 
 def transversal_group(code, ell: int) -> ZModule:
@@ -301,7 +315,7 @@ def transversal_group(code, ell: int) -> ZModule:
     cross-checked there; one kernel, not three. With no logical qubits
     every code-preserving gate qualifies.
     """
-    return kernel_perp(_constraint_spans(code, ell)[1], ell, n=_pair_of(code).n)
+    return _SpanGroups(_pair_of(code), ell).shifted(code).module("T")
 
 
 def identity_group(code, ell: int) -> ZModule:
@@ -312,7 +326,7 @@ def identity_group(code, ell: int) -> ZModule:
     kernel of the largest constraint span of gate_groups, which is
     cross-checked there; one kernel, not three.
     """
-    return kernel_perp(_constraint_spans(code, ell)[2], ell, n=_pair_of(code).n)
+    return _SpanGroups(_pair_of(code), ell).shifted(code).module("Id")
 
 
 def _as_bitmask(v, num_logical: int) -> int:
@@ -487,7 +501,7 @@ def decompose_action(
 def _decomposition(code: CssCode, ell: int, arr: np.ndarray) -> LogicalDecomposition:
     """The factors of U(arr), arr reduced mod 2^ell, from one pass of
     _controlled_phases; membership in the fixing group is not checked."""
-    blocks = _controlled_phases(code, ell, _flipped(code, arr) % (1 << ell))
+    blocks = _controlled_phases(code, ell, conjugate_by_yz(arr, code.y_z, ell)[0])
     factors = tuple(ControlledFactor(tuple(J), a) for index, coeffs in blocks
                     for J, a in zip((index + 1).tolist(), coeffs.tolist()) if a)
     return LogicalDecomposition(ell=ell, num_logical=code.num_logical, factors=factors)
@@ -579,14 +593,15 @@ def all_ones_report(code, ell: int) -> AllOnesReport:
 
     The weight corollaries are statements about the underlying nested
     pair, so any X/Z characters are ignored, and the memberships are read
-    off the pair's constraint spans. Raises ConsistencyError if a
+    off the pair's _SpanGroups. Raises ConsistencyError if a
     membership contradicts the corresponding weight scan, or if
     membership in the fixing group does not force the inner code into the
     dual of the (ell-1)-th power of the outer code.
     """
     pair = _pair_of(code)
     ones = np.ones(pair.n, dtype=np.int64)
-    return _all_ones(pair, ell, [span.kernel_contains(ones) for span in _pair_spans(pair, ell)])
+    groups = _SpanGroups(pair, ell)
+    return _all_ones(pair, ell, [groups.contains(name, ones) for name in _GROUPS])
 
 
 def _all_ones(pair: NestedCodePair, ell: int, memberships) -> AllOnesReport:

@@ -41,12 +41,12 @@ and answers memberships with zeta transforms (Bjorklund, Husfeldt, Kaski
 and Koivisto, "Fourier meets Moebius", STOC 2007). A zeta or Moebius
 pass sums at most 2^m terms of magnitude below 2^ell, so its entries stay
 below 2^(m + ell), exact in int64 while m + ell <= 62, which _TableGroups
-checks.
+checks. A Z shift y_z moves these answers by the one rule of
+gates._Groups, Id's length drop read off one Moebius pass over y_z.
 """
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -58,6 +58,7 @@ from .gates import (
     CssCode,
     PhaseProfile,
     _GROUPS,
+    _Groups,
     _span_mismatch,
     css_from_pair,
     fixing_group,
@@ -667,15 +668,15 @@ def _check_table(group: str, ell: int, direct: np.ndarray, refined: np.ndarray) 
         raise _span_mismatch(group, int((ell - direct).sum()), int((ell - refined).sum()))
 
 
-class _TableGroups:
+class _TableGroups(_Groups):
     """H, T and Id of a monomial code, read off one exponent table each.
 
     Table t_g holds, for every mask v, the least scale t with 2^t * ev(v)
     in the constraint span of g, ell when there is none (see the module
     docstring). t_H is the inner reach table and t_Id the outer one, each
     up to ell - 1 factors. Built for the unshifted code, with T's and
-    Id's tables cross-checked against their direct systems; shifted
-    moves it to a code with a Z shift. A module is one Howell form, a
+    Id's tables cross-checked against their direct systems; a Z shift
+    moves it by the rule of gates._Groups. A module is one Howell form, a
     length or a membership none.
     """
 
@@ -683,7 +684,7 @@ class _TableGroups:
         _check_level_arg(ell)
         if spec.m + ell > 62:
             raise ValueError("exponent tables are exact in int64 only for m + ell <= 62")
-        self.m, self.ell, self.y_z = spec.m, ell, None
+        self.n, self.m, self.ell = spec.n, spec.m, ell
         fixing = _level_array(spec.n, ell, _reach_levels(spec.inner.masks, spec.outer.masks, ell - 1))
         identity = _level_array(spec.n, ell, _reach_levels(spec.outer.masks, spec.outer.masks, ell - 1))
         outer = np.zeros(spec.n, dtype=bool)
@@ -702,60 +703,33 @@ class _TableGroups:
         _check_table("identity", ell, identity, np.where(outer & ~inner, 0, transversal))
         self.tables = dict(zip(_GROUPS, (fixing, transversal, identity)))
 
-    def shifted(self, code: CssCode) -> "_TableGroups":
-        """The groups of code, this spec's code with code.y_z: a nonzero Z
-        shift flips the coordinates on its support (D = diag(1 - 2 y_z),
-        so the groups become D times these), and Id also needs b . y_z = 0."""
-        moved = copy.copy(self)
-        moved.y_z = code.y_z.to_array() if code.y_z.bits else None
-        return moved
-
-    def module(self, name: str) -> ZModule:
-        """One Howell form of the rows 2^(ell - t(v)) * e*_v over the v with
-        t(v) >= 1; with a Z shift of the flipped rows R, and for Id of
-        [R y_z | R], whose rows that vanish in column 0, cut to the rest,
-        span the b in span(R) with b . y_z = 0 (the argument of
-        kernel_perp)."""
-        n, ell, t = 1 << self.m, self.ell, self.tables[name]
+    def _generators(self, name: str) -> np.ndarray:
+        """The rows 2^(ell - t(v)) * e*_v over the v with t(v) >= 1."""
+        t = self.tables[name]
         heads = np.flatnonzero(t)
-        rows = _dual_rows(self.m, heads) << (ell - t[heads, None])
-        if self.y_z is None:
-            return howell_form(rows, ell, n=n)
-        rows *= 1 - 2 * self.y_z
-        if name != "Id":
-            return howell_form(rows, ell, n=n)
-        aug = howell_form(np.hstack([(rows @ self.y_z)[:, None], rows]), ell, n=n + 1).gens
-        return ZModule(n, ell, aug[aug[:, 0] == 0, 1:])
+        return _dual_rows(self.m, heads) << (self.ell - t[heads, None])
 
-    def length(self, name: str) -> int:
-        """The sum of t(v); with a Z shift, Id loses the length ell - s of
-        the image 2^s Z/2^ell of b -> b . y_z, s the least valuation of the
-        images 2^(ell - t(v)) * (e*_v . y_z) of its generators, capped at
-        ell."""
-        ell, t = self.ell, self.tables[name]
-        total = int(t.sum())
-        if name == "Id" and self.y_z is not None:
-            N = 1 << ell
-            dots = _subset_sums(self.y_z.copy(), self.m, -1) % N
-            images = int(np.bitwise_or.reduce((dots << (ell - t)) % N))
-            total -= ell - ((images & -images).bit_length() - 1 if images else ell)
-        return total
+    def _length(self, name: str) -> int:
+        return int(self.tables[name].sum())
 
-    def contains(self, name: str, b) -> bool:
+    def _contains(self, name: str, b) -> bool:
         """Whether 2^(ell - t(w)) divides b . ev(w), the sum of b_i over the
         i containing w, for every w: the subset sums of b read backwards,
-        since the complement of a mask u < n is n - 1 - u. With a Z shift
-        D b is tested, and for Id also b . y_z = 0."""
+        since the complement of a mask u < n is n - 1 - u."""
         N = 1 << self.ell
         vec = np.asarray(b, dtype=np.int64) % N
-        if vec.shape != (1 << self.m,):
+        if vec.shape != (self.n,):
             raise ValueError("vector length mismatch")
-        if self.y_z is not None:
-            if name == "Id" and vec @ self.y_z % N:
-                return False
-            vec = vec * (1 - 2 * self.y_z) % N
         dots = _subset_sums(vec[::-1].copy(), self.m)[::-1] % N
         return not (dots & ((1 << (self.ell - self.tables[name])) - 1)).any()
+
+    def _id_drop(self) -> int:
+        """ell - s, s the least valuation of the images 2^(ell - t(v)) *
+        (e*_v . y_z) of Id's generators under b -> b . y_z, capped at ell."""
+        N, t = 1 << self.ell, self.tables["Id"]
+        dots = _subset_sums(self.y_z.to_array(), self.m, -1) % N
+        images = int(np.bitwise_or.reduce((dots << (self.ell - t)) % N))
+        return self.ell - ((images & -images).bit_length() - 1) if images else 0
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,8 @@ __all__ = [
 _INNER_CAP = 24
 _LOGICAL_CAP = 16
 _ENUM_CAP = 1 << 22
+_ENUM_WORK_CAP = 1 << 26  # gates times codewords over one enumeration
+_ENUM_CHUNK_ENTRIES = 1 << 18  # codewords (or coordinates) times gates per chunk
 
 
 class GateClass(enum.Enum):
@@ -178,7 +180,10 @@ def enumerate_group(code: CssCode, ell: int, which: str = "fixing") -> np.ndarra
     members as a (count, n) array in odometer order (first coordinate most
     significant). The count is checked to be a power of two matching the
     span of the members, so a non-subgroup outcome cannot pass silently.
-    Cap: N^n <= 2^22.
+    Caps: N^n <= 2^22, and N^n * 2^k1 <= 2^26 gate-codeword pairs,
+    checked before anything is allocated. Gates are scanned in chunks of
+    at most 2^18 / max(2^k1, n), so neither the chunk of gates nor the
+    phases of every codeword under it hold more than 2^18 entries.
     """
     N = _check_level(ell)
     if which not in ("fixing", "transversal", "identity"):
@@ -187,21 +192,22 @@ def enumerate_group(code: CssCode, ell: int, which: str = "fixing") -> np.ndarra
     total = N**n
     if total > _ENUM_CAP:
         raise ValueError(f"enumeration space {total} exceeds the cap of {_ENUM_CAP}")
-    # the codewords, one (2^k2, n) 0/1 matrix per coset, for the matmuls
+    k1 = code.pair.c1.k
+    if total << k1 > _ENUM_WORK_CAP:
+        raise ValueError(f"{total} gates times {1 << k1} codewords exceeds the cap of {_ENUM_WORK_CAP}")
+    # the codewords, one (2^k2, n) 0/1 matrix per coset, for the matmul
     words = np.vstack([block for _, block in _outer_blocks(code)])
     cosets = _lift(words, n).reshape(1 << code.num_logical, -1, n)
     shifts = (ell * (n - 1 - np.arange(n))).astype(np.int64)
     kept: list[np.ndarray] = []
-    chunk = 1 << 14
+    chunk = max(1, _ENUM_CHUNK_ENTRIES // max(1 << k1, n))
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         gates = (idx[:, None] >> shifts[None, :]) & (N - 1)
-        ok = np.ones(len(idx), dtype=bool)
-        coset_phase = np.zeros((len(cosets), len(idx)), dtype=np.int64)
-        for v, words in enumerate(cosets):
-            ph = words @ gates.T % N
-            ok &= (ph == ph[0]).all(axis=0)
-            coset_phase[v] = ph[0]
+        # every codeword against every gate of the chunk, coset by coset
+        ph = cosets @ gates.T % N
+        ok = (ph == ph[:, :1]).all(axis=(0, 1))
+        coset_phase = ph[:, 0]
         if which == "identity":
             ok &= (coset_phase == 0).all(axis=0)
         elif which == "transversal":
@@ -220,8 +226,7 @@ def enumerate_group(code: CssCode, ell: int, which: str = "fixing") -> np.ndarra
 def amplitude_fix_check(code: CssCode, ell: int, b) -> bool:
     """Check code fixing at the level of basis-state amplitudes.
 
-    Builds each coset state from its support labels, requires distinct
-    cosets to have distinct supports, and checks that the gate maps each
+    Walks each coset state's support and checks that the gate maps the
     state to a multiple of itself: its phase exponent is constant on the
     state's support. The y_x character only multiplies amplitudes by
     signs, which a diagonal gate leaves in place, so y_x cannot change
@@ -235,17 +240,10 @@ def amplitude_fix_check(code: CssCode, ell: int, b) -> bool:
         raise ValueError("code length exceeds the cap of 24")
     masks = _gate_masks(code, ell, b)
     span = 1 << pair.c2.k
-    supports = set()
-    fixes = True
     for _, words in _outer_blocks(code):
-        # dim C2 <= 16 puts whole cosets in each block, n <= 24 one limb in
-        # each word: a row of words is one coset's support
-        for key in np.sort(words[:, 0].reshape(-1, span), axis=1):
-            key = key.tobytes()
-            if key in supports:
-                raise ConsistencyError("two cosets share a support set")
-            supports.add(key)
-        if fixes:
-            phases = (_phases(words, masks) % N).reshape(-1, span)
-            fixes = bool((phases == phases[:, :1]).all())
-    return fixes
+        # dim C2 <= 16 puts whole cosets in each block: a row of phases is
+        # one coset's support
+        phases = (_phases(words, masks) % N).reshape(-1, span)
+        if (phases != phases[:, :1]).any():
+            return False
+    return True

@@ -72,6 +72,11 @@ def _as_matrix(rows, ell: int, n: int | None) -> np.ndarray:
     return mat % (1 << ell)
 
 
+def _residue_dtype(ell: int):
+    """The narrowest unsigned dtype that holds residues mod 2^ell."""
+    return np.uint8 if ell <= 8 else np.uint16 if ell <= 16 else np.uint32
+
+
 def _howell(mat: np.ndarray, ell: int) -> np.ndarray:
     """Unique Howell-form generator matrix for the row span of mat.
 
@@ -84,8 +89,7 @@ def _howell(mat: np.ndarray, ell: int) -> np.ndarray:
     the entries above each pivot, one broadcast per pivot.
     """
     m, n = mat.shape
-    # the narrowest unsigned dtype that holds residues mod 2^ell
-    dt = np.uint8 if ell <= 8 else np.uint16 if ell <= 16 else np.uint32
+    dt = _residue_dtype(ell)
     N = 1 << ell
     mask = dt(N - 1)
     # pending rows, with room for one annihilator row per pivot column
@@ -235,8 +239,11 @@ class ZModule:
 
 
 def howell_form(rows, ell: int, *, n: int | None = None) -> ZModule:
-    """Canonicalize a generating set. Idempotent and order-independent."""
+    """Canonicalize a generating set. Idempotent and order-independent; a
+    ZModule of level ell is already canonical and comes back as it is."""
     _check_level(ell)
+    if isinstance(rows, ZModule) and rows.ell == ell and n in (None, rows.n):
+        return rows
     mat = _as_matrix(rows, ell, n)
     return ZModule(mat.shape[1], ell, _howell(mat, ell))
 
@@ -291,7 +298,8 @@ def kernel_perp(rows, ell: int, *, n: int | None = None) -> ZModule:
     reduced above, so they are already its Howell form.
 
     Each Howell form runs on residues held in the narrowest unsigned dtype
-    of width w >= ell and masked with 2^ell - 1: products and differences
+    of width w >= ell (_residue_dtype, in which [S^T | I_n] is also built)
+    and masked with 2^ell - 1: products and differences
     wrap mod 2^w, and 2^ell divides 2^w, so every masked entry is exact
     mod 2^ell at any level up to MAX_LEVEL.
     """
@@ -303,7 +311,10 @@ def kernel_perp(rows, ell: int, *, n: int | None = None) -> ZModule:
     else:
         span = _howell(_as_matrix(rows, ell, n), ell)
     r, n = span.shape
-    aug = _howell(np.hstack([span.T, np.eye(n, dtype=np.int64)]), ell)
+    aug = np.zeros((n, r + n), dtype=_residue_dtype(ell))
+    aug[:, :r] = span.T
+    aug[np.arange(n), r + np.arange(n)] = 1
+    aug = _howell(aug, ell)
     return ZModule(n, ell, aug[~aug[:, :r].any(axis=1), r:])
 
 

@@ -30,6 +30,7 @@ from cssgates import (
     rref_basis,
     scale_lift,
 )
+from cssgates import gates
 from cssgates.monomial import (
     MAX_LEVEL,
     HypothesisError,
@@ -642,3 +643,17 @@ def points(arr) -> set:
 
 def module_perp(mod):
     return kernel_perp(mod.gens, mod.ell, n=mod.n)
+
+
+def flipped_spans_reference(code, ell: int, spans=None) -> tuple:
+    """The constraint spans of a code with a Z shift, by flipping the spans:
+    the pair's spans (gates._pair_spans, unless given) with every
+    generator negated on y_z, and y_z itself joined to Id's, each
+    canonicalised again. Their kernels are the code's H, T and Id."""
+    if spans is None:
+        spans = gates._pair_spans(code.pair, ell)
+    if not code.y_z.bits:
+        return tuple(spans)
+    y_z = code.y_z.to_array()
+    rows = [spans[0].gens, spans[1].gens, np.vstack([spans[2].gens, y_z])]
+    return tuple(howell_form(r * (1 - 2 * y_z), ell, n=code.n) for r in rows)

@@ -235,6 +235,17 @@ class TestNestedPair:
                 (BitVector.from_string("11"),),
             )
 
+    def test_rejects_dependent_rows(self):
+        # independent rows keep distinct cosets of C2 in C1 disjoint, which
+        # the oracle's amplitude check relies on instead of testing it
+        a, b = BitVector.from_string("1100"), BitVector.from_string("0011")
+        c1, c2 = rref_basis([a, b], n=4), rref_basis([a], n=4)
+        assert NestedCodePair(c1, c2, (a,), (b,)).num_logical == 1
+        with pytest.raises(ValueError, match="not independent"):
+            NestedCodePair(c1, c2, (a, a), (b,))
+        with pytest.raises(ValueError, match="not independent"):
+            NestedCodePair(c1, c2, (a,), (b, a ^ b))
+
     def test_alignment_random_round_trip(self):
         rng = random.Random(11)
         for _ in range(25):

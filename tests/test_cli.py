@@ -487,6 +487,39 @@ class TestKernelCalls:
             assert len(calls) == expected, command
 
 
+    @pytest.mark.parametrize("y_z", [None, "1000000"])
+    def test_howell_forms_per_matrix_job(self, capsys, monkeypatch, steane7_css, y_z):
+        from cssgates import zmod
+
+        calls = []
+        howell = zmod._howell
+
+        def counted(mat, ell):
+            calls.append(1)
+            return howell(mat, ell)
+
+        monkeypatch.setattr(zmod, "_howell", counted)
+        pair = steane7_css.pair
+        job = {
+            "version": 1,
+            "ell": 2,
+            "code": {"type": "matrix", "n": 7, "C1": [v.to_string() for v in pair.c1.basis],
+                     "C2": [v.to_string() for v in pair.c2.basis]},
+            "gate": "1,1,1,1,1,1,1",
+        }
+        if y_z is not None:
+            job["y_z"] = y_z
+        # five Howell forms build the pair's spans (S_H, S_T, S_Id and the
+        # two direct systems); a kernel takes one more. A Z shift reuses
+        # the spans and pays one Howell form per returned module
+        expected = {"verify": 5, "info": 5, "action": 6, "groups": 8}
+        if y_z is not None:
+            expected.update(action=7, groups=11)
+        for command, count in expected.items():
+            calls.clear()
+            run_json(capsys, monkeypatch, [command, "-i", "-"], job)
+            assert len(calls) == count, command
+
     @pytest.mark.parametrize("y_z", [False, True])
     @pytest.mark.parametrize("base", [EX2_JOB, MONO16_JOB])
     def test_info_builds_the_pair_spans_once(self, capsys, monkeypatch, base, y_z):

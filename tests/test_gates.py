@@ -35,16 +35,19 @@ from cssgates import (
 from cssgates import gates
 from cssgates.bincode import _product_levels
 from cssgates.gates import _weight_scan, stabilizer_constraints
-from cssgates.zmod import module_sum
+from cssgates.monomial import _TableGroups
+from cssgates.zmod import kernel_perp, module_sum
 
 from helpers import (
     decomposition_reference,
     distinct_product_rows,
+    flipped_spans_reference,
     mixing_counterexample,
     points,
     product_table_cases,
     profile_reference,
     random_css_with_logicals,
+    random_decreasing_spec,
     random_nested_css,
     realign_pair,
     scan_cases,
@@ -148,7 +151,7 @@ class TestConstraintSystems:
                 howell_form(direct_t, ell, n=n))
             assert howell_form(gates._identity_rows_direct(pair, levels), ell, n=n) == (
                 howell_form(direct_id, ell, n=n))
-            spans = gates._constraint_spans(pair, ell)
+            spans = gates._pair_spans(pair, ell)
             assert spans[0] == fixing
             assert spans[1] == transversal
             assert spans[2] == howell_form(direct_id, ell, n=n)
@@ -167,7 +170,9 @@ class TestConstraintSystems:
         for code in (mono16_css, shifted):
             for ell in (1, 2, 3):
                 depths.clear()
-                gates._constraint_spans(code, ell)
+                groups = gates._SpanGroups(code.pair, ell).shifted(code)
+                for name in ("H", "T", "Id"):
+                    groups.module(name), groups.length(name)
                 assert depths == [ell]
                 depths.clear()
                 fixing_group(code, ell)
@@ -478,7 +483,8 @@ class TestKernelsPerGroup:
             assert fixing_group(shifted, ell) == h
             assert transversal_group(shifted, ell) == t
             assert identity_group(shifted, ell) == i
-        # shifted spans are flipped and canonicalised before the kernel
+        # the kernels are solved on the pair's spans, handed over as
+        # modules, and only then moved to the shifted code
         assert seen == [ZModule] * 18
 
 
@@ -498,7 +504,7 @@ class TestSpanMemberships:
                 code = css_from_pair(code.pair, y_z=BitVector.from_ints(y_z))
             for ell in (1, 2, 3):
                 N = 1 << ell
-                spans = gates._constraint_spans(code, ell)
+                spans = flipped_spans_reference(code, ell)
                 groups = gate_groups(code, ell)
                 assert fixing_group(code, ell) == groups[0]
                 probes = list(nprng.integers(0, N, size=(8, n)))
@@ -511,6 +517,74 @@ class TestSpanMemberships:
                     expected = [rank >= 1, rank >= 2, rank >= 3]
                     assert [span.kernel_contains(b) for span in spans] == expected
                     assert [group.contains(b) for group in groups] == expected
+
+
+def _module_bytes(mod):
+    return mod.n, mod.ell, mod.gens.shape, mod.gens.dtype, mod.gens.tobytes()
+
+
+class TestOneShiftRule:
+    """Both group routes move to a Z shift by the one rule of gates._Groups,
+    and each must equal the kernels of the flipped spans
+    (flipped_spans_reference) in module bytes, lengths and memberships."""
+
+    @staticmethod
+    def _shifts(code, rng):
+        """A random nonzero y_z, and a word of the outer code, which lies in
+        Id's span and so drops nothing from Id."""
+        bits = [rng.randrange(2) for _ in range(code.n)]
+        bits[rng.randrange(code.n)] = 1
+        word = BitVector(code.n)
+        for i, row in enumerate(code.pair.beta1):
+            if rng.randrange(2) or i == 0:
+                word ^= row
+        return BitVector.from_ints(bits), word
+
+    @staticmethod
+    def _check(route, code, ell, nprng):
+        """Compare route.shifted(code) with the reference; return Id's drop."""
+        N = 1 << ell
+        groups = route.shifted(code)
+        spans = flipped_spans_reference(code, ell)
+        kernels = [kernel_perp(span, ell, n=code.n) for span in spans]
+        probes = [nprng.integers(0, N, code.n)]
+        for kernel in kernels:
+            # an element, and the same with one entry moved by 2^(ell - 1)
+            element = nprng.integers(0, N, len(kernel.gens)) @ kernel.gens % N
+            moved = element.copy()
+            moved[nprng.integers(code.n)] += N >> 1
+            probes += [element, moved]
+        for name, span, kernel in zip(("H", "T", "Id"), spans, kernels):
+            assert _module_bytes(groups.module(name)) == _module_bytes(kernel), name
+            assert groups.length(name) == kernel.length, name
+            for b in probes:
+                assert groups.contains(name, b) is span.kernel_contains(b), name
+        return route.length("Id") - groups.length("Id")
+
+    def test_both_routes_match_the_flipped_spans(self):
+        """Random matrix codes on the span route; every RM pair with m <= 5
+        and seeded divisibility-closed specs on both routes."""
+        rng = random.Random(1515)
+        nprng = np.random.default_rng(1515)
+        specs = [MonomialCodeSpec(m, reed_muller_set(m, r), reed_muller_set(m, q))
+                 for m in range(2, 6) for r in range(m + 1) for q in range(r + 1)]
+        specs += [random_decreasing_spec(rng, 5) for _ in range(40)]
+        cases = [(random_css_with_logicals(rng, i % 4), None) for i in range(40)]
+        cases += [(spec.induced_css(), spec) for spec in specs]
+        drops = set()
+        for i, (code, spec) in enumerate(cases):
+            ell = 1 + i % 3
+            routes = [gates._SpanGroups(code.pair, ell)]
+            if spec is not None:
+                routes.append(_TableGroups(spec, ell))
+            random_shift, outer_word = self._shifts(code, rng)
+            for y_z in (random_shift, outer_word):
+                shifted = css_from_pair(code.pair, y_z=y_z)
+                (drop,) = {self._check(route, shifted, ell, nprng) for route in routes}
+                assert drop == 0 or y_z is random_shift
+                drops.add((ell, drop))
+        # random shifts drop up to all of ell from Id
+        assert {(ell, drop) for ell in (1, 2, 3) for drop in (0, ell)} <= drops
 
 
 class TestShiftedCodes:

@@ -37,6 +37,7 @@ from cssgates import BitVector, CssCode, gates, monomial, zmod
 from cssgates.monomial import _TableGroups, _head_pairing_check, _reach_levels, _relative_generator_check
 
 from helpers import (
+    flipped_spans_reference,
     general_fixing_reference,
     head_pairing_reference,
     level_loop_reference,
@@ -542,8 +543,9 @@ class TestComplementForm:
 
 class TestTableRoute:
     """The groups read off the exponent tables are the kernel route's
-    (gate_groups: the kernels of the pair's spans, flipped on a Z shift)
-    byte for byte, with the same lengths and memberships."""
+    (the kernels of the pair's spans, on a Z shift of the spans flipped by
+    flipped_spans_reference) byte for byte, with the same lengths and
+    memberships."""
 
     @staticmethod
     def cases():
@@ -569,7 +571,7 @@ class TestTableRoute:
             spans = gates._pair_spans(pair, ell)
             tables = _TableGroups(spec, ell)
             for groups, code_spans in ((tables, spans),
-                                       (tables.shifted(shifted), gates._flipped_spans(shifted, ell, spans))):
+                                       (tables.shifted(shifted), flipped_spans_reference(shifted, ell, spans))):
                 kernels = [zmod.kernel_perp(span, ell, n=spec.n) for span in code_spans]
                 # a random vector, and a random element of each group with
                 # one entry moved by 2^(ell - 1), which may leave the group

@@ -182,6 +182,20 @@ class TestBoundedMemory:
         assert result.gate_class.rank >= 1
         assert peak < 8 << 20
 
+    def test_enumeration_rejects_before_allocating(self):
+        # ell = 1, n = 20: 2^20 gates pass the space cap, but the scan would
+        # pair them with 2^20 codewords, and the lifted codewords alone
+        # would take 2^20 x 20 int64 entries, 160 MiB
+        css = css_from_pair(aligned_bases(eye_code(20, 20), eye_code(20, 20)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap of 67108864"):
+                enumerate_group(css, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
 
 class TestAmplitudeFixCheck:
     def sweep(self, css, ell):

@@ -1,0 +1,51 @@
+"""The benchmark's tracer (bench/spans.py) wraps and patches package
+attributes by name. These tests read it, without importing or changing
+it, and check that every such name still resolves in cssgates, so a
+refactor that drops one fails here rather than in a traced run."""
+
+import ast
+import importlib
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _tree():
+    return ast.parse(SPANS.read_text(encoding="utf-8"))
+
+
+def _assigned(tree, name: str):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == name for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} is not assigned in {SPANS.name}")
+
+
+def test_wrapped_functions_resolve():
+    tree = _tree()
+    wrapped = _assigned(tree, "_WRAPPED")
+    monomial = _assigned(tree, "_MONOMIAL")
+    assert wrapped and monomial
+    for layer, names in wrapped.items():
+        module = importlib.import_module(f"cssgates.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"cssgates.{layer}.{name}"
+    module = importlib.import_module("cssgates.monomial")
+    for name in monomial:
+        assert callable(getattr(module, name, None)), f"cssgates.monomial.{name}"
+
+
+def test_patched_attributes_resolve():
+    # _setattr(target, "name", value): target is a cssgates module, or a
+    # dotted path inside one such as zmod.ZModule
+    calls = [node for node in ast.walk(_tree())
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_setattr"]
+    assert calls
+    for call in calls:
+        path = ast.unparse(call.args[0]).split(".")
+        target = importlib.import_module(f"cssgates.{path[0]}")
+        for part in path[1:]:
+            target = getattr(target, part)
+        name = call.args[1].value
+        assert hasattr(target, name), f"cssgates.{'.'.join(path)}.{name}"

@@ -104,6 +104,9 @@ class TestHowell:
         mod = howell_form([[2, 1, 3], [0, 4, 2], [1, 1, 1]], 3)
         again = howell_form(mod.gens, 3, n=3)
         assert again == mod
+        # a module of the same level and length is already canonical
+        assert howell_form(mod, 3) is mod and howell_form(mod, 3, n=3) is mod
+        assert howell_form(mod, 2) == howell_form(mod.gens, 2, n=3)
 
     def test_empty_and_zero(self):
         mod = howell_form([], 2, n=3)
