@@ -17,17 +17,17 @@ Monomial codes use {"type": "monomial", "m": 4, "M1": [...], "M2": [...]}
 with monomial tokens like "1" and "x1x3". The report is a flat JSON
 object: "params" always, then the command's keys: "H"/"T"/"Id" (Howell
 generators plus length), "logical_actions", "verify", "closed_form" or
-"info". Keys are sorted and the indent is fixed, so equal jobs
-give byte-identical reports regardless of --threads.
+"info". Keys are sorted and the indent is fixed, so equal jobs give
+byte-identical reports.
 
 The command line is `cssgates COMMAND -i JOB [-o REPORT] [--seed N]
-[--gate B] [--threads T]`, options in any order; COMMANDS names the
-five commands, and only action and verify take --gate. groups, action,
-info and verify read the groups of the unshifted pair off exponent tables
-on a monomial job (monomial._TableGroups) and off constraint spans on a
-matrix job (gates._SpanGroups, the object gate_groups reads too); a y_z
-moves either by the one rule of gates._Groups. closed-form compares the
-closed forms with the kernel route (gate_groups).
+[--gate B]`, options in any order; COMMANDS names the five commands, and
+only action and verify take --gate. groups, action, info and verify read
+the groups of the unshifted pair off exponent tables on a monomial job
+(monomial._TableGroups) and off constraint spans on a matrix job
+(gates._SpanGroups, the object gate_groups reads too); a y_z moves either
+by the one rule of gates._Groups. closed-form compares the closed forms
+with the kernel route (gate_groups).
 
 Exit status: 0 on success, 1 on a rejected job or command line (the
 message names the offending field, "arguments" for the command line), 2
@@ -140,7 +140,7 @@ class Job:
         self.seed = _expect(data, "", "seed", int, required=False)
         tasks = _expect(data, "", "tasks", list, required=False, default=[])
         for i, t in enumerate(tasks):
-            if t not in COMMANDS:
+            if not isinstance(t, str) or t not in COMMANDS:
                 raise JobError(f"tasks[{i}]", f"unknown task {t!r}")
 
     def _parse_code(self, code: dict) -> CssCode:
@@ -203,12 +203,15 @@ class Job:
     def gate_vector(self) -> np.ndarray:
         if self.gate_spec is None:
             raise JobError("gate", "this task needs a gate vector")
+        gate = self.gate_spec
         try:
-            if isinstance(self.gate_spec, list):
-                arr = np.array([int(x) for x in self.gate_spec], dtype=np.int64) % (1 << self.ell)
-            else:
-                arr = zvector_from_text(self.gate_spec, self.ell)
-        except (TypeError, ValueError) as exc:
+            if isinstance(gate, list):
+                for i, x in enumerate(gate):
+                    if type(x) is not int:
+                        raise ValueError(f"not an integer residue at position {i + 1}: {x!r}")
+                gate = ",".join(map(str, gate))
+            arr = zvector_from_text(gate, self.ell)
+        except ValueError as exc:
             raise JobError("gate", str(exc)) from exc
         if arr.shape[0] != self.code.n:
             raise JobError("gate", f"expected {self.code.n} entries")
@@ -499,8 +502,6 @@ _PARSER = _Parser(
 _PARSER.add_argument("command", choices=COMMANDS, metavar="command", help="one of the commands below")
 _PARSER.add_argument("--input", "-i", required=True, help="job file, or - for stdin")
 _PARSER.add_argument("--output", "-o", help="report file, defaults to stdout")
-_PARSER.add_argument("--threads", type=int, default=1,
-                     help="worker hint; accepted for compatibility, unused")
 _PARSER.add_argument("--seed", type=int, help="override the job's seed")
 _PARSER.add_argument("--gate", help="gate vector, comma-separated residues (action and verify)")
 

@@ -46,13 +46,12 @@ from .bincode import (
     BitVector,
     NestedCodePair,
     aligned_bases,
-    dual_basis,
     rref_basis,
     _limbs,
     _product_levels,
     _span_blocks,
     _unpack,
-    schur_power,
+    star_family,
 )
 from .zmod import ZModule, dot_mod, howell_form, kernel_perp
 
@@ -596,7 +595,8 @@ def all_ones_report(code, ell: int) -> AllOnesReport:
     off the pair's _SpanGroups. Raises ConsistencyError if a
     membership contradicts the corresponding weight scan, or if
     membership in the fixing group does not force the inner code into the
-    dual of the (ell-1)-th power of the outer code.
+    dual of the (ell-1)-th power of the outer code, a parity rule read off
+    products of outer basis rows with no elimination (see _all_ones).
     """
     pair = _pair_of(code)
     ones = np.ones(pair.n, dtype=np.int64)
@@ -606,15 +606,16 @@ def all_ones_report(code, ell: int) -> AllOnesReport:
 
 def _all_ones(pair: NestedCodePair, ell: int, memberships) -> AllOnesReport:
     """all_ones_report of pair, given the uniform gate's memberships in
-    the pair's H, T and Id."""
+    the pair's H, T and Id. The inner code lies in the power's dual exactly
+    when each inner basis row v has even overlap with each product of
+    r < ell distinct outer basis rows, which span the power for any basis.
+    The empty product (r = 0), the all-ones word, is the whole rule at
+    ell = 1 and adds nothing at ell >= 2: v, orthogonal to the outer code
+    that holds it, is orthogonal to itself and so has even weight."""
     in_h, in_t, in_id = memberships
 
-    if ell == 1:
-        power = rref_basis([BitVector.all_ones(pair.n)], n=pair.n)
-    else:
-        power = schur_power(pair.c1, ell - 1)
-    perp = dual_basis(power)
-    containment_ok = all(perp.contains(v) for v in pair.beta2)
+    products = [p.bits for r in range(ell) for p in star_family(pair.beta1, r, n=pair.n)]
+    containment_ok = not any((v.bits & p).bit_count() & 1 for v in pair.beta2 for p in products)
     if in_h and not containment_ok:
         raise ConsistencyError("uniform gate fixes the code but the power-dual containment fails")
 

@@ -61,7 +61,6 @@ from .gates import (
     _Groups,
     _span_mismatch,
     css_from_pair,
-    fixing_group,
     phase_profile,
 )
 from .zmod import MAX_LEVEL, ZModule, howell_form
@@ -583,10 +582,11 @@ def closed_form_fixing_group_general(spec: MonomialCodeSpec) -> GeneralClosedFor
     Finds the least level whose product set contains the full monomial,
     then takes one Howell form of (ev(u) - ev(1)) over the u that are not
     complement quotients of reachable monomials and of twice the fixing
-    group one level down (closed form, else kernel). Raises when the
-    full monomial is never reached or when the product set saturates (for
-    divisibility-closed specs reaching the full monomial always saturates
-    the set, so the formula only ever applies to non-closed sets).
+    group one level down, read off its exponent table (_TableGroups).
+    Raises when the full monomial is never reached or when the product
+    set saturates (for divisibility-closed specs reaching the full
+    monomial always saturates the set, so the formula only ever applies
+    to non-closed sets).
 
     The generating system is emitted exactly as displayed; reports compare
     it against the kernel computation, and the two are not guaranteed to
@@ -612,11 +612,7 @@ def closed_form_fixing_group_general(spec: MonomialCodeSpec) -> GeneralClosedFor
     # u = 0 is left out: ev(1) - ev(1) is the zero row
     rows = (_ev_rows(spec.m, [u for u in range(1, spec.n) if u not in quotients]) - 1) % (1 << ell)
     if ell > 1:
-        try:
-            tail = closed_form_fixing_group(spec, ell - 1)
-        except HypothesisError:
-            tail = fixing_group(spec.induced_pair(), ell - 1)
-        rows = np.vstack([rows, tail.gens << 1])
+        rows = np.vstack([rows, _TableGroups(spec, ell - 1).module("H").gens << 1])
     return GeneralClosedForm(ell, howell_form(rows, ell, n=spec.n))
 
 

@@ -29,6 +29,7 @@ from cssgates import (
     reed_muller_set,
     rref_basis,
     scale_lift,
+    schur_power,
 )
 from cssgates import gates
 from cssgates.monomial import (
@@ -556,6 +557,18 @@ def profile_reference(code, ell: int, b) -> tuple[np.ndarray, int]:
     labels = (coeffs @ ext + code.y_z.to_array()) % 2
     direct = labels @ (np.asarray(b, dtype=np.int64) % N) % N
     return (direct - direct[0]) % N, int(direct[0])
+
+
+def power_dual_reference(pair: NestedCodePair, ell: int) -> bool:
+    """The power-dual containment by elimination: the dual basis of the
+    (ell-1)-th Schur power of the outer code (of the all-ones word at
+    ell = 1), with every inner basis row reduced against it."""
+    if ell == 1:
+        power = rref_basis([BitVector.all_ones(pair.n)], n=pair.n)
+    else:
+        power = schur_power(pair.c1, ell - 1)
+    perp = dual_basis(power)
+    return all(perp.contains(v) for v in pair.beta2)
 
 
 def weight_scan_reference(pair: NestedCodePair, ell: int) -> tuple[bool, bool]:

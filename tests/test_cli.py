@@ -81,6 +81,8 @@ class TestJobValidation:
         ({**MONO16_JOB, "code": {**MONO16_JOB["code"], "M2": ["x3x4"]}}, "code.M2"),
         ({**EX2_JOB, "y_x": "012"}, "y_x"),
         ({**EX2_JOB, "gate": {"a": 1}}, "gate"),
+        ({**EX2_JOB, "tasks": ["groups", ["groups"]]}, "tasks[1]"),
+        ({**EX2_JOB, "tasks": [{}]}, "tasks[0]"),
     ]
 
     @pytest.mark.parametrize("job,field", REJECTS)
@@ -110,6 +112,22 @@ class TestJobValidation:
         rc, _, err = run_cli(capsys, monkeypatch, ["verify", "--input", "-"], job)
         assert rc == 1 and err.startswith("error: gate:")
 
+    @pytest.mark.parametrize(
+        "gate,reason",
+        [
+            ([1.7, 1], "not an integer residue at position 1: 1.7"),
+            ([1, True], "not an integer residue at position 2: True"),
+            (["1", 1], "not an integer residue at position 1: '1'"),
+            ([1, None], "not an integer residue at position 2: None"),
+            ([1, -1], "residue out of range at position 2: -1"),
+            ([4, 1], "residue out of range at position 1: 4"),
+        ],
+    )
+    def test_list_gate_takes_the_text_rule(self, capsys, monkeypatch, gate, reason):
+        rc, out, err = run_cli(capsys, monkeypatch, ["verify", "-i", "-"], {**EX2_JOB, "gate": gate})
+        assert rc == 1 and out == ""
+        assert err == f"error: gate: {reason}\n"
+
     def test_action_on_matrix_code_needs_a_gate(self, capsys, monkeypatch):
         rc, _, err = run_cli(capsys, monkeypatch, ["action", "--input", "-"], EX2_JOB)
         assert rc == 1 and err.startswith("error: gate:")
@@ -122,6 +140,7 @@ class TestJobValidation:
             (["groups", "-i", "-", "--gate", "1,3"], "--gate: not allowed with groups"),
             (["info", "-i", "-", "--gate", "1,3"], "--gate: not allowed with info"),
             (["closed-form", "-i", "-", "--gate", "1,3"], "--gate: not allowed with closed-form"),
+            (["groups", "-i", "-", "--threads", "8"], "unrecognized arguments: --threads 8"),
         ],
     )
     def test_usage_errors_are_rejected_jobs(self, capsys, monkeypatch, argv, reason):
@@ -186,11 +205,8 @@ class TestDeterminism:
     def test_byte_identical_reports(self, capsys, monkeypatch):
         rc1, out1, _ = run_cli(capsys, monkeypatch, ["groups", "-i", "-"], EX2_JOB)
         rc2, out2, _ = run_cli(capsys, monkeypatch, ["groups", "-i", "-"], EX2_JOB)
-        rc3, out3, _ = run_cli(
-            capsys, monkeypatch, ["groups", "-i", "-", "--threads", "8"], EX2_JOB
-        )
-        assert rc1 == rc2 == rc3 == 0
-        assert out1 == out2 == out3
+        assert rc1 == rc2 == 0
+        assert out1 == out2
 
     def test_seed_override_changes_only_the_echo(self, capsys, monkeypatch):
         base = run_json(capsys, monkeypatch, ["groups", "-i", "-"], {**EX2_JOB, "seed": 7})

@@ -44,6 +44,7 @@ from helpers import (
     flipped_spans_reference,
     mixing_counterexample,
     points,
+    power_dual_reference,
     product_table_cases,
     profile_reference,
     random_css_with_logicals,
@@ -644,6 +645,39 @@ class TestAllOnes:
         report = all_ones_report(rm_css, 3)
         assert report.divisibility is True
         assert report.in_identity_group
+
+    def test_power_dual_matches_the_reference(self, monkeypatch):
+        # only the containment is under test: with the weight scan off no
+        # membership is cross-checked, and in_H = False raises nothing
+        monkeypatch.setattr(gates, "_SCAN_CAP", -1)
+        rng = random.Random(20261019)
+        pairs = [random_nested_css(rng, n_max=10, k1_max=6).pair for _ in range(1000)]
+        for m in range(1, 7):
+            for r1 in range(m + 1):
+                for r2 in range(r1 + 1):
+                    spec = MonomialCodeSpec(m, reed_muller_set(m, r1), reed_muller_set(m, r2))
+                    pairs.append(spec.induced_pair())
+        outcomes = set()
+        for pair in pairs:
+            for ell in range(1, 5):
+                got = gates._all_ones(pair, ell, (False, False, False)).power_dual_contains_inner
+                assert got == power_dual_reference(pair, ell), (pair, ell)
+                outcomes.add((got, pair.c2.k > 0))
+        kinds = {(p.c2.k == 0, p.num_logical == 0) for p in pairs}
+        assert {(True, False), (False, True)} <= kinds
+        assert outcomes == {(True, False), (True, True), (False, True)}
+
+    def test_power_dual_needs_no_elimination(self, monkeypatch, rm_css):
+        from cssgates import bincode
+
+        pair = rm_css.pair
+        ones = np.ones(pair.n, dtype=np.int64)
+        memberships = [gates._SpanGroups(pair, 3).contains(g, ones) for g in gates._GROUPS]
+        calls, rref = [], bincode._rref
+        monkeypatch.setattr(bincode, "_rref", lambda masks: calls.append(1) or rref(masks))
+        report = gates._all_ones(pair, 3, memberships)
+        assert calls == []
+        assert report.power_dual_contains_inner and report.in_identity_group
 
     def test_outer_weights(self, steane7_css):
         words = points(
