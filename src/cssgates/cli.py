@@ -42,7 +42,7 @@ import sys
 
 import numpy as np
 
-from .bincode import BitVector, rref_basis
+from .bincode import BitVector, NestedCodePair, aligned_bases, rref_basis
 from .gates import (
     ConsistencyError,
     CssCode,
@@ -50,7 +50,6 @@ from .gates import (
     _SpanGroups,
     _all_ones,
     _decomposition,
-    build_css,
     fixing_group,
     gate_groups,
     logical_phase,
@@ -107,7 +106,11 @@ def _parse_bitstring(text: str, n: int, field: str) -> BitVector:
 
 
 class Job:
-    """Validated job: the code, the level, and the optional extras."""
+    """Validated job: the code, the level, and the optional extras.
+
+    A monomial job builds its CssCode (two GF(2) eliminations over
+    length-2^m evaluation vectors) on first use of `code`: the groups read
+    only the spec, the level and y_z."""
 
     def __init__(self, data: dict):
         if not isinstance(data, dict):
@@ -124,16 +127,13 @@ class Job:
             raise JobError("ell", f"must be in [1, {MAX_LEVEL}]")
         code = _expect(data, "", "code", dict)
         self.spec: MonomialCodeSpec | None = None
-        self.code = self._parse_code(code)
-        n = self.code.n
+        pair = self._parse_code(code)
+        n = self.n
         y_x = data.get("y_x")
         y_z = data.get("y_z")
-        if y_x is not None or y_z is not None:
-            self.code = CssCode(
-                self.code.pair,
-                _parse_bitstring(y_x, n, "y_x") if y_x is not None else BitVector(n),
-                _parse_bitstring(y_z, n, "y_z") if y_z is not None else BitVector(n),
-            )
+        self.y_x = _parse_bitstring(y_x, n, "y_x") if y_x is not None else BitVector(n)
+        self.y_z = _parse_bitstring(y_z, n, "y_z") if y_z is not None else BitVector(n)
+        self._code = None if pair is None else CssCode(pair, self.y_x, self.y_z)
         self.gate_spec = data.get("gate")
         if self.gate_spec is not None and not isinstance(self.gate_spec, (str, list)):
             raise JobError("gate", "expected a string or a list of residues")
@@ -143,15 +143,24 @@ class Job:
             if not isinstance(t, str) or t not in COMMANDS:
                 raise JobError(f"tasks[{i}]", f"unknown task {t!r}")
 
-    def _parse_code(self, code: dict) -> CssCode:
+    @property
+    def code(self) -> CssCode:
+        if self._code is None:
+            self._code = CssCode(self.spec.induced_pair(), self.y_x, self.y_z)
+        return self._code
+
+    def _parse_code(self, code: dict) -> NestedCodePair | None:
+        """Set n and num_logical; the pair of a matrix code, None for a
+        monomial one."""
         kind = _expect(code, "code", "type", str)
         if kind == "matrix":
             return self._parse_matrix(code)
         if kind == "monomial":
-            return self._parse_monomial(code)
+            self._parse_monomial(code)
+            return None
         raise JobError("code.type", f"unknown code type {kind!r}")
 
-    def _parse_matrix(self, code: dict) -> CssCode:
+    def _parse_matrix(self, code: dict) -> NestedCodePair:
         for key in code:
             if key not in {"type", "n", "C1", "C2"}:
                 raise JobError(f"code.{key}", "unknown entry")
@@ -170,11 +179,13 @@ class Job:
         if c1.k == 0:
             raise JobError("code.C1", "the outer code must be nonzero")
         try:
-            return build_css(c1, c2)
+            pair = aligned_bases(c1, c2)
         except ValueError as exc:
             raise JobError("code.C2", str(exc)) from exc
+        self.n, self.num_logical = pair.n, pair.num_logical
+        return pair
 
-    def _parse_monomial(self, code: dict) -> CssCode:
+    def _parse_monomial(self, code: dict) -> None:
         for key in code:
             if key not in {"type", "m", "M1", "M2"}:
                 raise JobError(f"code.{key}", "unknown entry")
@@ -198,7 +209,8 @@ class Job:
             self.spec = MonomialCodeSpec(m, sets["M1"], sets["M2"])
         except ValueError as exc:
             raise JobError("code.M2", str(exc)) from exc
-        return self.spec.induced_css()
+        # distinct monomials evaluate to independent words, so K = |M1| - |M2|
+        self.n, self.num_logical = self.spec.n, len(sets["M1"]) - len(sets["M2"])
 
     def gate_vector(self) -> np.ndarray:
         if self.gate_spec is None:
@@ -213,8 +225,8 @@ class Job:
             arr = zvector_from_text(gate, self.ell)
         except ValueError as exc:
             raise JobError("gate", str(exc)) from exc
-        if arr.shape[0] != self.code.n:
-            raise JobError("gate", f"expected {self.code.n} entries")
+        if arr.shape[0] != self.n:
+            raise JobError("gate", f"expected {self.n} entries")
         return arr
 
 
@@ -231,7 +243,7 @@ def _pair_groups(job: Job):
 
 
 def _task_groups(job: Job) -> dict:
-    groups = _pair_groups(job).shifted(job.code)
+    groups = _pair_groups(job).shifted(job)
     return {name: _module_entry(groups.module(name)) for name in _GROUPS}
 
 
@@ -458,7 +470,7 @@ def build_report(job: Job, command: str) -> dict:
         "version": 1,
         "level": job.ell,
         "modulus": 1 << job.ell,
-        "params": [[job.code.n, job.code.num_logical]],
+        "params": [[job.n, job.num_logical]],
         "seed": job.seed,
     }
     report.update(COMMANDS[command][1](job))

@@ -247,8 +247,11 @@ class _Groups:
     y_z: BitVector | None = None
 
     def shifted(self, code) -> "_Groups":
+        """The groups of code: anything with a y_z (a CssCode, or a CLI job
+        whose code is not built yet); a bare pair has no shift."""
         moved = copy.copy(self)
-        moved.y_z = code.y_z if isinstance(code, CssCode) and code.y_z.bits else None
+        y_z = getattr(code, "y_z", None)
+        moved.y_z = y_z if y_z is not None and y_z.bits else None
         return moved
 
     def module(self, name: str) -> ZModule:

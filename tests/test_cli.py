@@ -83,6 +83,9 @@ class TestJobValidation:
         ({**EX2_JOB, "gate": {"a": 1}}, "gate"),
         ({**EX2_JOB, "tasks": ["groups", ["groups"]]}, "tasks[1]"),
         ({**EX2_JOB, "tasks": [{}]}, "tasks[0]"),
+        ({**MONO16_JOB, "y_x": "01"}, "y_x"),
+        ({**MONO16_JOB, "y_x": "0" * 15 + "2", "y_z": "1"}, "y_x"),
+        ({**MONO16_JOB, "y_z": "0" * 17}, "y_z"),
     ]
 
     @pytest.mark.parametrize("job,field", REJECTS)
@@ -581,6 +584,28 @@ class TestKernelCalls:
         for command in ("groups", "info", "action", "verify"):
             run_json(capsys, monkeypatch, [command, "-i", "-"], job)
             assert calls == [], command
+
+    @pytest.mark.parametrize("y_z", [None, "0110" * 4])
+    def test_monomial_code_is_built_on_first_use(self, capsys, monkeypatch, y_z):
+        from cssgates.monomial import MonomialCodeSpec
+
+        calls = []
+        induced = MonomialCodeSpec.induced_pair
+
+        def counted(spec):
+            calls.append(spec.m)
+            return induced(spec)
+
+        monkeypatch.setattr(MonomialCodeSpec, "induced_pair", counted)
+        job = dict(MONO16_JOB)
+        if y_z:
+            job["y_z"] = y_z
+        # groups read only the spec, the level and y_z
+        rep = run_json(capsys, monkeypatch, ["groups", "-i", "-"], job)
+        assert calls == [] and rep["params"] == [[16, 5]]
+        # info reads the pair, built once however often the job asks
+        run_json(capsys, monkeypatch, ["info", "-i", "-"], job)
+        assert calls == [4]
 
     @pytest.mark.parametrize("y_z", [None, "1" + "0" * 15])
     def test_one_coefficient_pass_per_member_gate(self, capsys, monkeypatch, y_z):

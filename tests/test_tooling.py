@@ -1,11 +1,16 @@
 """The benchmark's tracer (bench/spans.py) wraps and patches package
 attributes by name. These tests read it, without importing or changing
-it, and check that every such name still resolves in cssgates, so a
+it, and check that every such name still resolves in cssgates, and that
+every Howell route still passes through the one helper it patches, so a
 refactor that drops one fails here rather than in a traced run."""
 
 import ast
 import importlib
 from pathlib import Path
+
+import numpy as np
+
+from cssgates import zmod
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -49,3 +54,30 @@ def test_patched_attributes_resolve():
             target = getattr(target, part)
         name = call.args[1].value
         assert hasattr(target, name), f"cssgates.{'.'.join(path)}.{name}"
+
+
+def test_every_howell_route_reaches_the_one_entry_point(monkeypatch):
+    # the tracer and the count tests rebind zmod._howell; a route that
+    # called another helper would drop out of their counts unnoticed
+    calls = []
+    helper = zmod._howell
+
+    def counted(mat, ell):
+        calls.append(len(mat))
+        return helper(mat, ell)
+
+    monkeypatch.setattr(zmod, "_howell", counted)
+    rows = np.array([[2, 1, 3, 0], [0, 2, 2, 1], [1, 1, 0, 3]])
+    mod = zmod.howell_form(rows, 2)
+    assert calls == [3]
+    other = zmod.howell_form([[0, 0, 1, 1]], 2)
+    calls.clear()
+    zmod.module_sum(mod, other)
+    assert calls == [len(mod.gens) + len(other.gens)]
+    calls.clear()
+    zmod.kernel_perp(rows, 2)
+    # the rows' Howell form S, then [S^T | I_n]
+    assert calls == [3, 4]
+    calls.clear()
+    zmod.kernel_perp(mod, 2)
+    assert calls == [4]

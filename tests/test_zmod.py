@@ -153,6 +153,123 @@ class TestHowellAgainstReference:
         assert grew == (ell > 1)
 
 
+# the levels of the structured inputs below: every small level, and one
+# level each in the uint16 and uint32 residue dtypes
+STRUCTURED_LEVELS = (1, 2, 3, 4, 9, 17)
+
+
+def _ev(m: int, w: int) -> np.ndarray:
+    """The evaluation vector of the monomial with mask w on 2^m points."""
+    return ((np.arange(1 << m) & w) == w).astype(np.int64)
+
+
+class TestHowellStructuredInputs:
+    """_howell against the row-at-a-time reference on the shapes the
+    package feeds it, where the column step meets one touching row or
+    many, units and non-units, zero and nonzero annihilator rows."""
+
+    @staticmethod
+    def check(mat, ell):
+        mat = np.asarray(mat, dtype=np.int64) % (1 << ell)
+        before = mat.copy()
+        want = howell_reference(mat, ell)
+        got = _howell(mat, ell)
+        assert np.array_equal(mat, before)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("ell", STRUCTURED_LEVELS)
+    def test_monomial_complement_rows(self, ell):
+        # 2^s * ev(w) leads at column w, so distinct masks give distinct
+        # leading columns: each column has one touching row, every pivot
+        # odd part is 1, and every annihilator row 2^ell * ev(w) is zero
+        rng = np.random.default_rng(2000 + ell)
+        for m in (1, 2, 3, 4):
+            for _ in range(6):
+                masks = rng.permutation(1 << m)[: int(rng.integers(1, (1 << m) + 1))]
+                shifts = rng.integers(0, ell, size=len(masks))
+                rows = np.array([_ev(m, int(w)) << int(s) for w, s in zip(masks, shifts)])
+                got = self.check(rows, ell)
+                assert len(got) == len(masks)
+                assert sorted((got != 0).argmax(axis=1).tolist()) == sorted(masks.tolist())
+
+    @pytest.mark.parametrize("ell", STRUCTURED_LEVELS)
+    def test_module_stacked_with_new_rows(self, ell):
+        # as a constraint span grows: a Howell form, then new product rows
+        # scaled by powers of two
+        rng = np.random.default_rng(3000 + ell)
+        N = 1 << ell
+        for _ in range(12):
+            n = int(rng.integers(2, 13))
+            span = _howell(rng.integers(0, N, size=(int(rng.integers(0, n)), n)) % N, ell)
+            extra = rng.integers(0, 2, size=(int(rng.integers(1, 6)), n))
+            extra <<= rng.integers(0, ell, size=(len(extra), 1))
+            self.check(np.vstack([span, extra]), ell)
+
+    @pytest.mark.parametrize("ell", STRUCTURED_LEVELS)
+    def test_kernel_augmented_matrices(self, ell):
+        # [S^T | I_n] as kernel_perp builds it
+        rng = np.random.default_rng(4000 + ell)
+        N = 1 << ell
+        for _ in range(12):
+            n = int(rng.integers(1, 11))
+            rows = rng.integers(0, N, size=(int(rng.integers(0, 8)), n))
+            rows <<= rng.integers(0, ell, size=(len(rows), 1))
+            span = _howell(rows % N, ell)
+            self.check(np.hstack([span.T, np.eye(n, dtype=np.int64)]), ell)
+
+    @pytest.mark.parametrize("ell", STRUCTURED_LEVELS)
+    def test_lone_non_unit_pivots(self, ell):
+        # row j leads at column 2j with odd * 2^a, odd > 1 wherever the
+        # level allows, an odd entry right after it and zeros at every
+        # later even column: each even column meets one touching row, whose
+        # step must scale it by odd^-1, and a > 0 adds an annihilator row
+        # that is nonzero at column 2j + 1 and so pivots there
+        rng = np.random.default_rng(5000 + ell)
+        N = 1 << ell
+        scaled = annihilated = 0
+        for _ in range(12):
+            k = int(rng.integers(1, 5))
+            n = 2 * k + int(rng.integers(0, 3))
+            rows = rng.integers(0, N, size=(k, n))
+            rows[:, 0::2] = 0
+            shifts = rng.integers(0, max(1, ell - 1), size=k)
+            for j, a in enumerate(shifts.tolist()):
+                odd = int(rng.choice(range(3, 1 << (ell - a), 2))) if ell - a >= 2 else 1
+                rows[j, : 2 * j] = 0
+                rows[j, 2 * j] = odd << a
+                rows[j, 2 * j + 1] |= 1
+                scaled += odd > 1
+            rng.shuffle(rows)
+            got = self.check(rows, ell)
+            assert len(got) == k + int((shifts > 0).sum())
+            annihilated += int((shifts > 0).sum())
+        # ell = 1 has no odd factor but 1; ell = 2 leaves no room for a > 0
+        assert (scaled > 0) == (ell > 1) and (annihilated > 0) == (ell > 2)
+
+    def test_lone_non_unit_pivot_adds_its_annihilator(self):
+        # 6 = 3 * 2 at ell = 3: scaled by 3^-1 = 3 to 2, with annihilator
+        # 4 * (2, 3 * 1) = (0, 4) pivoting at column 1
+        got = self.check([[6, 1]], 3)
+        assert got.tolist() == [[2, 3], [0, 4]]
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("ell", DTYPE_LEVELS)
+    def test_mask_equals_modulo(self, ell):
+        # negative and out-of-range int64 entries, extremes included
+        rng = np.random.default_rng(6000 + ell)
+        info = np.iinfo(np.int64)
+        mat = rng.integers(info.min, info.max, size=(7, 9), dtype=np.int64)
+        mat[0, :4] = [info.min, info.max, -1, -(1 << ell)]
+        mat[1, :4] = [1 << ell, (1 << ell) - 1, -(1 << ell) - 1, 0]
+        got = zmod._as_matrix(mat, ell, 9)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, mat % (1 << ell))
+        assert np.array_equal(zmod._as_matrix(mat.tolist(), ell, None), mat % (1 << ell))
+
+
 class TestZModule:
     def test_immutable(self):
         mod = howell_form([[1, 2]], 2, n=2)
