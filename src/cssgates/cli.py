@@ -22,12 +22,13 @@ byte-identical reports.
 
 The command line is `cssgates COMMAND -i JOB [-o REPORT] [--seed N]
 [--gate B]`, options in any order; COMMANDS names the five commands, and
-only action and verify take --gate. groups, action, info and verify read
-the groups of the unshifted pair off exponent tables on a monomial job
+only action and verify take --gate. Every command reads the groups of
+the unshifted pair off exponent tables on a monomial job
 (monomial._TableGroups) and off constraint spans on a matrix job
 (gates._SpanGroups, the object gate_groups reads too); a y_z moves either
-by the one rule of gates._Groups. closed-form compares the closed forms
-with the kernel route (gate_groups).
+by the one rule of gates._Groups. A command builds a module only where
+its report prints one; closed-form checks each closed form against the
+exponent tables by memberships and length.
 
 Exit status: 0 on success, 1 on a rejected job or command line (the
 message names the offending field, "arguments" for the command line), 2
@@ -50,8 +51,6 @@ from .gates import (
     _SpanGroups,
     _all_ones,
     _decomposition,
-    fixing_group,
-    gate_groups,
     logical_phase,
 )
 from .monomial import (
@@ -265,13 +264,12 @@ def _gates_for_action(job: Job) -> list[tuple[str | None, np.ndarray]]:
 def _task_action(job: Job) -> dict:
     code = job.code
     groups = _pair_groups(job).shifted(code)
-    fixing = groups.module("H")
     entries = []
     for name, arr in _gates_for_action(job):
         # one pass of coefficients gives both the factors and the phases
         decomp = _decomposition(code, job.ell, arr)
         phases = decomp.phase_table()
-        in_fixing = fixing.contains(arr)
+        in_fixing = groups.contains("H", arr)
         entry: dict = {"name": name, "gate": arr.tolist(), "in_fixing_group": in_fixing}
         if in_fixing:
             entry["global_phase"] = logical_phase(code, job.ell, arr, 0)
@@ -313,14 +311,16 @@ def _task_verify(job: Job) -> dict:
     }}
 
 
-def _mismatch_witness(computed: ZModule, reference: ZModule) -> list[int] | None:
+def _mismatch_witness(computed: ZModule, groups: _TableGroups, name: str) -> list[int] | None:
+    """None when computed is the group; else a generator of one outside the
+    other, computed's first. Memberships are zeta passes, and the group's
+    module is built only when computed is a proper submodule of it."""
     for row in computed.gens:
-        if not reference.contains(row):
+        if not groups.contains(name, row):
             return row.tolist()
-    for row in reference.gens:
-        if not computed.contains(row):
-            return row.tolist()
-    return None
+    if computed.length == groups.length(name):
+        return None
+    return next(row.tolist() for row in groups.module(name).gens if not computed.contains(row))
 
 
 def _task_closed_form(job: Job) -> dict:
@@ -328,13 +328,13 @@ def _task_closed_form(job: Job) -> dict:
         raise JobError("code.type", "closed forms are defined for monomial codes")
     spec = job.spec
     ell = job.ell
-    pair = job.code.pair  # the closed forms describe the pair, whatever y_z is
-    generic = dict(zip(_GROUPS, gate_groups(pair, ell)))
+    # the closed forms describe the pair, whatever y_z is
+    groups = _TableGroups(spec, ell)
     report: dict = {}
 
     def theorem_entry(key: str, outcome: ZModule | HypothesisError) -> None:
         if isinstance(outcome, HypothesisError):
-            entry = _module_entry(generic[key])
+            entry = _module_entry(groups.module(key))
             entry.update(
                 fallback=True,
                 reason=outcome.code,
@@ -343,9 +343,9 @@ def _task_closed_form(job: Job) -> dict:
             )
             report[key] = entry
             return
-        if outcome != generic[key]:
+        if _mismatch_witness(outcome, groups, key) is not None:
             raise ConsistencyError(
-                f"closed form for {key} disagrees with the kernel computation"
+                f"closed form for {key} disagrees with the exponent tables"
             )
         entry = _module_entry(outcome)
         entry.update(fallback=False, matches_generic=True)
@@ -368,13 +368,12 @@ def _task_closed_form(job: Job) -> dict:
     except HypothesisError as exc:
         report["general"] = {"reason": exc.code, "reason_level": exc.level}
     else:
-        reference = fixing_group(pair, general.ell)
-        matches = general.module == reference
+        witness = _mismatch_witness(general.module, _TableGroups(spec, general.ell), "H")
         report["general"] = {
             "level": general.ell,
             "length": general.module.length,
-            "matches_generic": matches,
-            "witness": None if matches else _mismatch_witness(general.module, reference),
+            "matches_generic": witness is None,
+            "witness": witness,
         }
 
     try:
@@ -382,16 +381,15 @@ def _task_closed_form(job: Job) -> dict:
     except HypothesisError as exc:
         report["span_candidates"] = {"reason": exc.code, "reason_level": exc.level}
     else:
-        span = howell_form(
-            [evaluate(spec.m, u).to_array() for u in sieve.monomials()],
-            ell,
-            n=spec.n,
-        )
-        inside = bool(generic["H"].contains_module(span))
+        rows = [evaluate(spec.m, u).to_array() for u in sieve.monomials()]
+        witness = None
+        if not all(groups.contains("H", row) for row in rows):
+            # a span outside H has a Howell generator outside it
+            witness = _mismatch_witness(howell_form(rows, ell, n=spec.n), groups, "H")
         report["span_candidates"] = {
             "monomials": sieve.tokens(),
-            "span_in_H": inside,
-            "witness": None if inside else _mismatch_witness(span, generic["H"]),
+            "span_in_H": witness is None,
+            "witness": witness,
         }
     return {"closed_form": report}
 

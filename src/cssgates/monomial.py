@@ -589,8 +589,9 @@ def closed_form_fixing_group_general(spec: MonomialCodeSpec) -> GeneralClosedFor
     to non-closed sets).
 
     The generating system is emitted exactly as displayed; reports compare
-    it against the kernel computation, and the two are not guaranteed to
-    agree (the comparison, with a witness on failure, is the point).
+    it against the fixing group (read off _TableGroups at the same level),
+    and the two are not guaranteed to agree (the comparison, with a
+    witness on failure, is the point).
     """
     full = spec.full_mask
     first = _reach_levels(spec.inner.masks, spec.outer.masks, MAX_LEVEL)

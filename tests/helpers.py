@@ -20,9 +20,14 @@ from cssgates import (
     build_css,
     css_from_pair,
     closed_form_fixing_group,
+    closed_form_fixing_group_general,
+    closed_form_transversal_identity,
+    decreasing_span_monomials,
     divisibility_closure,
     dual_basis,
+    evaluate,
     fixing_group,
+    gate_groups,
     howell_form,
     kernel_perp,
     module_sum,
@@ -151,6 +156,22 @@ def random_decreasing_spec(rng: random.Random, m_max: int = 5) -> MonomialCodeSp
     inner_tops = [u for u in outer.masks if rng.randrange(2)]
     inner = divisibility_closure(MonomialSet.from_masks(m, inner_tops or [0]))
     return MonomialCodeSpec(m, outer, inner)
+
+
+def random_spec(rng: random.Random, m_max: int = 6) -> MonomialCodeSpec:
+    """Seeded spec whose sets need not be divisibility-closed."""
+    m = rng.randrange(2, m_max + 1)
+    outer = {rng.randrange(1 << m) for _ in range(rng.randrange(1, 2 * m))}
+    inner = {u for u in outer if rng.randrange(3) == 0} or {min(outer)}
+    return MonomialCodeSpec(m, MonomialSet.from_masks(m, outer), MonomialSet.from_masks(m, inner))
+
+
+def rm_pairs(m_max: int):
+    """RM(q) inside RM(r) for every 0 <= q <= r <= m, 2 <= m <= m_max."""
+    for m in range(2, m_max + 1):
+        for r in range(m + 1):
+            for q in range(r + 1):
+                yield MonomialCodeSpec(m, reed_muller_set(m, r), reed_muller_set(m, q))
 
 
 def realign_pair(pair: NestedCodePair, rng: random.Random) -> NestedCodePair:
@@ -425,6 +446,67 @@ def sieve_reference(spec: MonomialCodeSpec, ell: int) -> MonomialSet:
 
 
 # ------------------------------------------------------ reference oracles
+
+def closed_form_report_reference(job) -> dict:
+    """The closed-form block of a CLI job's report, each closed form
+    compared with the kernel route (gate_groups, fixing_group) on the
+    unshifted pair, whatever the job's y_z."""
+    spec, ell = job.spec, job.ell
+    pair = job.code.pair
+    generic = dict(zip(("H", "T", "Id"), gate_groups(pair, ell)))
+    report: dict = {}
+
+    def entry(mod) -> dict:
+        return {"length": mod.length, "generators": mod.gens.tolist()}
+
+    def mismatch(computed, reference):
+        for row in computed.gens:
+            if not reference.contains(row):
+                return row.tolist()
+        for row in reference.gens:
+            if not computed.contains(row):
+                return row.tolist()
+        return None
+
+    def theorem_entry(key: str, outcome) -> None:
+        if isinstance(outcome, HypothesisError):
+            report[key] = {**entry(generic[key]), "fallback": True, "reason": outcome.code,
+                           "reason_level": outcome.level, "matches_generic": None}
+            return
+        assert outcome == generic[key], key
+        report[key] = {**entry(outcome), "fallback": False, "matches_generic": True}
+
+    try:
+        h_mod = closed_form_fixing_group(spec, ell)
+    except HypothesisError as exc:
+        h_mod = exc
+    theorem_entry("H", h_mod)
+    try:
+        t_mod, id_mod = closed_form_transversal_identity(spec, ell)
+    except HypothesisError as exc:
+        t_mod = id_mod = exc
+    theorem_entry("T", t_mod)
+    theorem_entry("Id", id_mod)
+    try:
+        general = closed_form_fixing_group_general(spec)
+    except HypothesisError as exc:
+        report["general"] = {"reason": exc.code, "reason_level": exc.level}
+    else:
+        reference = fixing_group(pair, general.ell)
+        matches = general.module == reference
+        report["general"] = {"level": general.ell, "length": general.module.length, "matches_generic": matches,
+                             "witness": None if matches else mismatch(general.module, reference)}
+    try:
+        sieve = decreasing_span_monomials(spec, ell)
+    except HypothesisError as exc:
+        report["span_candidates"] = {"reason": exc.code, "reason_level": exc.level}
+    else:
+        span = howell_form([evaluate(spec.m, u).to_array() for u in sieve.monomials()], ell, n=spec.n)
+        inside = bool(generic["H"].contains_module(span))
+        report["span_candidates"] = {"monomials": sieve.tokens(), "span_in_H": inside,
+                                     "witness": None if inside else mismatch(span, generic["H"])}
+    return {"closed_form": report}
+
 
 def howell_reference(mat: np.ndarray, ell: int) -> np.ndarray:
     """Howell form by the row-at-a-time Python loop, in int64.

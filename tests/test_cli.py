@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -12,8 +13,10 @@ import pytest
 
 import cssgates
 from cssgates import ConsistencyError, GateClass, fixing_group, howell_form
-from cssgates.cli import COMMANDS, Job, main
+from cssgates.cli import COMMANDS, Job, build_report, main, render_report
 from cssgates.oracle import OracleResult
+
+from helpers import closed_form_report_reference, random_decreasing_spec, random_spec, rm_pairs
 
 
 EX2_JOB = {
@@ -331,7 +334,7 @@ class TestClosedFormReport:
         assert cf["H"]["reason"] == "head_outside_kernel"
         assert cf["H"]["reason_level"] == 2
         assert cf["H"]["matches_generic"] is None
-        assert cf["H"]["length"] == 26  # kernel route, reported anyway
+        assert cf["H"]["length"] == 26  # the exponent tables, reported anyway
         assert cf["T"]["reason"] == "identity_head_outside_kernel"
         assert cf["Id"]["reason"] == "identity_head_outside_kernel"
         assert (cf["T"]["length"], cf["Id"]["length"]) == (26, 25)
@@ -371,6 +374,42 @@ class TestClosedFormReport:
     def test_matrix_code_has_no_closed_form(self, capsys, monkeypatch):
         rc, _, err = run_cli(capsys, monkeypatch, ["closed-form", "-i", "-"], EX2_JOB)
         assert rc == 1 and err.startswith("error: code.type:")
+
+
+class TestClosedFormReference:
+    """closed-form reads H, T and Id off the exponent tables; its reports
+    equal, byte for byte, the ones that compare each closed form with the
+    kernel route (tests/helpers.closed_form_report_reference)."""
+
+    @staticmethod
+    def jobs():
+        """Every RM pair with m <= 6 and 120 seeded specs with m <= 5, half
+        of them not divisibility-closed, at ell = 1..3; the m = 6 pairs and
+        the seeded specs take one level each, in turn. Each job also runs
+        with a random y_z."""
+        cases = []
+        for i, spec in enumerate(rm_pairs(6)):
+            cases += [(spec, ell) for ell in ((1, 2, 3) if spec.m < 6 else (1 + i % 3,))]
+        rng = random.Random(180018)
+        specs = [random_decreasing_spec(rng, 5) for _ in range(60)]
+        specs += [random_spec(rng, 5) for _ in range(60)]
+        cases += [(spec, 1 + i % 3) for i, spec in enumerate(specs)]
+        for spec, ell in cases:
+            job = {
+                "version": 1,
+                "ell": ell,
+                "code": {"type": "monomial", "m": spec.m, "M1": spec.outer.tokens(),
+                         "M2": spec.inner.tokens()},
+            }
+            yield job
+            yield {**job, "y_z": "".join(rng.choice("01") for _ in range(spec.n))}
+
+    def test_matches_the_kernel_route(self):
+        for data in self.jobs():
+            job = Job(data)
+            report = build_report(job, "closed-form")
+            reference = {**report, **closed_form_report_reference(job)}
+            assert render_report(report) == render_report(reference), data
 
 
 class TestInfoReport:
@@ -498,9 +537,9 @@ class TestKernelCalls:
         job = {**EX2_JOB, "gate": "2,2"}
         if y_z is not None:
             job["y_z"] = y_z
-        # memberships and lengths are read off the constraint spans; only
-        # groups returns modules, and action hands H to the decomposition
-        for command, expected in (("groups", 3), ("action", 1), ("verify", 0), ("info", 0)):
+        # memberships and lengths are read off the constraint spans, and
+        # only groups returns modules
+        for command, expected in (("groups", 3), ("action", 0), ("verify", 0), ("info", 0)):
             calls.clear()
             run_json(capsys, monkeypatch, [command, "-i", "-"], job)
             assert len(calls) == expected, command
@@ -531,9 +570,9 @@ class TestKernelCalls:
         # five Howell forms build the pair's spans (S_H, S_T, S_Id and the
         # two direct systems); a kernel takes one more. A Z shift reuses
         # the spans and pays one Howell form per returned module
-        expected = {"verify": 5, "info": 5, "action": 6, "groups": 8}
+        expected = {"verify": 5, "info": 5, "action": 5, "groups": 8}
         if y_z is not None:
-            expected.update(action=7, groups=11)
+            expected.update(groups=11)
         for command, count in expected.items():
             calls.clear()
             run_json(capsys, monkeypatch, [command, "-i", "-"], job)
@@ -581,7 +620,7 @@ class TestKernelCalls:
         job = {**MONO16_JOB, "gate": ",".join("1" * 16)}
         if y_z:
             job["y_z"] = "0110" * 4
-        for command in ("groups", "info", "action", "verify"):
+        for command in ("groups", "info", "action", "verify", "closed-form"):
             run_json(capsys, monkeypatch, [command, "-i", "-"], job)
             assert calls == [], command
 
@@ -600,30 +639,31 @@ class TestKernelCalls:
         job = dict(MONO16_JOB)
         if y_z:
             job["y_z"] = y_z
-        # groups read only the spec, the level and y_z
-        rep = run_json(capsys, monkeypatch, ["groups", "-i", "-"], job)
-        assert calls == [] and rep["params"] == [[16, 5]]
+        # groups and closed forms read only the spec, the level and y_z
+        for command in ("groups", "closed-form"):
+            rep = run_json(capsys, monkeypatch, [command, "-i", "-"], job)
+            assert calls == [] and rep["params"] == [[16, 5]], command
         # info reads the pair, built once however often the job asks
         run_json(capsys, monkeypatch, ["info", "-i", "-"], job)
         assert calls == [4]
 
     @pytest.mark.parametrize("y_z", [None, "1" + "0" * 15])
     def test_one_coefficient_pass_per_member_gate(self, capsys, monkeypatch, y_z):
-        from cssgates import gates, zmod
+        from cssgates import gates
 
         passes, checks = [], []
-        coefficients, contains = gates._controlled_phases, zmod.ZModule.contains
+        coefficients, contains = gates._controlled_phases, gates._Groups.contains
 
         def counted_pass(*args):
             passes.append(1)
             return coefficients(*args)
 
-        def counted_check(self, v):
-            checks.append(1)
-            return contains(self, v)
+        def counted_check(self, name, b):
+            checks.append(name)
+            return contains(self, name, b)
 
         monkeypatch.setattr(gates, "_controlled_phases", counted_pass)
-        monkeypatch.setattr(zmod.ZModule, "contains", counted_check)
+        monkeypatch.setattr(gates._Groups, "contains", counted_check)
         # RM(0) inside RM(1) at m = 4, ell = 2: the span-candidate sieve
         # gives the gates, all in the fixing group of the unshifted code
         job = {**RM_JOB, "ell": 2}
@@ -632,9 +672,9 @@ class TestKernelCalls:
         entries = run_json(capsys, monkeypatch, ["action", "-i", "-"], job)["logical_actions"]
         members = sum(e["in_fixing_group"] for e in entries)
         assert members > 1 and (y_z is not None or members == len(entries))
-        # one pass and one membership test per gate, factors and phases
-        # both read off the pass
-        assert len(passes) == len(checks) == len(entries)
+        # one pass and one fixing-group membership test per gate, factors
+        # and phases both read off the pass
+        assert len(passes) == checks.count("H") == len(entries)
 
 
 class TestConsistencyGuard:
@@ -673,8 +713,24 @@ class TestConsistencyGuard:
         assert out == ""
         assert err.startswith(f"inconsistency: {group} group")
 
+    @pytest.mark.parametrize("wrong", ["zero", "whole"])
+    def test_closed_form_disagreement_exits_two(self, capsys, monkeypatch, wrong):
+        from cssgates import cli as cli_module
+
+        # the zero module lies inside H but is shorter, the whole space has
+        # a generator outside H; either must not pass for the fixing group
+        def lying_form(spec, ell):
+            rows = np.zeros((1, spec.n), dtype=np.int64) if wrong == "zero" else np.eye(spec.n, dtype=np.int64)
+            return howell_form(rows, ell, n=spec.n)
+
+        monkeypatch.setattr(cli_module, "closed_form_fixing_group", lying_form)
+        rc, out, err = run_cli(capsys, monkeypatch, ["closed-form", "-i", "-"], MONO16_JOB)
+        assert rc == 2
+        assert out == ""
+        assert err == "inconsistency: closed form for H disagrees with the exponent tables\n"
+
     @pytest.mark.parametrize("start, group", [("inner", "transversal"), ("outer", "identity")])
-    @pytest.mark.parametrize("command", ["groups", "info", "action", "verify"])
+    @pytest.mark.parametrize("command", ["groups", "info", "action", "verify", "closed-form"])
     def test_exponent_table_disagreement_exits_two(self, capsys, monkeypatch, start, group, command):
         from cssgates import monomial
 

@@ -42,8 +42,10 @@ from helpers import (
     head_pairing_reference,
     level_loop_reference,
     random_decreasing_spec,
+    random_spec,
     raw_fixing,
     raw_transversal_identity,
+    rm_pairs,
     sieve_reference,
     transversal_identity_table_reference,
 )
@@ -361,21 +363,6 @@ class TestSieve:
         h8 = fixing_group(mono16_css, 3)
         for u in decreasing_span_monomials(mono16_spec, 3).monomials():
             assert h8.contains(evaluate(4, u).to_array())
-
-
-def rm_pairs(m_max):
-    for m in range(2, m_max + 1):
-        for r in range(m + 1):
-            for q in range(r + 1):
-                yield MonomialCodeSpec(m, reed_muller_set(m, r), reed_muller_set(m, q))
-
-
-def random_spec(rng, m_max=6):
-    """Seeded spec whose sets need not be divisibility-closed."""
-    m = rng.randrange(2, m_max + 1)
-    outer = {rng.randrange(1 << m) for _ in range(rng.randrange(1, 2 * m))}
-    inner = {u for u in outer if rng.randrange(3) == 0} or {min(outer)}
-    return MonomialCodeSpec(m, MonomialSet.from_masks(m, outer), MonomialSet.from_masks(m, inner))
 
 
 def outcome(fn, *args):
