@@ -313,11 +313,12 @@ def _task_verify(job: Job) -> dict:
 
 def _mismatch_witness(computed: ZModule, groups: _TableGroups, name: str) -> list[int] | None:
     """None when computed is the group; else a generator of one outside the
-    other, computed's first. Memberships are zeta passes, and the group's
-    module is built only when computed is a proper submodule of it."""
-    for row in computed.gens:
-        if not groups.contains(name, row):
-            return row.tolist()
+    other, computed's first. One zeta pass answers the memberships of all
+    of computed's generators, and the group's module is built only when
+    computed is a proper submodule of it."""
+    outside = np.flatnonzero(~groups.members(name, computed.gens))
+    if outside.size:
+        return computed.gens[outside[0]].tolist()
     if computed.length == groups.length(name):
         return None
     return next(row.tolist() for row in groups.module(name).gens if not computed.contains(row))
@@ -381,9 +382,9 @@ def _task_closed_form(job: Job) -> dict:
     except HypothesisError as exc:
         report["span_candidates"] = {"reason": exc.code, "reason_level": exc.level}
     else:
-        rows = [evaluate(spec.m, u).to_array() for u in sieve.monomials()]
+        rows = np.array([evaluate(spec.m, u).to_array() for u in sieve.monomials()])
         witness = None
-        if not all(groups.contains("H", row) for row in rows):
+        if not groups.members("H", rows).all():
             # a span outside H has a Howell generator outside it
             witness = _mismatch_witness(howell_form(rows, ell, n=spec.n), groups, "H")
         report["span_candidates"] = {

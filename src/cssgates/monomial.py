@@ -20,7 +20,8 @@ I_(k-1) lies in T_(k-1), so T's extras join at k = 1 only): ev(full/u)
 joins at each k <= level(u) and is doubled ell - k times. Multiplying by
 2^(ell - k) embeds Z/2^k into Z/2^ell, so a level's Howell form scales to
 the span of its scaled rows, annihilator rows included; the Howell form
-is unique, so the generators are the recursion's. Every closed form
+is unique, so the generators are the recursion's. The rows are echelon,
+and _ev_howell writes that form off their scales. Every closed form
 checks its hypotheses and raises HypothesisError with a machine-readable
 code when they fail. Each builds its reach table once and validates it,
 pairing every head with every constraint in one array pass, before the
@@ -63,7 +64,7 @@ from .gates import (
     css_from_pair,
     phase_profile,
 )
-from .zmod import MAX_LEVEL, ZModule, howell_form
+from .zmod import MAX_LEVEL, ZModule, _residue_dtype, howell_form
 
 __all__ = [
     "HypothesisError",
@@ -368,17 +369,82 @@ def _degrees(m: int) -> np.ndarray:
     return degree
 
 
+def _ev_howell(m: int, ell: int, s: np.ndarray) -> ZModule:
+    """The Howell form of the rows 2^s(w) * ev(w) over the masks w < 2^m
+    with s(w) < ell, written straight from the scale table s.
+
+    ev(w) leads at column w with entry 1 (no mask below w contains it),
+    so the rows, taken by w, are echelon with pivots 2^s(w), and their
+    annihilator rows 2^ell * ev(w) vanish. A span element sum a_w * ev(w)
+    leads at the least w with a_w != 0, so the rows have the Howell
+    property already; only the entries above the pivots are left to
+    reduce. The Howell row of w is sum y_v * ev(v) over the v containing
+    w, where y_w = 2^s(w) and each other y_v is a multiple of 2^s(v)
+    (s(v) = ell means no row and y_v = 0). Its entry at v is
+    sigma_v + y_v with sigma_v the sum of y_x over the x strictly inside
+    v, so the reduced entry is b_v = sigma_v mod 2^s(v) and
+    y_v = b_v - sigma_v. This fixes y one layer of the cube of v
+    containing w at a time, by |v| - |w|, each layer's sigma one zeta
+    pass over the layers below, and a last zeta pass gives the entries.
+    The cubes of all heads share one array, an entry per pair w inside v,
+    3^m in all, so a call makes m + 1 zeta passes of m vectorised steps
+    each, and no elimination.
+
+    The arithmetic is exact mod 2^ell: entries are held in the narrowest
+    unsigned dtype of width d >= ell (zmod._residue_dtype), where sums and
+    negations wrap mod 2^d, and reduction mod 2^ell is a ring map from
+    Z/2^d. Each layer sets y_v to minus sigma_v masked to its bits s(v)
+    to ell - 1, which is b_v - sigma_v mod 2^ell, and the entries are
+    masked mod 2^ell after the last pass.
+    """
+    dt = _residue_dtype(ell)
+    mask = dt((1 << ell) - 1)
+    # ternary digit i of a pair's index (digit 0 the most significant) is
+    # 0 when x_(i+1) is outside v, 1 when it is in v but not in w, and 2
+    # when it is in w; free counts the 1 digits, |v| - |w|
+    w = v = free = np.zeros(1, dtype=np.int64)
+    for i in range(m):
+        w = np.add.outer(w, [0, 0, 1 << i]).ravel()
+        v = np.add.outer(v, [0, 1 << i, 1 << i]).ravel()
+        free = np.add.outer(free, [0, 1, 0]).ravel()
+
+    def sums(a: np.ndarray) -> np.ndarray:
+        """A new array whose entry (w, v) sums a over the pairs (w, x) with
+        x inside v: one step per digit adds its 0 entries into its 1
+        entries. The last digits, then the first, are brought to the front
+        by a transposed copy, so every step runs over long blocks."""
+        for lead in (m - m // 2, m // 2):
+            a = a.reshape(-1, 3**lead).T.copy()
+            cube = a.reshape((3,) * lead + (-1,))
+            for i in range(lead):
+                cube[(slice(None),) * i + (1,)] += cube[(slice(None),) * i + (0,)]
+        return a.ravel()
+
+    high = mask ^ ((1 << s[v]) - 1).astype(dt)
+    y = ((free == 0) << s[w]).astype(dt)
+    for k in range(1, m + 1):
+        on = np.flatnonzero(free == k)
+        # y_v = b_v - sigma_v mod 2^ell, b_v the low s(v) bits of sigma_v
+        y[on] = -(sums(y)[on] & high[on])
+    heads = s < ell
+    rank = np.cumsum(heads) - 1
+    gens = np.zeros((int(heads.sum()), 1 << m), dtype=np.int64)
+    keep = heads[w]
+    gens[rank[w[keep]], v[keep]] = (sums(y) & mask)[keep]
+    return ZModule(1 << m, ell, gens)
+
+
 def _complement_form(spec: MonomialCodeSpec, ell: int, first: dict[int, int], extras=()) -> ZModule:
-    """The closed form read off one reach table, unchecked: one Howell
-    form of 2^(ell - level(u)) * ev(full/u) over every u with
-    level(u) >= 1, where level(u) = first.get(u, ell) and the masks in
-    extras (T's outer-minus-inner, level 0 in its table) count as 1.
+    """The closed form read off one reach table, unchecked: the Howell
+    form, written off its scale table by _ev_howell, of
+    2^(ell - level(u)) * ev(full/u) over every u with level(u) >= 1,
+    where level(u) = first.get(u, ell) and the masks in extras (T's
+    outer-minus-inner, level 0 in its table) count as 1.
     """
     level = _level_array(spec.n, ell, first)
     level[list(extras)] = 1
-    heads = np.flatnonzero(level >= 1)
-    rows = _ev_rows(spec.m, spec.full_mask ^ heads) << (ell - level[heads, None])
-    return howell_form(rows, ell, n=spec.n)
+    # the head of u is 2^s(w) * ev(w) for w = full/u = n - 1 - u
+    return _ev_howell(spec.m, ell, ell - level[::-1])
 
 
 def _mask_token(m: int, mask: int) -> str:
@@ -431,9 +497,10 @@ def _relative_generator_check(spec: MonomialCodeSpec, ell: int) -> None:
     constraints ev(w), which fails when u divides w, and for levels above
     one each u must have a second outer divisor so the generic group
     cannot hold ev(full/u) at a lower scale than 2^(ell - 1)."""
+    inner = [mono.mask for mono in spec.inner.monomials()]
     for mono in spec.outer.difference(spec.inner).monomials():
         u = mono.mask
-        for w in sorted(spec.inner.masks, key=lambda x: (x.bit_count(), x)):
+        for w in inner:
             if u & ~w == 0:
                 raise HypothesisError(
                     "relative_generator_excluded",
@@ -504,8 +571,8 @@ def validate_fixing_hypotheses(spec: MonomialCodeSpec, ell: int) -> None:
 def closed_form_fixing_group(spec: MonomialCodeSpec, ell: int) -> ZModule:
     """Closed-form fixing group of a monomial code.
 
-    One Howell form of the heads 2^(ell - level(u)) * ev(full/u), level
-    read off the inner reach table. Applicability is what
+    The Howell form of the heads 2^(ell - level(u)) * ev(full/u), level
+    read off the inner reach table (_ev_howell). Applicability is what
     validate_fixing_hypotheses enforces; when it holds the result equals
     the kernel computation.
     """
@@ -556,9 +623,9 @@ def closed_form_transversal_identity(
 ) -> tuple[ZModule, ZModule]:
     """Closed-form (transversal, identity) groups of a monomial code.
 
-    One Howell form each of the heads 2^(ell - level(u)) * ev(full/u),
-    level read off the outer reach table, T also taking 2^(ell - 1) *
-    ev(full/u) for u in outer-minus-inner. Applicability is what
+    The Howell form (_ev_howell) each of the heads 2^(ell - level(u)) *
+    ev(full/u), level read off the outer reach table, T also taking
+    2^(ell - 1) * ev(full/u) for u in outer-minus-inner. Applicability is what
     validate_transversal_identity_hypotheses enforces; when it holds both
     results equal the kernel computations.
     """
@@ -641,9 +708,10 @@ def decreasing_span_monomials(spec: MonomialCodeSpec, ell: int) -> MonomialSet:
 def _subset_sums(a: np.ndarray, m: int, sign: int = 1) -> np.ndarray:
     """In place, a[v] becomes the sum of a[i] over the masks i inside v
     (the zeta transform), or with sign -1 its Moebius inverse, the sum of
-    (-1)^(|v| - |i|) a[i]: one vectorised pass per variable."""
+    (-1)^(|v| - |i|) a[i]: one vectorised pass per variable, over the
+    first axis, so a (2^m, r) array has r columns transformed at once."""
     for k in range(m):
-        view = a.reshape(-1, 2, 1 << k)
+        view = a.reshape(1 << (m - 1 - k), 2, -1)
         view[:, 1] += sign * view[:, 0]
     return a
 
@@ -710,15 +778,19 @@ class _TableGroups(_Groups):
         return int(self.tables[name].sum())
 
     def _contains(self, name: str, b) -> bool:
-        """Whether 2^(ell - t(w)) divides b . ev(w), the sum of b_i over the
-        i containing w, for every w: the subset sums of b read backwards,
-        since the complement of a mask u < n is n - 1 - u."""
+        return bool(self.members(name, [b])[0])
+
+    def members(self, name: str, rows) -> np.ndarray:
+        """Whether each row b lies in the unshifted pair's group: whether
+        2^(ell - t(w)) divides b . ev(w), the sum of b_i over the i
+        containing w, for every w. One zeta pass over the reversed columns
+        answers every row, as the complement of u is n - 1 - u."""
         N = 1 << self.ell
-        vec = np.asarray(b, dtype=np.int64) % N
-        if vec.shape != (self.n,):
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != self.n:
             raise ValueError("vector length mismatch")
-        dots = _subset_sums(vec[::-1].copy(), self.m)[::-1] % N
-        return not (dots & ((1 << (self.ell - self.tables[name])) - 1)).any()
+        dots = _subset_sums(rows.T[::-1].copy() % N, self.m)[::-1] % N
+        return ~(dots & ((1 << (self.ell - self.tables[name][:, None])) - 1)).any(axis=0)
 
     def _id_drop(self) -> int:
         """ell - s, s the least valuation of the images 2^(ell - t(v)) *

@@ -18,8 +18,9 @@ Howell form of M, as the rows that vanish on the S^T block (Howell,
 "Spans in the module (Z_m)^s", 1986; Storjohann and Mulders, "Fast
 algorithms for linear algebra modulo N", 1998).
 
-Every Howell form goes through one helper, _howell, which takes the
-columns in order. A column that only the pivot row touches costs no
+Every Howell form of arbitrary rows (not the echelon monomial closed
+forms: monomial._ev_howell) goes through one helper, _howell, which takes
+the columns in order. A column that only the pivot row touches costs no
 gather, broadcast or scatter: the row is copied out, scaled and zeroed
 in place. Back-substitution follows in a pass of its own.
 
@@ -148,7 +149,7 @@ def _howell(mat: np.ndarray, ell: int) -> np.ndarray:
 class ZModule:
     """Submodule of (Z/2^ell)^n, carried by its Howell-form generators.
 
-    Instances are immutable; build them with howell_form or kernel_perp.
+    Immutable; howell_form and kernel_perp build one from any rows.
     """
 
     __slots__ = ("n", "ell", "gens", "_pivots")

@@ -34,7 +34,14 @@ from cssgates import (
     validate_transversal_identity_hypotheses,
 )
 from cssgates import BitVector, CssCode, gates, monomial, zmod
-from cssgates.monomial import _TableGroups, _head_pairing_check, _reach_levels, _relative_generator_check
+from cssgates.monomial import (
+    _TableGroups,
+    _ev_howell,
+    _ev_rows,
+    _head_pairing_check,
+    _reach_levels,
+    _relative_generator_check,
+)
 
 from helpers import (
     flipped_spans_reference,
@@ -236,34 +243,41 @@ class TestClosedForms:
         assert head_rejects >= 5
 
 
+def count_howell_calls(monkeypatch):
+    """The levels of the zmod._howell and monomial._ev_howell calls made
+    from now on, by name."""
+    calls = {"_howell": [], "_ev_howell": []}
+    for module, name in ((zmod, "_howell"), (monomial, "_ev_howell")):
+        def counting(*args, fn=getattr(module, name), name=name):
+            calls[name].append(args[1])
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestHowellCalls:
-    """Each closed form canonicalises once per returned module: one Howell
-    form for H and two for T and Id together, at every level."""
+    """Each closed form writes one Howell form per returned module off its
+    scale table and runs no general elimination: one _ev_howell call for H
+    and two for T and Id together, and no zmod._howell call, at every
+    level."""
 
     @pytest.fixture
     def howell_calls(self, monkeypatch):
-        calls = []
-        howell = zmod._howell
-
-        def counting(mat, ell):
-            calls.append(ell)
-            return howell(mat, ell)
-
-        monkeypatch.setattr(zmod, "_howell", counting)
-        return calls
+        return count_howell_calls(monkeypatch)
 
     @pytest.mark.parametrize("which", ["mono16", "rm"])
     @pytest.mark.parametrize("ell", [1, 2, 3])
     def test_fixing_group(self, which, ell, mono16_spec, rm_spec, howell_calls):
         closed_form_fixing_group(mono16_spec if which == "mono16" else rm_spec, ell)
-        assert howell_calls == [ell]
+        assert howell_calls == {"_howell": [], "_ev_howell": [ell]}
 
     @pytest.mark.parametrize(
         "which,ell", [("mono16", 1), ("mono16", 2), ("rm", 1), ("rm", 2), ("rm", 3)]
     )
     def test_transversal_identity(self, which, ell, mono16_spec, rm_spec, howell_calls):
         closed_form_transversal_identity(mono16_spec if which == "mono16" else rm_spec, ell)
-        assert howell_calls == [ell, ell]
+        assert howell_calls == {"_howell": [], "_ev_howell": [ell, ell]}
 
 
 class TestHypothesisChecks:
@@ -467,14 +481,7 @@ class TestComplementForm:
         return specs
 
     def test_matches_the_level_loop(self, monkeypatch):
-        calls = []
-        howell = monomial.howell_form
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return howell(*args, **kwargs)
-
-        monkeypatch.setattr(monomial, "howell_form", counted)
+        calls = count_howell_calls(monkeypatch)
         applied = {"H": 0, "T": 0}
         for spec in self.specs():
             for ell in (1, 2, 3, 4):
@@ -486,18 +493,33 @@ class TestComplementForm:
                     ("T", closed_form_transversal_identity, raw_transversal_identity,
                      level_loop_reference(spec, ell, outer, relative, ())),
                 ):
-                    calls.clear()
+                    for made in calls.values():
+                        made.clear()
                     got = outcome(fn, spec, ell)
                     if isinstance(got, tuple) and isinstance(got[0], str):
                         # it raises before any Howell form; compare what it would build
-                        assert calls == []
+                        assert calls == {"_howell": [], "_ev_howell": []}
                         got = raw(spec, ell)
                     else:
-                        assert calls == [ell] * len(expected)
+                        assert calls == {"_howell": [], "_ev_howell": [ell] * len(expected)}
                         applied[name] += 1
                     got = [got] if name == "H" else list(got)
                     assert list(map(module_bytes, got)) == list(map(module_bytes, expected))
         assert min(applied.values()) >= 100
+
+    @pytest.mark.parametrize("m", range(8))
+    @pytest.mark.parametrize("ell", [1, 2, 3, 5, 9, 17, 30])
+    def test_ev_howell_is_the_howell_form(self, m, ell):
+        """Byte for byte the Howell form of the rows 2^s(w) * ev(w) over the
+        w with s(w) < ell, on scale tables from no head to every head."""
+        rng = np.random.default_rng(1000 * m + ell)
+        n = 1 << m
+        for rowless in (1.0, 0.0, 0.2, 0.5, 0.8):
+            s = np.where(rng.random(n) < rowless, ell, rng.integers(0, ell, n))
+            heads = np.flatnonzero(s < ell)
+            rows = _ev_rows(m, heads) << s[heads, None]
+            got = _ev_howell(m, ell, s)
+            assert module_bytes(got) == module_bytes(zmod.howell_form(rows, ell, n=n))
 
     def test_general_form_matches_module_sum(self):
         answered = 0
@@ -571,6 +593,24 @@ class TestTableRoute:
                     assert groups.length(name) == kernel.length
                     for b in vectors:
                         assert groups.contains(name, b) is span.kernel_contains(b)
+
+    def test_members_answer_row_by_row(self):
+        """One zeta pass over a matrix gives each row's membership."""
+        rng = np.random.default_rng(130014)
+        for spec, ell in self.cases():
+            if spec.m == 6:
+                continue
+            N = 1 << ell
+            tables = _TableGroups(spec, ell)
+            for name in ("H", "T", "Id"):
+                gens = tables.module(name).gens
+                inside = rng.integers(0, N, (3, len(gens))) @ gens % N
+                moved = inside.copy()
+                moved[:, rng.integers(spec.n)] += N >> 1
+                rows = np.vstack([rng.integers(0, N, (2, spec.n)), inside, moved, gens])
+                got = tables.members(name, rows)
+                assert got.tolist() == [tables.contains(name, b) for b in rows]
+                assert got[2:5].all() and tables.members(name, gens[:0]).shape == (0,)
 
     def test_rejects_a_wrong_length(self, mono16_spec):
         groups = _TableGroups(mono16_spec, 2)
