@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -477,7 +478,36 @@ def build_report(job: Job, command: str) -> dict:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """json.dumps(report, sort_keys=True, indent=2) + "\n", byte for byte,
+    for str keys and str, int, bool, None, list and dict values; a list of
+    plain ints, most of a report, is written with one join."""
+    return _render(report, "\n") + "\n"
+
+
+def _render(obj, pad: str) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{encode_basestring_ascii(key)}: {_render(obj[key], inner)}" for key in sorted(obj))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = (_render(x, inner) for x in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _read_job(path: str) -> dict:

@@ -24,8 +24,8 @@ is unique, so the generators are the recursion's. The rows are echelon,
 and _ev_howell writes that form off their scales. Every closed form
 checks its hypotheses and raises HypothesisError with a machine-readable
 code when they fail. Each builds its reach table once and validates it,
-pairing every head with every constraint in one array pass, before the
-Howell form reads it; the span-candidate sieve is the complement of the
+each head against every constraint at once by one min-plus zeta pass,
+before the Howell form reads it; the span-candidate sieve is the complement of the
 fixing group's table.
 
 The groups themselves need no hypothesis. Every constraint of a monomial
@@ -451,44 +451,44 @@ def _mask_token(m: int, mask: int) -> str:
     return Monomial(m, mask).token
 
 
-_PAIR_BLOCK = 1 << 16
-
-
 def _head_pairing_check(spec: MonomialCodeSpec, ell: int, first: dict[int, int], code: str) -> None:
     """Verify that every head generator annihilates every constraint row.
 
-    first maps each constraint mask w to the factor count t at which it
-    is first reached, and the constraint it gives is 2^t * ev(w); later
-    reaches give its multiples. Against it the head 2^(ell - level(u)) *
-    ev(full/u) pairs to 2^(ell - level(u) + t + |u minus w|), which
-    vanishes mod 2^ell exactly when t + |u minus w| >= level(u). The
-    error names the least recursion level t + |u minus w| + 1 at which
-    the unscaled ev(full/u) fails. Failures are hypothesis errors: the
-    closed form would be a module that is not contained in the kernel it
-    is meant to describe. The pairs run u-major, both in (degree, mask)
-    order, _PAIR_BLOCK at a time, so the first failing pair is raised.
+    first maps each constraint w to the factor count t(w) at which it is
+    first reached, giving 2^t(w) * ev(w); t = ell off the table. The head
+    2^(ell - t(u)) * ev(full/u) pairs to 2^(ell - t(u) + t(w) + |u minus w|),
+    which fails to vanish mod 2^ell exactly when |u minus w| + t(w) < t(u),
+    never for t(w) = ell >= t(u). So u fails when R(u), the least
+    |u minus w| + t(w), is below t(u). With y = u and w, R(u) is the least
+    |u minus y| + T(y) over y inside u, T(y) the least t(w) over w containing
+    y: a superset-min and a +1-per-variable subset pass, one step per
+    variable for both (a min-plus zeta transform, Bjorklund et al., STOC
+    2007), and no pairs. The error names the first failing pair, u then w
+    in (degree, mask) order, at the least recursion level t(w) +
+    |u minus w| + 1 where the unscaled ev(full/u) leaves the kernel.
     """
-    level = _level_array(spec.n, ell, first)  # u is a head up to level[u]
-    degree = _degrees(spec.m)
-    order = np.argsort(degree, kind="stable")
-    heads, constraints = order[level[order] >= 1], order[level[order] < ell]
-    total = heads.size * constraints.size
-    for start in range(0, total, _PAIR_BLOCK):
-        pairs = np.arange(start, min(start + _PAIR_BLOCK, total))
-        u, w = heads[pairs // constraints.size], constraints[pairs % constraints.size]
-        gap = degree[u & ~w]
-        bad = np.flatnonzero(gap < level[u] - level[w])
-        if bad.size:
-            u, w, gap = int(u[bad[0]]), int(w[bad[0]]), int(gap[bad[0]])
-            scale = first[w]
-            raise HypothesisError(
-                code,
-                f"ev({_mask_token(spec.m, spec.full_mask ^ u)}) joins the head at "
-                f"level {scale + gap + 1} but its pairing against the scale-{scale} "
-                f"constraint from {_mask_token(spec.m, w)} is only divisible by "
-                f"2^{scale + gap}",
-                level=scale + gap + 1,
-            )
+    t = _level_array(spec.n, ell, first)
+    reach = t.copy()
+    for k in range(spec.m):
+        low, high = reach.reshape(1 << (spec.m - 1 - k), 2, -1).transpose(1, 0, 2)
+        np.minimum(high, low + 1, out=high)
+        np.minimum(low, high, out=low)
+    bad = np.flatnonzero(reach < t)
+    if bad.size:
+        degree = _degrees(spec.m)
+        u = int(bad[np.argmin(degree[bad])])
+        gap = degree[u & ~np.arange(spec.n)]
+        fails = np.flatnonzero(gap + t < t[u])
+        w = int(fails[np.argmin(degree[fails])])
+        scale, gap = first[w], int(gap[w])
+        raise HypothesisError(
+            code,
+            f"ev({_mask_token(spec.m, spec.full_mask ^ u)}) joins the head at "
+            f"level {scale + gap + 1} but its pairing against the scale-{scale} "
+            f"constraint from {_mask_token(spec.m, w)} is only divisible by "
+            f"2^{scale + gap}",
+            level=scale + gap + 1,
+        )
 
 
 def _relative_generator_check(spec: MonomialCodeSpec, ell: int) -> None:

@@ -224,6 +224,46 @@ class TestDeterminism:
         assert base == seeded
 
 
+class TestRenderReport:
+    """render_report writes json.dumps(sort_keys=True, indent=2)'s bytes."""
+
+    TEXTS = ["", "plain", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
+             "caf\u00e9", "\u2211 \u2264 2^\u2113", "\U0001d400", "\ud800 lone"]
+    INTS = [0, 1, -1, 7, -(1 << 63), (1 << 63) - 1, 1 << 63, 1 << 200, -(1 << 100)]
+
+    def value(self, rng, depth):
+        kind = rng.randrange(9 if depth < 4 else 5)
+        if kind == 0:
+            return rng.choice(self.TEXTS)
+        if kind == 1:
+            return rng.choice(self.INTS)
+        if kind == 2:
+            return rng.choice([None, True, False])
+        if kind == 3:
+            return [rng.choice(self.INTS + [rng.randrange(-9, 10)]) for _ in range(rng.randrange(5))]
+        if kind == 4:
+            # bools and None inside an otherwise integer list
+            return [rng.choice([3, -4, 1 << 70, True, False, None]) for _ in range(rng.randrange(1, 6))]
+        if kind in (5, 6):
+            return [self.value(rng, depth + 1) for _ in range(rng.randrange(4))]
+        return {rng.choice(self.TEXTS) + str(rng.randrange(3)): self.value(rng, depth + 1)
+                for _ in range(rng.randrange(4))}
+
+    def test_matches_json_dumps(self):
+        rng = random.Random(20261020)
+        nested = {"a": {}, "b": [], "c": [[], {}, [[]], {"d": {}}], "\u00e9\"k\n": [True, 1, False, 0]}
+        cases = [{}, nested] + [{str(i): self.value(rng, 0) for i in range(rng.randrange(6))} for _ in range(300)]
+        for report in cases:
+            assert render_report(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [1.5, np.int64(3), b"x", {1, 2}, [np.int64(1)], {1: 2}])
+    def test_other_types_raise(self, value):
+        # reports hold no floats, so unlike json.dumps the writer has no
+        # float format to match and rejects them with the rest
+        with pytest.raises(TypeError):
+            render_report({"x": value})
+
+
 class TestGroupsReport:
     def test_two_qubit_pair(self, capsys, monkeypatch):
         rep = run_json(capsys, monkeypatch, ["groups", "-i", "-"], EX2_JOB)

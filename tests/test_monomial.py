@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -406,11 +408,8 @@ class TestReachTable:
             yield spec, ell, inner, "head_outside_kernel"
             yield spec, ell, outer, "identity_head_outside_kernel"
 
-    @pytest.mark.parametrize("block, m_max", [(None, 9), (5, 5)])
-    def test_pairing_pass_matches_the_loop(self, monkeypatch, block, m_max):
-        if block is not None:
-            # blocks that split rows of pairs take the same first failure
-            monkeypatch.setattr(monomial, "_PAIR_BLOCK", block)
+    @pytest.mark.parametrize("m_max", [9, 5])
+    def test_pairing_pass_matches_the_loop(self, m_max):
         results = {"passed": 0, "failed": 0}
         for spec, ell, first, code in self.pairing_cases(m_max):
             got = outcome(_head_pairing_check, spec, ell, first, code)
@@ -418,14 +417,13 @@ class TestReachTable:
             results["passed" if got is None else "failed"] += 1
         assert min(results.values()) >= 50
 
-    def test_pairing_pass_over_several_blocks(self):
+    def test_pairing_pass_at_large_m(self):
         # RM(1) inside RM(2) at m = 9: 502 heads against 382 constraints
         spec = MonomialCodeSpec(9, reed_muller_set(9, 2), reed_muller_set(9, 1))
         first = _reach_levels(spec.inner.masks, spec.outer.masks, 2)
-        assert (spec.n - len(spec.inner)) * len(first) > 2 * monomial._PAIR_BLOCK
         assert outcome(_head_pairing_check, spec, 3, first, "c") is None
-        # RM(2) inside RM(3) plus x1x4..x9: the first failure is pair
-        # 130081 of 179876, in the second block
+        # RM(2) inside RM(3) plus x1x4..x9: the first failing pair is
+        # 130081 of 179876 in (head, constraint) order
         spec = MonomialCodeSpec(9, reed_muller_set(9, 3).union(MonomialSet.from_masks(9, [505])),
                                 reed_muller_set(9, 2))
         first = _reach_levels(spec.inner.masks, spec.outer.masks, 1)
@@ -461,6 +459,75 @@ class TestReachTable:
                 calls.clear()
                 fn(rm_spec, ell)
                 assert calls == expected, (fn.__name__, ell)
+
+
+class TestHeadPairing:
+    """The min-plus pairing pass against the nested loop over (head,
+    constraint) pairs, on level tables that no reach table need give."""
+
+    @staticmethod
+    def failing_pairs(m, ell, first):
+        """Every failing (u, w), u then w in (degree, mask) order."""
+        order = sorted(range(1 << m), key=lambda x: (x.bit_count(), x))
+        return [(u, w) for u in order for w in order if w in first
+                and (u & ~w).bit_count() + first[w] < first.get(u, ell)]
+
+    def test_random_level_tables_match_the_loop(self):
+        rng = random.Random(20261019)
+        counts = {"passed": 0, "failed": 0, "not_first_by_mask": 0, "several_constraints": 0}
+        for m in range(8):
+            # the check reads the cube's size only, so m = 0 needs no spec
+            cube = SimpleNamespace(m=m, n=1 << m, full_mask=(1 << m) - 1)
+            for ell in (1, 2, 3, 5, 30):
+                tables = [{}, {u: rng.randrange(ell) for u in range(1 << m)}]
+                for _ in range(4):
+                    density = rng.random()
+                    tables.append({u: rng.randrange(ell) for u in range(1 << m) if rng.random() < density})
+                for _ in range(6):
+                    # a table that passes, then a few levels raised, so the
+                    # failures fall anywhere in the cube
+                    seeds = {rng.randrange(1 << m): rng.randrange(ell) for _ in range(m + 1)}
+                    closed = {u: min((u & ~w).bit_count() + t for w, t in seeds.items()) for u in range(1 << m)}
+                    first = {u: t for u, t in closed.items() if t < ell}
+                    for u in rng.sample(sorted(first), min(len(first), rng.randrange(2, 5))):
+                        first[u] = rng.randrange(first[u] + 1, ell + 1)
+                    tables.append({u: t for u, t in first.items() if t < ell})
+                for first in tables:
+                    got = outcome(_head_pairing_check, cube, ell, first, "c")
+                    assert got == outcome(head_pairing_reference, cube, ell, first, "c"), (m, ell, first)
+                    pairs = self.failing_pairs(m, ell, first)
+                    assert (got is None) == (not pairs)
+                    counts["passed" if got is None else "failed"] += 1
+                    if pairs:
+                        u = pairs[0][0]
+                        counts["not_first_by_mask"] += u != min(head for head, _ in pairs)
+                        counts["several_constraints"] += sum(head == u for head, _ in pairs) > 1
+        assert min(counts.values()) >= 20, counts
+
+    def test_first_failure_in_degree_order(self):
+        # m = 3, ell = 3: heads x1x2 (mask 3) and x3 (mask 4) fail, both
+        # against x1x2x3 at scale 1, and x3 also against 1, x1x3 and x2x3;
+        # degree order raises x3 first, against 1
+        cube = SimpleNamespace(m=3, n=8, full_mask=7)
+        first = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 1, 6: 1, 7: 1}
+        assert self.failing_pairs(3, 3, first) == [(4, 0), (4, 5), (4, 6), (4, 7), (3, 7)]
+        got = outcome(_head_pairing_check, cube, 3, first, "c")
+        assert got == outcome(head_pairing_reference, cube, 3, first, "c")
+        assert got == ("c", 2, "ev(x1x2) joins the head at level 2 but its pairing against "
+                       "the scale-0 constraint from 1 is only divisible by 2^1")
+
+    def test_pairing_pass_in_bounded_memory(self):
+        # the pair loop held blocks of 2^16 (head, constraint) pairs; the
+        # pass holds a few arrays of 2^m entries
+        spec = MonomialCodeSpec(12, reed_muller_set(12, 2), reed_muller_set(12, 1))
+        first = _reach_levels(spec.inner.masks, spec.outer.masks, 2)
+        tracemalloc.start()
+        try:
+            _head_pairing_check(spec, 3, first, "c")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def module_bytes(mod):
