@@ -9,137 +9,13 @@ evaluates closed forms for monomial codes, and cross-checks everything
 against brute-force oracles on small instances.
 """
 
-from .bincode import (
-    BinaryCode,
-    BitVector,
-    NestedCodePair,
-    aligned_bases,
-    dual_basis,
-    rref_basis,
-    schur_power,
-    star_family,
-)
-from .gates import (
-    AllOnesReport,
-    ConsistencyError,
-    ControlledFactor,
-    CssCode,
-    LogicalDecomposition,
-    PhaseProfile,
-    all_ones_report,
-    build_css,
-    conjugate_by_yz,
-    css_from_pair,
-    decompose_action,
-    fixing_group,
-    gate_groups,
-    identity_group,
-    logical_phase,
-    phase_profile,
-    rebase_action,
-    transversal_group,
-)
-from .monomial import (
-    GeneralClosedForm,
-    HypothesisError,
-    Monomial,
-    MonomialActionResult,
-    MonomialCodeSpec,
-    MonomialSet,
-    closed_form_fixing_group,
-    closed_form_fixing_group_general,
-    closed_form_transversal_identity,
-    decreasing_span_monomials,
-    divisibility_closure,
-    evaluate,
-    is_decreasing,
-    monomial_action,
-    monomial_power,
-    product_set,
-    reed_muller_degrees,
-    reed_muller_fixing_monomials,
-    reed_muller_identity_monomials,
-    reed_muller_set,
-    validate_fixing_hypotheses,
-    validate_transversal_identity_hypotheses,
-)
-from .oracle import GateClass, OracleResult, amplitude_fix_check, coset_phase_check, enumerate_group
-from .zmod import (
-    MAX_LEVEL,
-    ZModule,
-    dot_mod,
-    howell_form,
-    kernel_perp,
-    module_sum,
-    scale_lift,
-    zvector_from_text,
-    zvector_to_text,
-)
+from . import bincode, gates, monomial, oracle, zmod
+from .bincode import *  # noqa: F401,F403
+from .gates import *  # noqa: F401,F403
+from .monomial import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .zmod import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BinaryCode",
-    "BitVector",
-    "NestedCodePair",
-    "aligned_bases",
-    "dual_basis",
-    "rref_basis",
-    "schur_power",
-    "star_family",
-    "MAX_LEVEL",
-    "ZModule",
-    "dot_mod",
-    "howell_form",
-    "kernel_perp",
-    "module_sum",
-    "scale_lift",
-    "zvector_from_text",
-    "zvector_to_text",
-    "AllOnesReport",
-    "ConsistencyError",
-    "ControlledFactor",
-    "CssCode",
-    "LogicalDecomposition",
-    "PhaseProfile",
-    "all_ones_report",
-    "build_css",
-    "conjugate_by_yz",
-    "css_from_pair",
-    "decompose_action",
-    "fixing_group",
-    "gate_groups",
-    "identity_group",
-    "logical_phase",
-    "phase_profile",
-    "rebase_action",
-    "transversal_group",
-    "GeneralClosedForm",
-    "HypothesisError",
-    "Monomial",
-    "MonomialActionResult",
-    "MonomialCodeSpec",
-    "MonomialSet",
-    "validate_fixing_hypotheses",
-    "validate_transversal_identity_hypotheses",
-    "closed_form_fixing_group",
-    "closed_form_fixing_group_general",
-    "closed_form_transversal_identity",
-    "decreasing_span_monomials",
-    "divisibility_closure",
-    "evaluate",
-    "is_decreasing",
-    "monomial_action",
-    "monomial_power",
-    "product_set",
-    "reed_muller_degrees",
-    "reed_muller_fixing_monomials",
-    "reed_muller_identity_monomials",
-    "reed_muller_set",
-    "GateClass",
-    "OracleResult",
-    "amplitude_fix_check",
-    "coset_phase_check",
-    "enumerate_group",
-]
+__all__ = ["__version__", *bincode.__all__, *zmod.__all__, *gates.__all__, *monomial.__all__, *oracle.__all__]

@@ -19,6 +19,7 @@ schur_power read it here, and gates reads every constraint system off it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -344,37 +345,30 @@ def schur_power(code: BinaryCode, r: int) -> BinaryCode:
 
 @dataclass(frozen=True)
 class NestedCodePair:
-    """Nested codes C2 within C1 with a shared aligned basis.
+    """Nested codes C2 within C1, held by a shared aligned basis.
 
     beta2 is an ordered basis of C2 and beta1_ext extends it to a basis of
     C1; the K = k1 - k2 extension rows are the logical coset
     representatives, in order. Rows need not be in echelon form (the
     monomial constructions carry evaluation vectors verbatim), only
-    independent and spanning.
+    independent: nonzero rows with distinct lowest set bits are echelon,
+    and so independent, and only other row sets are eliminated. The
+    canonical codes c1 and c2 are built on first use.
     """
 
-    c1: BinaryCode
-    c2: BinaryCode
+    n: int
     beta2: tuple[BitVector, ...]
     beta1_ext: tuple[BitVector, ...]
 
     def __post_init__(self) -> None:
-        n = self.c1.n
-        if self.c2.n != n:
-            raise ValueError("code lengths differ")
-        for row in (*self.beta2, *self.beta1_ext):
-            if row.n != n:
+        masks = []
+        for row in self.beta1:
+            if row.n != self.n:
                 raise ValueError("basis row length differs from code length")
-        if rref_basis(self.beta2, n=n) != self.c2:
-            raise ValueError("beta2 does not span the inner code")
-        if rref_basis(self.beta2 + self.beta1_ext, n=n) != self.c1:
-            raise ValueError("beta2 and beta1_ext do not span the outer code")
-        if len(self.beta2) != self.c2.k or len(self.beta1_ext) != self.c1.k - self.c2.k:
+            masks.append(row.bits)
+        leads = {m & -m for m in masks} - {0}
+        if len(leads) < len(masks) and len(_rref(masks)) < len(masks):
             raise ValueError("basis rows are not independent")
-
-    @property
-    def n(self) -> int:
-        return self.c1.n
 
     @property
     def num_logical(self) -> int:
@@ -384,13 +378,22 @@ class NestedCodePair:
     def beta1(self) -> tuple[BitVector, ...]:
         return self.beta2 + self.beta1_ext
 
+    @cached_property
+    def c1(self) -> BinaryCode:
+        return rref_basis(self.beta1, n=self.n)
+
+    @cached_property
+    def c2(self) -> BinaryCode:
+        return rref_basis(self.beta2, n=self.n)
+
 
 def aligned_bases(c1: BinaryCode, c2: BinaryCode) -> NestedCodePair:
     """Deterministic aligned bases for a nested pair.
 
     beta2 is the RREF basis of C2; the extension is obtained by reducing
     C1's basis rows modulo beta2 and row-reducing the nonzero remainders,
-    so its rows come out sorted by pivot. Raises if C2 is not inside C1.
+    so its rows come out sorted by pivot, every pivot outside beta2's.
+    Raises if C2 is not inside C1.
     """
     if c1.n != c2.n:
         raise ValueError("code lengths differ")
@@ -398,10 +401,5 @@ def aligned_bases(c1: BinaryCode, c2: BinaryCode) -> NestedCodePair:
         if not c1.contains(row):
             raise ValueError("inner code is not contained in the outer code")
     inner = [row.bits for row in c2.basis]
-    remainders = []
-    for row in c1.basis:
-        bits = _reduce_mod(row.bits, inner)
-        if bits:
-            remainders.append(BitVector(c1.n, bits))
-    ext = rref_basis(remainders, n=c1.n)
-    return NestedCodePair(c1, c2, c2.basis, ext.basis)
+    ext = _rref(_reduce_mod(row.bits, inner) for row in c1.basis)
+    return NestedCodePair(c1.n, c2.basis, tuple(BitVector(c1.n, bits) for bits in ext))

@@ -108,9 +108,9 @@ def _parse_bitstring(text: str, n: int, field: str) -> BitVector:
 class Job:
     """Validated job: the code, the level, and the optional extras.
 
-    A monomial job builds its CssCode (two GF(2) eliminations over
-    length-2^m evaluation vectors) on first use of `code`: the groups read
-    only the spec, the level and y_z."""
+    A monomial job builds its CssCode (the length-2^m evaluation vectors,
+    no elimination) on first use of `code`: the groups read only the
+    spec, the level and y_z."""
 
     def __init__(self, data: dict):
         if not isinstance(data, dict):
@@ -413,7 +413,7 @@ def _task_info(job: Job) -> dict:
     ones = _all_ones(pair, job.ell, [pair_groups.contains(name, uniform) for name in _GROUPS])
     info: dict = {
         "lengths": {name: groups.length(name) for name in _GROUPS},
-        "dimensions": {"k1": pair.c1.k, "k2": pair.c2.k},
+        "dimensions": {"k1": len(pair.beta1), "k2": len(pair.beta2)},
         "all_ones": {
             "in_H": ones.in_fixing_group,
             "in_T": ones.in_transversal_group,

@@ -442,6 +442,19 @@ class ControlledFactor:
     phase: int
 
 
+def _subset_sums(a: np.ndarray, m: int, sign: int = 1) -> np.ndarray:
+    """In place, a[v] becomes the sum of a[i] over the masks i inside v
+    (the zeta transform), or with sign -1 its Moebius inverse, the sum of
+    (-1)^(|v| - |i|) a[i]: one vectorised pass per variable, over the
+    first axis, so a (2^m, r) array has r columns transformed at once,
+    with no temporary array."""
+    op = np.add if sign == 1 else np.subtract
+    for k in range(m):
+        view = a.reshape(1 << (m - 1 - k), 2, -1)
+        op(view[:, 1], view[:, 0], out=view[:, 1])
+    return a
+
+
 @dataclass(frozen=True)
 class LogicalDecomposition:
     """Logical action as a product of multiply-controlled phase gates.
@@ -463,18 +476,15 @@ class LogicalDecomposition:
         """phase_at of every basis state, indexed by its bitmask.
 
         Each factor's phase sits at the mask of its qubits, and one
-        in-place subset-sum pass per logical qubit adds it to every mask
-        containing that one: at most 2^20 terms below 2^ell stay exact in
-        int64.
+        subset-sum pass (_subset_sums) adds it to every mask containing
+        that one: at most 2^20 terms below 2^ell stay exact in int64.
         """
         K = self.num_logical
         _check_table_size(K)
         phases = np.zeros(1 << K, dtype=np.int64)
         for f in self.factors:
             phases[sum(1 << (q - 1) for q in f.qubits)] = f.phase
-        for i in range(K):
-            view = phases.reshape(-1, 2, 1 << i)
-            view[:, 1] += view[:, 0]
+        _subset_sums(phases, K)
         phases %= 1 << self.ell
         return phases
 
@@ -622,8 +632,7 @@ def _all_ones(pair: NestedCodePair, ell: int, memberships) -> AllOnesReport:
     if in_h and not containment_ok:
         raise ConsistencyError("uniform gate fixes the code but the power-dual containment fails")
 
-    k1 = pair.c1.k
-    if k1 <= _SCAN_CAP:
+    if len(pair.beta1) <= _SCAN_CAP:
         divisible, coset_rule = _weight_scan(pair, ell)
         if divisible != in_id:
             raise ConsistencyError("identity membership disagrees with the divisibility scan")

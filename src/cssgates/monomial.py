@@ -54,13 +54,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bincode import BitVector, rref_basis, NestedCodePair
+from .bincode import BitVector, NestedCodePair
 from .gates import (
     CssCode,
     PhaseProfile,
     _GROUPS,
     _Groups,
     _span_mismatch,
+    _subset_sums,
     css_from_pair,
     phase_profile,
 )
@@ -332,11 +333,11 @@ class MonomialCodeSpec:
         return self.outer.difference(self.inner).monomials()
 
     def induced_pair(self) -> NestedCodePair:
+        """The pair of evaluation vectors: ev(u) leads at column u, so
+        distinct monomials give echelon rows and no elimination."""
         beta2 = tuple(evaluate(self.m, u) for u in self.inner.monomials())
         ext = tuple(evaluate(self.m, u) for u in self.encoding())
-        c2 = rref_basis(beta2, n=self.n)
-        c1 = rref_basis(beta2 + ext, n=self.n)
-        return NestedCodePair(c1, c2, beta2, ext)
+        return NestedCodePair(self.n, beta2, ext)
 
     def induced_css(self) -> CssCode:
         return css_from_pair(self.induced_pair())
@@ -517,16 +518,18 @@ def _relative_generator_check(spec: MonomialCodeSpec, ell: int) -> None:
             )
 
 
-def _check_power_chain(spec: MonomialCodeSpec, t: int, ell: int) -> None:
-    """Raise unless the outer power P(t) differs from P(t-1), P(0) = {1}.
+def _chain_stalls(outer_levels: dict[int, int], t: int) -> bool:
+    """Whether the outer power P(t) equals P(t-1), P(0) = {1}, for t >= 1,
+    read off an outer reach table (from the outer set) of horizon at least
+    t - 1.
 
-    Products of at most t outer monomials are {1} together with P(t). For
-    t >= 2 the monomial 1 lies in P(t) exactly when it lies in P(t-1), and
-    for t = 1 both sides are {1} exactly when the outer set is, so P(t)
-    equals P(t-1) exactly when this closure from {1} stops before level t.
+    P(t) is the masks the table reaches by level t - 1, so for t >= 2 it
+    grows exactly when some mask is first reached at t - 1; 1 (mask 0) is
+    a product of outer monomials only when it is one, at level 0. For
+    t = 1, P(1) is the outer set, which is {1} exactly when it has no
+    nonzero mask.
     """
-    if t >= 1 and max(_reach_levels((0,), spec.outer.masks, t).values()) < t:
-        raise _power_chain_stalled(t, ell)
+    return not any(u and level == t - 1 for u, level in outer_levels.items())
 
 
 def _power_chain_stalled(t: int, ell: int) -> HypothesisError:
@@ -544,7 +547,8 @@ def _fixing_reach(spec: MonomialCodeSpec, ell: int) -> dict[int, int]:
             f"the full monomial is a product of inner times {ell - 1} outer monomials",
             level=ell,
         )
-    _check_power_chain(spec, ell - 1, ell)
+    if ell >= 2 and _chain_stalls(_reach_levels(spec.outer.masks, spec.outer.masks, ell - 2), ell - 1):
+        raise _power_chain_stalled(ell - 1, ell)
     return first
 
 
@@ -595,10 +599,7 @@ def _transversal_identity_table(spec: MonomialCodeSpec, ell: int) -> dict[int, i
             "without generating the outer code",
             level=ell,
         )
-    # P(ell) equals P(ell - 1) exactly when no product of ell outer
-    # monomials is new; apart from 1, the new ones are the masks this
-    # table first reaches at ell - 1 (see _check_power_chain)
-    if not any(u and t == ell - 1 for u, t in first.items()):
+    if _chain_stalls(first, ell):
         raise _power_chain_stalled(ell, ell)
     _head_pairing_check(spec, ell, first, "identity_head_outside_kernel")
     _relative_generator_check(spec, ell)
@@ -648,8 +649,10 @@ def closed_form_fixing_group_general(spec: MonomialCodeSpec) -> GeneralClosedFor
 
     Finds the least level whose product set contains the full monomial,
     then takes one Howell form of (ev(u) - ev(1)) over the u that are not
-    complement quotients of reachable monomials and of twice the fixing
-    group one level down, read off its exponent table (_TableGroups).
+    complement quotients of reachable monomials and of twice the
+    generators of the fixing group one level down, read off its exponent
+    table (_TableGroups); the Howell form is unique, so the tail needs no
+    form of its own.
     Raises when the full monomial is never reached or when the product
     set saturates (for divisibility-closed specs reaching the full
     monomial always saturates the set, so the formula only ever applies
@@ -680,7 +683,7 @@ def closed_form_fixing_group_general(spec: MonomialCodeSpec) -> GeneralClosedFor
     # u = 0 is left out: ev(1) - ev(1) is the zero row
     rows = (_ev_rows(spec.m, [u for u in range(1, spec.n) if u not in quotients]) - 1) % (1 << ell)
     if ell > 1:
-        rows = np.vstack([rows, _TableGroups(spec, ell - 1).module("H").gens << 1])
+        rows = np.vstack([rows, _TableGroups(spec, ell - 1)._generators("H") << 1])
     return GeneralClosedForm(ell, howell_form(rows, ell, n=spec.n))
 
 
@@ -703,17 +706,6 @@ def decreasing_span_monomials(spec: MonomialCodeSpec, ell: int) -> MonomialSet:
         )
     first = _fixing_reach(spec, ell)
     return MonomialSet.from_masks(spec.m, (spec.full_mask ^ w for w in range(spec.n) if w not in first))
-
-
-def _subset_sums(a: np.ndarray, m: int, sign: int = 1) -> np.ndarray:
-    """In place, a[v] becomes the sum of a[i] over the masks i inside v
-    (the zeta transform), or with sign -1 its Moebius inverse, the sum of
-    (-1)^(|v| - |i|) a[i]: one vectorised pass per variable, over the
-    first axis, so a (2^m, r) array has r columns transformed at once."""
-    for k in range(m):
-        view = a.reshape(1 << (m - 1 - k), 2, -1)
-        view[:, 1] += sign * view[:, 0]
-    return a
 
 
 def _dual_rows(m: int, masks: np.ndarray) -> np.ndarray:

@@ -129,13 +129,12 @@ def coset_phase_check(code: CssCode, ell: int, b) -> OracleResult:
     stays bounded by the block size whatever dim C2 is.
     """
     N = _check_level(ell)
-    pair = code.pair
-    if pair.c2.k > _INNER_CAP:
+    k2 = len(code.pair.beta2)
+    if k2 > _INNER_CAP:
         raise ValueError(f"inner code dimension exceeds the cap of {_INNER_CAP}")
     if code.num_logical > _LOGICAL_CAP:
         raise ValueError(f"logical qubit count exceeds the cap of {_LOGICAL_CAP}")
     masks = _gate_masks(code, ell, b)
-    k2 = pair.c2.k
     phases = np.zeros(1 << code.num_logical, dtype=np.int64)
     for start, words in _outer_blocks(code):
         ph = _phases(words, masks) % N
@@ -192,7 +191,7 @@ def enumerate_group(code: CssCode, ell: int, which: str = "fixing") -> np.ndarra
     total = N**n
     if total > _ENUM_CAP:
         raise ValueError(f"enumeration space {total} exceeds the cap of {_ENUM_CAP}")
-    k1 = code.pair.c1.k
+    k1 = len(code.pair.beta1)
     if total << k1 > _ENUM_WORK_CAP:
         raise ValueError(f"{total} gates times {1 << k1} codewords exceeds the cap of {_ENUM_WORK_CAP}")
     # the codewords, one (2^k2, n) 0/1 matrix per coset, for the matmul
@@ -233,13 +232,13 @@ def amplitude_fix_check(code: CssCode, ell: int, b) -> bool:
     the answer. Caps: dim C2 <= 16, n <= 24.
     """
     N = _check_level(ell)
-    pair = code.pair
-    if pair.c2.k > 16:
+    k2 = len(code.pair.beta2)
+    if k2 > 16:
         raise ValueError("inner code dimension exceeds the cap of 16")
     if code.n > 24:
         raise ValueError("code length exceeds the cap of 24")
     masks = _gate_masks(code, ell, b)
-    span = 1 << pair.c2.k
+    span = 1 << k2
     for _, words in _outer_blocks(code):
         # dim C2 <= 16 puts whole cosets in each block: a row of phases is
         # one coset's support

@@ -41,12 +41,12 @@ from cssgates.monomial import (
     MAX_LEVEL,
     HypothesisError,
     _check_level_arg,
-    _check_power_chain,
     _complement_form,
     _ev_rows,
     _fixing_reach,
     _head_pairing_check,
     _mask_token,
+    _power_chain_stalled,
     _reach_levels,
     _relative_generator_check,
     is_decreasing,
@@ -209,22 +209,18 @@ def realign_pair(pair: NestedCodePair, rng: random.Random) -> NestedCodePair:
             if rng.randrange(2):
                 acc ^= v
         new_ext.append(acc)
-    return NestedCodePair(pair.c1, pair.c2, new_beta2, tuple(new_ext))
+    return NestedCodePair(n, new_beta2, tuple(new_ext))
 
 
 def mixing_counterexample():
     """A nested pair plus a GF(2)-mixed realignment whose transversal
     groups differ (the gate with a single order-4 phase on coordinate 5
     is a product for one encoding but not the other)."""
-    c1 = rref_basis(
-        [BitVector.from_string(s) for s in ("100110", "010100", "001111")], n=6
-    )
-    c2 = rref_basis([BitVector.from_string("111101")], n=6)
     beta2 = (BitVector.from_string("111101"),)
     ext = (BitVector.from_string("010100"), BitVector.from_string("001111"))
-    pair = NestedCodePair(c1, c2, beta2, ext)
+    pair = NestedCodePair(6, beta2, ext)
     mixed_ext = (ext[1] ^ beta2[0], ext[0] ^ ext[1] ^ beta2[0])
-    mixed = NestedCodePair(c1, c2, beta2, mixed_ext)
+    mixed = NestedCodePair(6, beta2, mixed_ext)
     return pair, mixed
 
 
@@ -253,8 +249,7 @@ def product_table_cases():
     ):
         beta2 = tuple(map(BitVector.from_string, inner))
         beta1_ext = tuple(map(BitVector.from_string, ext))
-        special.append(NestedCodePair(
-            rref_basis(beta2 + beta1_ext), rref_basis(beta2), beta2, beta1_ext))
+        special.append(NestedCodePair(7, beta2, beta1_ext))
     return cases + [(pair, ell) for pair in special for ell in (1, 2, 3, 4)]
 
 
@@ -380,10 +375,23 @@ def transversal_identity_table_reference(spec: MonomialCodeSpec, ell: int) -> di
             "without generating the outer code",
             level=ell,
         )
-    _check_power_chain(spec, ell, ell)
+    power_chain_reference(spec, ell, ell)
     _head_pairing_check(spec, ell, first, "identity_head_outside_kernel")
     _relative_generator_check(spec, ell)
     return first
+
+
+def power_chain_reference(spec: MonomialCodeSpec, t: int, ell: int) -> None:
+    """Raise unless the outer power P(t) differs from P(t-1), P(0) = {1},
+    by its own closure from {1}. The reference for monomial._chain_stalls.
+
+    Products of at most t outer monomials are {1} together with P(t). For
+    t >= 2 the monomial 1 lies in P(t) exactly when it lies in P(t-1), and
+    for t = 1 both sides are {1} exactly when the outer set is, so P(t)
+    equals P(t-1) exactly when this closure from {1} stops before level t.
+    """
+    if t >= 1 and max(_reach_levels((0,), spec.outer.masks, t).values()) < t:
+        raise _power_chain_stalled(t, ell)
 
 
 def head_pairing_reference(spec: MonomialCodeSpec, ell: int, first: dict, code: str) -> None:

@@ -16,9 +16,15 @@ from cssgates import (
     star_family,
 )
 
+from cssgates import bincode
 from cssgates.bincode import _product_levels
 
-from helpers import product_table_cases, product_table_reference, random_binary_code
+from helpers import (
+    mixing_counterexample,
+    product_table_cases,
+    product_table_reference,
+    random_binary_code,
+)
 
 
 class TestBitVector:
@@ -223,28 +229,52 @@ class TestNestedPair:
         assert [v.to_string() for v in pair.beta1_ext] == ["01"]
 
     def test_rejects_non_spanning_rows(self):
-        c1 = rref_basis([BitVector.from_string("10"), BitVector.from_string("01")])
-        c2 = rref_basis([BitVector.from_string("11")])
         with pytest.raises(ValueError):
-            NestedCodePair(c1, c2, (BitVector.from_string("10"),), (BitVector.from_string("01"),))
-        with pytest.raises(ValueError):
-            NestedCodePair(
-                c1,
-                c2,
-                (BitVector.from_string("11"),),
-                (BitVector.from_string("11"),),
-            )
+            NestedCodePair(2, (BitVector.from_string("11"),), (BitVector.from_string("11"),))
 
     def test_rejects_dependent_rows(self):
         # independent rows keep distinct cosets of C2 in C1 disjoint, which
         # the oracle's amplitude check relies on instead of testing it
         a, b = BitVector.from_string("1100"), BitVector.from_string("0011")
-        c1, c2 = rref_basis([a, b], n=4), rref_basis([a], n=4)
-        assert NestedCodePair(c1, c2, (a,), (b,)).num_logical == 1
+        assert NestedCodePair(4, (a,), (b,)).num_logical == 1
         with pytest.raises(ValueError, match="not independent"):
-            NestedCodePair(c1, c2, (a, a), (b,))
+            NestedCodePair(4, (a, a), (b,))
         with pytest.raises(ValueError, match="not independent"):
-            NestedCodePair(c1, c2, (a,), (b, a ^ b))
+            NestedCodePair(4, (a,), (b, a ^ b))
+
+    def test_independence_reads_distinct_leads(self, monkeypatch, mono16_spec, steane7_css):
+        calls, rref = [], bincode._rref
+        monkeypatch.setattr(bincode, "_rref", lambda masks: calls.append(1) or rref(masks))
+        # evaluation vectors and aligned bases lead at distinct columns
+        for pair in (mono16_spec.induced_pair(), steane7_css.pair):
+            NestedCodePair(pair.n, pair.beta2, pair.beta1_ext)
+        assert calls == []
+        # the mixed representatives lead where the inner row does
+        pair, mixed = mixing_counterexample()
+        assert calls == [1]
+        assert {v.pivot for v in mixed.beta1} == {0}
+        # the codes are built on first use, once
+        assert mixed.c1 == pair.c1 == rref_basis(pair.beta1)
+        assert mixed.c2 == pair.c2 == rref_basis(pair.beta2)
+        assert mixed.c1 is mixed.c1
+
+    def test_independence_matches_the_rank(self):
+        rng = random.Random(20261020)
+        outcomes = set()
+        for _ in range(400):
+            n = rng.randrange(1, 6)
+            rows = [BitVector(n, rng.randrange(1 << n)) for _ in range(rng.randrange(1, 5))]
+            split = rng.randrange(len(rows) + 1)
+            independent = rref_basis(rows).k == len(rows)
+            try:
+                NestedCodePair(n, tuple(rows[:split]), tuple(rows[split:]))
+            except ValueError:
+                outcomes.add(False)
+                assert not independent
+            else:
+                outcomes.add(True)
+                assert independent
+        assert outcomes == {True, False}
 
     def test_alignment_random_round_trip(self):
         rng = random.Random(11)

@@ -585,6 +585,21 @@ class TestKernelCalls:
             assert len(calls) == expected, command
 
 
+    @pytest.mark.parametrize("base,expected", [(EX2_JOB, 5), (MONO16_JOB, 0)])
+    def test_eliminations_per_job(self, capsys, monkeypatch, base, expected):
+        from cssgates import bincode
+
+        calls, rref = [], bincode._rref
+        monkeypatch.setattr(bincode, "_rref", lambda masks: calls.append(1) or rref(masks))
+        job = {**base, "gate": ",".join("1" * Job(base).n)}
+        # a matrix job reduces C1, C2 and the extension rows (each code
+        # checks its canonical basis once more); a monomial pair is its
+        # evaluation vectors, echelon already
+        for command in COMMANDS:
+            calls.clear()
+            run_cli(capsys, monkeypatch, [command, "-i", "-"], job)
+            assert len(calls) == expected, command
+
     @pytest.mark.parametrize("y_z", [None, "1000000"])
     def test_howell_forms_per_matrix_job(self, capsys, monkeypatch, steane7_css, y_z):
         from cssgates import zmod

@@ -222,9 +222,7 @@ class TestRealignment:
         01 and 10 = 01 + 11; they differ by an inner word, so every group
         is identical either way."""
         pair = pair2_css.pair
-        alt = NestedCodePair(
-            pair.c1, pair.c2, pair.beta2, (BitVector.from_string("10"),)
-        )
+        alt = NestedCodePair(pair.n, pair.beta2, (BitVector.from_string("10"),))
         for ell in (1, 2):
             assert fixing_group(alt, ell) == fixing_group(pair, ell)
             assert transversal_group(alt, ell) == transversal_group(pair, ell)

@@ -38,6 +38,7 @@ from cssgates import (
 from cssgates import BitVector, CssCode, gates, monomial, zmod
 from cssgates.monomial import (
     _TableGroups,
+    _chain_stalls,
     _ev_howell,
     _ev_rows,
     _head_pairing_check,
@@ -50,6 +51,7 @@ from helpers import (
     general_fixing_reference,
     head_pairing_reference,
     level_loop_reference,
+    power_chain_reference,
     random_decreasing_spec,
     random_spec,
     raw_fixing,
@@ -281,6 +283,16 @@ class TestHowellCalls:
         closed_form_transversal_identity(mono16_spec if which == "mono16" else rm_spec, ell)
         assert howell_calls == {"_howell": [], "_ev_howell": [ell, ell]}
 
+    @pytest.mark.parametrize(
+        "m,outer,inner,ell",
+        [(2, ["1", "x1", "x1x2"], ["x1x2"], 1), (2, ["1", "x1", "x2"], ["x1"], 2),
+         (3, ["1", "x1", "x2", "x3"], ["x1"], 3)],
+    )
+    def test_general_form(self, m, outer, inner, ell, howell_calls):
+        # the head and the doubled tail's raw generators share one form
+        assert closed_form_fixing_group_general(spec_of(m, outer, inner)).ell == ell
+        assert howell_calls == {"_howell": [ell], "_ev_howell": []}
+
 
 class TestHypothesisChecks:
     CASES = [
@@ -438,9 +450,24 @@ class TestReachTable:
                 expected = outcome(sieve_reference, spec, ell)
                 assert outcome(decreasing_span_monomials, spec, ell) == expected
 
+    def test_power_chain_reads_the_outer_table(self):
+        rng = random.Random(20261020)
+        specs = [random_spec(rng) for _ in range(150)] + [random_decreasing_spec(rng) for _ in range(50)]
+        specs.append(spec_of(3, ["1"], ["1"]))
+        stalls = []
+        for spec in specs:
+            for t in range(1, 6):
+                expected = outcome(power_chain_reference, spec, t, t) is not None
+                for horizon in (t - 1, t + 1):
+                    table = _reach_levels(spec.outer.masks, spec.outer.masks, horizon)
+                    assert _chain_stalls(table, t) == expected, (spec, t, horizon)
+                stalls.append((t, expected))
+        assert {(1, True), (1, False)} <= set(stalls)
+        assert 200 <= sum(s for _, s in stalls) <= len(stalls) - 200
+
     def test_one_table_per_closed_form(self, monkeypatch, rm_spec):
-        # besides the power chain's table from {1}, which the fixing form
-        # needs at ell >= 2 only
+        # besides the power chain's outer table one level short, which the
+        # fixing form needs at ell >= 2 only
         calls = []
         table = monomial._reach_levels
 
@@ -450,7 +477,7 @@ class TestReachTable:
 
         monkeypatch.setattr(monomial, "_reach_levels", counted)
         for ell in (1, 2, 3):
-            chain = [ell - 1] if ell >= 2 else []
+            chain = [ell - 2] if ell >= 2 else []
             for fn, expected in (
                 (closed_form_fixing_group, [ell - 1] + chain),
                 (closed_form_transversal_identity, [ell - 1]),

@@ -2,7 +2,8 @@
 attributes by name. These tests read it, without importing or changing
 it, and check that every such name still resolves in cssgates, and that
 every Howell route still passes through the one helper it patches, so a
-refactor that drops one fails here rather than in a traced run."""
+refactor that drops one fails here rather than in a traced run. The
+package's own exports are checked against its modules' lists too."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+import cssgates
 from cssgates import zmod
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -81,3 +83,15 @@ def test_every_howell_route_reaches_the_one_entry_point(monkeypatch):
     calls.clear()
     zmod.kernel_perp(mod, 2)
     assert calls == [4]
+
+
+def test_package_exports_every_module_list():
+    modules = [importlib.import_module(f"cssgates.{name}")
+               for name in ("bincode", "gates", "monomial", "oracle", "zmod")]
+    union = {name for module in modules for name in module.__all__}
+    assert "stabilizer_constraints" in union
+    assert len(cssgates.__all__) == len(set(cssgates.__all__)) == len(union) + 1
+    assert set(cssgates.__all__) == union | {"__version__"}
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(cssgates, name) is getattr(module, name), name
