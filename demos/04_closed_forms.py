@@ -56,7 +56,7 @@ try:
 except HypothesisError as exc:
     print(f"validator refuses: code={exc.code}, level={exc.level}")
 # what the formula would produce from the inner reach table, unchecked
-raw = _complement_form(gap, 2, _reach_levels(gap.inner.masks, gap.outer.masks, 1))
+raw = _complement_form(gap, 2, _reach_levels(gap.n, gap.inner.masks, gap.outer.masks, 1))
 true = fixing_group(gap.induced_css(), 2)
 print(f"recursion output length {raw.length}, true group length {true.length}")
 print("equal lengths, but equal modules?", raw == true)

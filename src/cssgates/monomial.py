@@ -8,12 +8,14 @@ Evaluations multiply componentwise, so products of monomial sets map to
 intersections of supports, and weight(ev(u)) = 2^(m - deg u).
 
 For codes spanned by monomial evaluations each gate group is one Howell
-form. A breadth-first reach table gives level(u), the least number of
-outer factors that reach u from the inner set (fixing group H) or from
-the outer set (identity group I, transversal group T), or ell when ell-1
-do not. The group spans the heads 2^(ell - level(u)) * ev(full/u) over
-the u with level(u) >= 1; T adds 2^(ell - 1) * ev(full/u) for u in
-outer-minus-inner. This unrolls the textbook recursion
+form. A reach table gives level(u), the least number of outer factors
+that reach u from the inner set (fixing group H) or from the outer set
+(identity group I, transversal group T), or ell when ell-1 do not: an
+int64 array over the 2^m masks, exact as ORs of masks stay below 2^m,
+each level one OR outer product in blocks of at most 2^16 entries
+(_reach_levels). The group spans the heads 2^(ell - level(u)) *
+ev(full/u) over the u with level(u) >= 1; T adds 2^(ell - 1) *
+ev(full/u) for u in outer-minus-inner. This unrolls the textbook recursion
 mod_k = top_k + 2 mod_(k-1), k = 1..ell, where top_k spans ev(full/u) over
 the u with level(u) >= k (T_k = I_k + 2 T_(k-1) is top_k + 2 T_(k-1), as
 I_(k-1) lies in T_(k-1), so T's extras join at k = 1 only): ev(full/u)
@@ -242,22 +244,33 @@ def evaluate(m: int, u) -> BitVector:
     return BitVector(1 << m, _evaluate_bits(m, mask))
 
 
-def _reach_levels(start, factors, horizon: int) -> dict[int, int]:
-    """Mask -> least number of factors that, ORed onto one start mask,
-    give it, for up to horizon factors.
+_REACH_BLOCK = 1 << 16
 
-    Breadth-first, so the cost is bounded by the number of distinct
-    products; it stops at the first level that adds nothing, since later
-    levels only recombine masks already reached.
-    """
-    first = dict.fromkeys(start, 0)
-    frontier = set(first)
-    for level in range(1, horizon + 1):
-        frontier = {f | a for f in frontier for a in factors} - first.keys()
-        if not frontier:
+
+def _reach_levels(n: int, start, factors, horizon: int) -> np.ndarray:
+    """The least number of factors that, ORed onto one start mask, give
+    u, for every mask u < n = 2^m and up to horizon factors; horizon + 1
+    where none do. Breadth-first: a level ORs the masks first reached one
+    level down with every factor, in blocks of at most _REACH_BLOCK
+    entries, and the first level that adds nothing ends the search, as
+    later ones only recombine reached masks. ORs of masks below 2^m stay
+    below it, so the int64 indices are exact."""
+    level = np.full(n, horizon + 1, dtype=np.int64)
+    frontier = np.fromiter(start, dtype=np.int64)
+    level[frontier] = 0
+    factors = np.fromiter(factors, dtype=np.int64)
+    for k in range(1, horizon + 1):
+        reached = np.zeros(n, dtype=bool)
+        for f in range(0, factors.size, _REACH_BLOCK):
+            cols = factors[f : f + _REACH_BLOCK]
+            rows = _REACH_BLOCK // cols.size
+            for i in range(0, frontier.size, rows):
+                reached[frontier[i : i + rows, None] | cols] = True
+        (frontier,) = (reached & (level > k)).nonzero()
+        if not frontier.size:
             break
-        first.update(dict.fromkeys(frontier, level))
-    return first
+        level[frontier] = k
+    return level
 
 
 def product_set(inner: MonomialSet, outer: MonomialSet, s: int) -> MonomialSet:
@@ -269,7 +282,8 @@ def product_set(inner: MonomialSet, outer: MonomialSet, s: int) -> MonomialSet:
         raise ValueError("variable counts differ")
     if s < 0:
         raise ValueError("s must be nonnegative")
-    return MonomialSet(inner.m, frozenset(_reach_levels(inner.masks, outer.masks, s)))
+    level = _reach_levels(1 << inner.m, inner.masks, outer.masks, s)
+    return MonomialSet.from_masks(inner.m, np.flatnonzero(level <= s))
 
 
 def monomial_power(mset: MonomialSet, t: int) -> MonomialSet:
@@ -355,19 +369,31 @@ def _ev_rows(m: int, masks) -> np.ndarray:
     return ((np.arange(1 << m) & w) == w).astype(np.int64)
 
 
-def _level_array(n: int, ell: int, first: dict[int, int]) -> np.ndarray:
-    """first.get(u, ell) for every mask u < n."""
-    level = np.full(n, ell)
-    level[list(first)] = list(first.values())
-    return level
-
-
 def _degrees(m: int) -> np.ndarray:
     """|u| for every mask u < 2^m."""
     degree = np.zeros(1 << m, dtype=np.int64)
     for k in range(m):
         degree[1 << k : 2 << k] = degree[: 1 << k] + 1
     return degree
+
+
+@lru_cache(maxsize=2)
+def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The 3^m pairs w inside v as arrays w, v and free = |v| - |w|, and
+    the positions of each layer free = 1..m; shared, so read-only. About
+    32 * 3^m bytes, so only the last two m are kept."""
+    # ternary digit i of a pair's index (digit 0 the most significant) is
+    # 0 when x_(i+1) is outside v, 1 when it is in v but not in w, and 2
+    # when it is in w; free counts the 1 digits
+    w = v = free = np.zeros(1, dtype=np.int64)
+    for i in range(m):
+        w = np.add.outer(w, [0, 0, 1 << i]).ravel()
+        v = np.add.outer(v, [0, 1 << i, 1 << i]).ravel()
+        free = np.add.outer(free, [0, 1, 0]).ravel()
+    layers = tuple(np.flatnonzero(free == k) for k in range(1, m + 1))
+    for a in (w, v, free, *layers):
+        a.flags.writeable = False
+    return w, v, free, layers
 
 
 def _ev_howell(m: int, ell: int, s: np.ndarray) -> ZModule:
@@ -400,14 +426,7 @@ def _ev_howell(m: int, ell: int, s: np.ndarray) -> ZModule:
     """
     dt = _residue_dtype(ell)
     mask = dt((1 << ell) - 1)
-    # ternary digit i of a pair's index (digit 0 the most significant) is
-    # 0 when x_(i+1) is outside v, 1 when it is in v but not in w, and 2
-    # when it is in w; free counts the 1 digits, |v| - |w|
-    w = v = free = np.zeros(1, dtype=np.int64)
-    for i in range(m):
-        w = np.add.outer(w, [0, 0, 1 << i]).ravel()
-        v = np.add.outer(v, [0, 1 << i, 1 << i]).ravel()
-        free = np.add.outer(free, [0, 1, 0]).ravel()
+    w, v, free, layers = _pair_index(m)
 
     def sums(a: np.ndarray) -> np.ndarray:
         """A new array whose entry (w, v) sums a over the pairs (w, x) with
@@ -423,8 +442,7 @@ def _ev_howell(m: int, ell: int, s: np.ndarray) -> ZModule:
 
     high = mask ^ ((1 << s[v]) - 1).astype(dt)
     y = ((free == 0) << s[w]).astype(dt)
-    for k in range(1, m + 1):
-        on = np.flatnonzero(free == k)
+    for on in layers:
         # y_v = b_v - sigma_v mod 2^ell, b_v the low s(v) bits of sigma_v
         y[on] = -(sums(y)[on] & high[on])
     heads = s < ell
@@ -435,28 +453,27 @@ def _ev_howell(m: int, ell: int, s: np.ndarray) -> ZModule:
     return ZModule(1 << m, ell, gens)
 
 
-def _complement_form(spec: MonomialCodeSpec, ell: int, first: dict[int, int], extras=()) -> ZModule:
-    """The closed form read off one reach table, unchecked: the Howell
-    form, written off its scale table by _ev_howell, of
-    2^(ell - level(u)) * ev(full/u) over every u with level(u) >= 1,
-    where level(u) = first.get(u, ell) and the masks in extras (T's
-    outer-minus-inner, level 0 in its table) count as 1.
+def _complement_form(spec: MonomialCodeSpec, ell: int, level: np.ndarray, extras=()) -> ZModule:
+    """The closed form read off one reach table of horizon ell - 1,
+    unchecked: the Howell form, written off its scale table by _ev_howell,
+    of 2^(ell - level(u)) * ev(full/u) over every u with level(u) >= 1,
+    the masks in extras (T's outer-minus-inner, level 0) counting as 1.
     """
-    level = _level_array(spec.n, ell, first)
-    level[list(extras)] = 1
     # the head of u is 2^s(w) * ev(w) for w = full/u = n - 1 - u
-    return _ev_howell(spec.m, ell, ell - level[::-1])
+    s = ell - level[::-1]
+    s[[spec.full_mask ^ u for u in extras]] = ell - 1
+    return _ev_howell(spec.m, ell, s)
 
 
 def _mask_token(m: int, mask: int) -> str:
     return Monomial(m, mask).token
 
 
-def _head_pairing_check(spec: MonomialCodeSpec, ell: int, first: dict[int, int], code: str) -> None:
+def _head_pairing_check(spec: MonomialCodeSpec, ell: int, t: np.ndarray, code: str) -> None:
     """Verify that every head generator annihilates every constraint row.
 
-    first maps each constraint w to the factor count t(w) at which it is
-    first reached, giving 2^t(w) * ev(w); t = ell off the table. The head
+    t is a reach table of horizon ell - 1: constraint w is first reached
+    at t(w) factors, giving 2^t(w) * ev(w); t = ell off the table. The head
     2^(ell - t(u)) * ev(full/u) pairs to 2^(ell - t(u) + t(w) + |u minus w|),
     which fails to vanish mod 2^ell exactly when |u minus w| + t(w) < t(u),
     never for t(w) = ell >= t(u). So u fails when R(u), the least
@@ -468,7 +485,6 @@ def _head_pairing_check(spec: MonomialCodeSpec, ell: int, first: dict[int, int],
     in (degree, mask) order, at the least recursion level t(w) +
     |u minus w| + 1 where the unscaled ev(full/u) leaves the kernel.
     """
-    t = _level_array(spec.n, ell, first)
     reach = t.copy()
     for k in range(spec.m):
         low, high = reach.reshape(1 << (spec.m - 1 - k), 2, -1).transpose(1, 0, 2)
@@ -481,7 +497,7 @@ def _head_pairing_check(spec: MonomialCodeSpec, ell: int, first: dict[int, int],
         gap = degree[u & ~np.arange(spec.n)]
         fails = np.flatnonzero(gap + t < t[u])
         w = int(fails[np.argmin(degree[fails])])
-        scale, gap = first[w], int(gap[w])
+        scale, gap = int(t[w]), int(gap[w])
         raise HypothesisError(
             code,
             f"ev({_mask_token(spec.m, spec.full_mask ^ u)}) joins the head at "
@@ -497,28 +513,37 @@ def _relative_generator_check(spec: MonomialCodeSpec, ell: int) -> None:
     form, u in outer-minus-inner, must clear the unscaled inner
     constraints ev(w), which fails when u divides w, and for levels above
     one each u must have a second outer divisor so the generic group
-    cannot hold ev(full/u) at a lower scale than 2^(ell - 1)."""
-    inner = [mono.mask for mono in spec.inner.monomials()]
-    for mono in spec.outer.difference(spec.inner).monomials():
-        u = mono.mask
-        for w in inner:
-            if u & ~w == 0:
-                raise HypothesisError(
-                    "relative_generator_excluded",
-                    f"ev({_mask_token(spec.m, spec.full_mask ^ u)}) pairs oddly "
-                    f"with the inner constraint from {_mask_token(spec.m, w)}",
-                    level=1,
-                )
-        if ell >= 2 and sum(1 for v in spec.outer.masks if v & ~u == 0) < 2:
-            raise HypothesisError(
-                "relative_generator_isolated",
-                f"{mono.token} has no second outer divisor, so its generator "
-                "sits deeper in the level loop than in the generic group",
-                level=2,
-            )
+    cannot hold ev(full/u) at a lower scale than 2^(ell - 1). One zeta pass
+    counts each u's inner multiples (the inner set at its complements) and
+    outer divisors; the error names the first failing u, then w, in
+    (degree, mask) order."""
+    counts = np.zeros((spec.n, 2), dtype=np.int64)
+    counts[[spec.full_mask ^ w for w in spec.inner.masks], 0] = 1
+    counts[list(spec.outer.masks), 1] = 1
+    _subset_sums(counts, spec.m)
+    relative = np.fromiter(spec.outer.masks - spec.inner.masks, dtype=np.int64)
+    excluded = counts[spec.full_mask ^ relative, 0] > 0
+    bad = relative[excluded | (ell >= 2) & (counts[relative, 1] < 2)].tolist()
+    if not bad:
+        return
+    u = min(bad, key=lambda x: (x.bit_count(), x))
+    if counts[spec.full_mask ^ u, 0]:
+        w = min((x for x in spec.inner.masks if x & u == u), key=lambda x: (x.bit_count(), x))
+        raise HypothesisError(
+            "relative_generator_excluded",
+            f"ev({_mask_token(spec.m, spec.full_mask ^ u)}) pairs oddly "
+            f"with the inner constraint from {_mask_token(spec.m, w)}",
+            level=1,
+        )
+    raise HypothesisError(
+        "relative_generator_isolated",
+        f"{_mask_token(spec.m, u)} has no second outer divisor, so its generator "
+        "sits deeper in the level loop than in the generic group",
+        level=2,
+    )
 
 
-def _chain_stalls(outer_levels: dict[int, int], t: int) -> bool:
+def _chain_stalls(outer_levels: np.ndarray, t: int) -> bool:
     """Whether the outer power P(t) equals P(t-1), P(0) = {1}, for t >= 1,
     read off an outer reach table (from the outer set) of horizon at least
     t - 1.
@@ -529,7 +554,7 @@ def _chain_stalls(outer_levels: dict[int, int], t: int) -> bool:
     t = 1, P(1) is the outer set, which is {1} exactly when it has no
     nonzero mask.
     """
-    return not any(u and level == t - 1 for u, level in outer_levels.items())
+    return not (outer_levels[1:] == t - 1).any()
 
 
 def _power_chain_stalled(t: int, ell: int) -> HypothesisError:
@@ -537,22 +562,22 @@ def _power_chain_stalled(t: int, ell: int) -> HypothesisError:
     return HypothesisError("power_chain_stalled", message, level=ell)
 
 
-def _fixing_reach(spec: MonomialCodeSpec, ell: int) -> dict[int, int]:
+def _fixing_reach(spec: MonomialCodeSpec, ell: int) -> np.ndarray:
     """The inner reach table up to ell-1 outer factors, once the full
     monomial is outside it and the outer power chain grows at ell-1."""
-    first = _reach_levels(spec.inner.masks, spec.outer.masks, ell - 1)
-    if spec.full_mask in first:
+    first = _reach_levels(spec.n, spec.inner.masks, spec.outer.masks, ell - 1)
+    if first[spec.full_mask] < ell:
         raise HypothesisError(
             "full_product_reached",
             f"the full monomial is a product of inner times {ell - 1} outer monomials",
             level=ell,
         )
-    if ell >= 2 and _chain_stalls(_reach_levels(spec.outer.masks, spec.outer.masks, ell - 2), ell - 1):
+    if ell >= 2 and _chain_stalls(_reach_levels(spec.n, spec.outer.masks, spec.outer.masks, ell - 2), ell - 1):
         raise _power_chain_stalled(ell - 1, ell)
     return first
 
 
-def _fixing_table(spec: MonomialCodeSpec, ell: int) -> dict[int, int]:
+def _fixing_table(spec: MonomialCodeSpec, ell: int) -> np.ndarray:
     """The fixing group's reach table, once every hypothesis holds."""
     _check_level_arg(ell)
     first = _fixing_reach(spec, ell)
@@ -583,7 +608,7 @@ def closed_form_fixing_group(spec: MonomialCodeSpec, ell: int) -> ZModule:
     return _complement_form(spec, ell, _fixing_table(spec, ell))
 
 
-def _transversal_identity_table(spec: MonomialCodeSpec, ell: int) -> dict[int, int]:
+def _transversal_identity_table(spec: MonomialCodeSpec, ell: int) -> np.ndarray:
     """The outer reach table of T and Id, once every hypothesis holds."""
     _check_level_arg(ell)
     full = spec.full_mask
@@ -591,8 +616,8 @@ def _transversal_identity_table(spec: MonomialCodeSpec, ell: int) -> dict[int, i
         raise HypothesisError(
             "full_in_inner", "the full monomial generates the inner code", level=ell
         )
-    first = _reach_levels(spec.outer.masks, spec.outer.masks, ell - 1)
-    if full in first and full not in spec.outer.masks:
+    first = _reach_levels(spec.n, spec.outer.masks, spec.outer.masks, ell - 1)
+    if first[full] < ell and full not in spec.outer.masks:
         raise HypothesisError(
             "full_power_reached",
             f"the full monomial is a product of at most {ell} outer monomials "
@@ -663,25 +688,24 @@ def closed_form_fixing_group_general(spec: MonomialCodeSpec) -> GeneralClosedFor
     and the two are not guaranteed to agree (the comparison, with a
     witness on failure, is the point).
     """
-    full = spec.full_mask
-    first = _reach_levels(spec.inner.masks, spec.outer.masks, MAX_LEVEL)
-    if full not in first:
+    level = _reach_levels(spec.n, spec.inner.masks, spec.outer.masks, MAX_LEVEL)
+    if level[spec.full_mask] > MAX_LEVEL:
         # the first level whose product set equals the one below, or MAX_LEVEL + 1
         raise HypothesisError(
             "full_unreachable",
             "products of inner and outer monomials never reach the full monomial",
-            level=min(max(first.values()) + 2, MAX_LEVEL + 1),
+            level=min(int(level[level <= MAX_LEVEL].max()) + 2, MAX_LEVEL + 1),
         )
-    ell = first[full] + 1
-    quotients = {full ^ w for w, t in first.items() if t < ell}
-    if len(quotients) == spec.n:
+    ell = int(level[spec.full_mask]) + 1
+    if (level < ell).all():
         raise HypothesisError(
             "product_set_saturated",
             "every monomial is reachable at the minimal full level",
             level=ell,
         )
-    # u = 0 is left out: ev(1) - ev(1) is the zero row
-    rows = (_ev_rows(spec.m, [u for u in range(1, spec.n) if u not in quotients]) - 1) % (1 << ell)
+    # u is a complement quotient when full/u is reached below ell; u = 0,
+    # whose row ev(1) - ev(1) is zero, always is
+    rows = (_ev_rows(spec.m, np.flatnonzero(level[::-1] >= ell)) - 1) % (1 << ell)
     if ell > 1:
         rows = np.vstack([rows, _TableGroups(spec, ell - 1)._generators("H") << 1])
     return GeneralClosedForm(ell, howell_form(rows, ell, n=spec.n))
@@ -704,8 +728,7 @@ def decreasing_span_monomials(spec: MonomialCodeSpec, ell: int) -> MonomialSet:
             "the sieve form needs divisibility-closed monomial sets",
             level=ell,
         )
-    first = _fixing_reach(spec, ell)
-    return MonomialSet.from_masks(spec.m, (spec.full_mask ^ w for w in range(spec.n) if w not in first))
+    return MonomialSet.from_masks(spec.m, np.flatnonzero(_fixing_reach(spec, ell)[::-1] >= ell))
 
 
 def _dual_rows(m: int, masks: np.ndarray) -> np.ndarray:
@@ -742,8 +765,8 @@ class _TableGroups(_Groups):
         if spec.m + ell > 62:
             raise ValueError("exponent tables are exact in int64 only for m + ell <= 62")
         self.n, self.m, self.ell = spec.n, spec.m, ell
-        fixing = _level_array(spec.n, ell, _reach_levels(spec.inner.masks, spec.outer.masks, ell - 1))
-        identity = _level_array(spec.n, ell, _reach_levels(spec.outer.masks, spec.outer.masks, ell - 1))
+        fixing = _reach_levels(spec.n, spec.inner.masks, spec.outer.masks, ell - 1)
+        identity = _reach_levels(spec.n, spec.outer.masks, spec.outer.masks, ell - 1)
         outer = np.zeros(spec.n, dtype=bool)
         outer[list(spec.outer.masks)] = True
         inner = np.zeros(spec.n, dtype=bool)

@@ -48,7 +48,6 @@ from cssgates.monomial import (
     _mask_token,
     _power_chain_stalled,
     _reach_levels,
-    _relative_generator_check,
     is_decreasing,
     product_set,
 )
@@ -294,6 +293,26 @@ def scan_cases():
 
 # ------------------------------------------------ unchecked closed forms
 
+def reach_levels_reference(start, factors, horizon: int) -> dict[int, int]:
+    """Mask -> least number of factors that, ORed onto one start mask,
+    give it, for up to horizon factors: a breadth-first search over sets.
+    The reference for monomial._reach_levels."""
+    first = dict.fromkeys(start, 0)
+    frontier = set(first)
+    for level in range(1, horizon + 1):
+        frontier = {f | a for f in frontier for a in factors} - first.keys()
+        if not frontier:
+            break
+        first.update(dict.fromkeys(frontier, level))
+    return first
+
+
+def level_table(m: int, ell: int, first: dict) -> np.ndarray:
+    """A reach table given as a dict of reached masks, written as the level
+    array the checks read: first.get(u, ell) for every mask u < 2^m."""
+    return np.array([first.get(u, ell) for u in range(1 << m)], dtype=np.int64)
+
+
 def level_loop_reference(spec: MonomialCodeSpec, ell: int, first: dict, *bases) -> list:
     """The closed forms built bottom-up, one module per base mask set,
     unchecked. The reference for monomial._complement_form.
@@ -322,12 +341,12 @@ def level_loop_reference(spec: MonomialCodeSpec, ell: int, first: dict, *bases) 
 def raw_fixing(spec: MonomialCodeSpec, ell: int):
     """The fixing closed form with no hypothesis checked: what the
     formula would produce."""
-    return _complement_form(spec, ell, _reach_levels(spec.inner.masks, spec.outer.masks, ell - 1))
+    return _complement_form(spec, ell, _reach_levels(spec.n, spec.inner.masks, spec.outer.masks, ell - 1))
 
 
 def raw_transversal_identity(spec: MonomialCodeSpec, ell: int):
     """(T, Id) as the closed forms build them, with no hypothesis checked."""
-    first = _reach_levels(spec.outer.masks, spec.outer.masks, ell - 1)
+    first = _reach_levels(spec.n, spec.outer.masks, spec.outer.masks, ell - 1)
     relative = spec.outer.masks - spec.inner.masks
     return _complement_form(spec, ell, first, relative), _complement_form(spec, ell, first)
 
@@ -336,7 +355,7 @@ def general_fixing_reference(spec: MonomialCodeSpec):
     """closed_form_fixing_group_general with the head and the doubled
     tail canonicalised apart and joined by module_sum and scale_lift."""
     full = spec.full_mask
-    first = _reach_levels(spec.inner.masks, spec.outer.masks, MAX_LEVEL)
+    first = reach_levels_reference(spec.inner.masks, spec.outer.masks, MAX_LEVEL)
     if full not in first:
         raise HypothesisError(
             "full_unreachable",
@@ -360,15 +379,15 @@ def general_fixing_reference(spec: MonomialCodeSpec):
     return GeneralClosedForm(ell, module_sum(top, scale_lift(tail, ell)))
 
 
-def transversal_identity_table_reference(spec: MonomialCodeSpec, ell: int) -> dict:
+def transversal_identity_table_reference(spec: MonomialCodeSpec, ell: int) -> np.ndarray:
     """The T/Id hypothesis checks with the power chain read off its own
     breadth-first table from {1}, in the same order."""
     _check_level_arg(ell)
     full = spec.full_mask
     if full in spec.inner.masks:
         raise HypothesisError("full_in_inner", "the full monomial generates the inner code", level=ell)
-    first = _reach_levels(spec.outer.masks, spec.outer.masks, ell - 1)
-    if full in first and full not in spec.outer.masks:
+    first = _reach_levels(spec.n, spec.outer.masks, spec.outer.masks, ell - 1)
+    if first[full] < ell and full not in spec.outer.masks:
         raise HypothesisError(
             "full_power_reached",
             f"the full monomial is a product of at most {ell} outer monomials "
@@ -377,7 +396,7 @@ def transversal_identity_table_reference(spec: MonomialCodeSpec, ell: int) -> di
         )
     power_chain_reference(spec, ell, ell)
     _head_pairing_check(spec, ell, first, "identity_head_outside_kernel")
-    _relative_generator_check(spec, ell)
+    relative_generator_reference(spec, ell)
     return first
 
 
@@ -390,21 +409,46 @@ def power_chain_reference(spec: MonomialCodeSpec, t: int, ell: int) -> None:
     for t = 1 both sides are {1} exactly when the outer set is, so P(t)
     equals P(t-1) exactly when this closure from {1} stops before level t.
     """
-    if t >= 1 and max(_reach_levels((0,), spec.outer.masks, t).values()) < t:
+    if t >= 1 and max(reach_levels_reference((0,), spec.outer.masks, t).values()) < t:
         raise _power_chain_stalled(t, ell)
 
 
-def head_pairing_reference(spec: MonomialCodeSpec, ell: int, first: dict, code: str) -> None:
+def relative_generator_reference(spec: MonomialCodeSpec, ell: int) -> None:
+    """The relative generator checks as a loop over the outer-minus-inner
+    u in (degree, mask) order, each against every inner w and then its
+    outer divisors. The reference for monomial._relative_generator_check."""
+    inner = [mono.mask for mono in spec.inner.monomials()]
+    for mono in spec.outer.difference(spec.inner).monomials():
+        u = mono.mask
+        for w in inner:
+            if u & ~w == 0:
+                raise HypothesisError(
+                    "relative_generator_excluded",
+                    f"ev({_mask_token(spec.m, spec.full_mask ^ u)}) pairs oddly "
+                    f"with the inner constraint from {_mask_token(spec.m, w)}",
+                    level=1,
+                )
+        if ell >= 2 and sum(1 for v in spec.outer.masks if v & ~u == 0) < 2:
+            raise HypothesisError(
+                "relative_generator_isolated",
+                f"{mono.token} has no second outer divisor, so its generator "
+                "sits deeper in the level loop than in the generic group",
+                level=2,
+            )
+
+
+def head_pairing_reference(spec: MonomialCodeSpec, ell: int, first: np.ndarray, code: str) -> None:
     """The head pairing check as a nested loop over (u, w), u then w in
-    (degree, mask) order. The reference for monomial._head_pairing_check."""
+    (degree, mask) order, on a reach table of horizon ell - 1. The
+    reference for monomial._head_pairing_check."""
     masks = sorted(range(1 << spec.m), key=lambda x: (x.bit_count(), x))
-    constraints = sorted(first, key=lambda x: (x.bit_count(), x))
+    constraints = [w for w in masks if first[w] < ell]
     for u in masks:
-        last_head = min(first.get(u, ell), ell)
+        last_head = int(first[u])
         if last_head < 1:
             continue
         for w in constraints:
-            scale = first[w]
+            scale = int(first[w])
             need = last_head - scale
             if need >= 1 and (u & ~w).bit_count() < need:
                 bad_level = scale + (u & ~w).bit_count() + 1

@@ -794,9 +794,9 @@ class TestConsistencyGuard:
         starts = getattr(Job(MONO16_JOB).spec, start).masks
         reach = monomial._reach_levels
 
-        def corrupted(first, factors, horizon):
-            table = reach(first, factors, horizon)
-            return {w: max(t, 1) for w, t in table.items()} if first == starts else table
+        def corrupted(n, first, factors, horizon):
+            table = reach(n, first, factors, horizon)
+            return np.maximum(table, 1) if first == starts else table
 
         monkeypatch.setattr(monomial, "_reach_levels", corrupted)
         job = {**MONO16_JOB, "gate": ",".join("0" * 16)}

@@ -51,11 +51,14 @@ from helpers import (
     general_fixing_reference,
     head_pairing_reference,
     level_loop_reference,
+    level_table,
     power_chain_reference,
     random_decreasing_spec,
     random_spec,
     raw_fixing,
     raw_transversal_identity,
+    reach_levels_reference,
+    relative_generator_reference,
     rm_pairs,
     sieve_reference,
     transversal_identity_table_reference,
@@ -401,6 +404,65 @@ def outcome(fn, *args):
         return exc.code, exc.level, str(exc)
 
 
+class TestReachLevels:
+    """The level arrays of the blocked breadth-first search equal the set
+    search they replace, sentinel horizon + 1 included."""
+
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_matches_the_set_search(self, monkeypatch, block):
+        # a block of 3 entries splits both the frontier and the factors
+        if block:
+            monkeypatch.setattr(monomial, "_REACH_BLOCK", block)
+        rng = random.Random(20261020)
+        for m in range(1, 9):
+            n = 1 << m
+            for _ in range(12):
+                start = {rng.randrange(n) for _ in range(rng.randrange(0, 4))}
+                factors = {rng.randrange(n) for _ in range(rng.randrange(0, 2 * m + 1))}
+                for horizon in (0, 1, 2, 3, zmod.MAX_LEVEL):
+                    expected = level_table(m, horizon + 1, reach_levels_reference(start, factors, horizon))
+                    got = _reach_levels(n, start, factors, horizon)
+                    assert got.dtype == np.int64 and np.array_equal(got, expected), (m, start, factors, horizon)
+
+    def test_many_blocks(self):
+        # 299 start masks against 2510 factors: 26 frontier rows per block,
+        # so 12 blocks at level one and 143 at level two; the levels are
+        # degrees up to 3, then 9, then 12
+        spec = MonomialCodeSpec(12, reed_muller_set(12, 6), reed_muller_set(12, 3))
+        expected = reach_levels_reference(spec.inner.masks, spec.outer.masks, 2)
+        got = _reach_levels(spec.n, spec.inner.masks, spec.outer.masks, 2)
+        assert np.array_equal(got, level_table(12, 3, expected))
+        assert np.bincount(got).tolist() == [299, 3718, 79]
+
+    def test_reach_in_bounded_memory(self):
+        # level two's whole outer product would be 3718 x 2510 int64
+        # entries, 75 MB; the search holds one block of 2^16 entries and a
+        # few arrays of 2^m
+        spec = MonomialCodeSpec(12, reed_muller_set(12, 6), reed_muller_set(12, 3))
+        tracemalloc.start()
+        try:
+            _reach_levels(spec.n, spec.inner.masks, spec.outer.masks, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestRelativeGenerators:
+    def test_count_passes_match_the_loop(self):
+        """Same first u, same w, same code, level and message as the loop."""
+        rng = random.Random(20261021)
+        specs = [(spec, ell) for spec in rm_pairs(7) for ell in (1, 2, 3, 4)]
+        specs += [(random_spec(rng, 6), rng.randrange(1, 5)) for _ in range(400)]
+        specs += [(random_decreasing_spec(rng, 6), rng.randrange(1, 5)) for _ in range(100)]
+        codes = {None: 0, "relative_generator_excluded": 0, "relative_generator_isolated": 0}
+        for spec, ell in specs:
+            got = outcome(_relative_generator_check, spec, ell)
+            assert got == outcome(relative_generator_reference, spec, ell), (spec, ell)
+            codes[got and got[0]] += 1
+        assert min(codes.values()) >= 20, codes
+
+
 class TestReachTable:
     """Each closed form reads everything off one reach table: the head
     pairing pass certifies it and the sieve is its complement."""
@@ -415,8 +477,8 @@ class TestReachTable:
         specs += [(random_decreasing_spec(rng, min(m_max, 6)), rng.randrange(1, 5)) for _ in range(60)]
         specs += [(random_spec(rng, min(m_max, 6)), rng.randrange(1, 5)) for _ in range(60)]
         for spec, ell in specs:
-            inner = _reach_levels(spec.inner.masks, spec.outer.masks, ell - 1)
-            outer = _reach_levels(spec.outer.masks, spec.outer.masks, ell - 1)
+            inner = _reach_levels(spec.n, spec.inner.masks, spec.outer.masks, ell - 1)
+            outer = _reach_levels(spec.n, spec.outer.masks, spec.outer.masks, ell - 1)
             yield spec, ell, inner, "head_outside_kernel"
             yield spec, ell, outer, "identity_head_outside_kernel"
 
@@ -432,13 +494,13 @@ class TestReachTable:
     def test_pairing_pass_at_large_m(self):
         # RM(1) inside RM(2) at m = 9: 502 heads against 382 constraints
         spec = MonomialCodeSpec(9, reed_muller_set(9, 2), reed_muller_set(9, 1))
-        first = _reach_levels(spec.inner.masks, spec.outer.masks, 2)
+        first = _reach_levels(spec.n, spec.inner.masks, spec.outer.masks, 2)
         assert outcome(_head_pairing_check, spec, 3, first, "c") is None
         # RM(2) inside RM(3) plus x1x4..x9: the first failing pair is
         # 130081 of 179876 in (head, constraint) order
         spec = MonomialCodeSpec(9, reed_muller_set(9, 3).union(MonomialSet.from_masks(9, [505])),
                                 reed_muller_set(9, 2))
-        first = _reach_levels(spec.inner.masks, spec.outer.masks, 1)
+        first = _reach_levels(spec.n, spec.inner.masks, spec.outer.masks, 1)
         got = outcome(_head_pairing_check, spec, 2, first, "c")
         assert got is not None and got == outcome(head_pairing_reference, spec, 2, first, "c")
 
@@ -459,7 +521,7 @@ class TestReachTable:
             for t in range(1, 6):
                 expected = outcome(power_chain_reference, spec, t, t) is not None
                 for horizon in (t - 1, t + 1):
-                    table = _reach_levels(spec.outer.masks, spec.outer.masks, horizon)
+                    table = _reach_levels(spec.n, spec.outer.masks, spec.outer.masks, horizon)
                     assert _chain_stalls(table, t) == expected, (spec, t, horizon)
                 stalls.append((t, expected))
         assert {(1, True), (1, False)} <= set(stalls)
@@ -471,9 +533,9 @@ class TestReachTable:
         calls = []
         table = monomial._reach_levels
 
-        def counted(start, factors, horizon):
+        def counted(n, start, factors, horizon):
             calls.append(horizon)
-            return table(start, factors, horizon)
+            return table(n, start, factors, horizon)
 
         monkeypatch.setattr(monomial, "_reach_levels", counted)
         for ell in (1, 2, 3):
@@ -520,8 +582,9 @@ class TestHeadPairing:
                         first[u] = rng.randrange(first[u] + 1, ell + 1)
                     tables.append({u: t for u, t in first.items() if t < ell})
                 for first in tables:
-                    got = outcome(_head_pairing_check, cube, ell, first, "c")
-                    assert got == outcome(head_pairing_reference, cube, ell, first, "c"), (m, ell, first)
+                    levels = level_table(m, ell, first)
+                    got = outcome(_head_pairing_check, cube, ell, levels, "c")
+                    assert got == outcome(head_pairing_reference, cube, ell, levels, "c"), (m, ell, first)
                     pairs = self.failing_pairs(m, ell, first)
                     assert (got is None) == (not pairs)
                     counts["passed" if got is None else "failed"] += 1
@@ -538,8 +601,9 @@ class TestHeadPairing:
         cube = SimpleNamespace(m=3, n=8, full_mask=7)
         first = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 1, 6: 1, 7: 1}
         assert self.failing_pairs(3, 3, first) == [(4, 0), (4, 5), (4, 6), (4, 7), (3, 7)]
-        got = outcome(_head_pairing_check, cube, 3, first, "c")
-        assert got == outcome(head_pairing_reference, cube, 3, first, "c")
+        levels = level_table(3, 3, first)
+        got = outcome(_head_pairing_check, cube, 3, levels, "c")
+        assert got == outcome(head_pairing_reference, cube, 3, levels, "c")
         assert got == ("c", 2, "ev(x1x2) joins the head at level 2 but its pairing against "
                        "the scale-0 constraint from 1 is only divisible by 2^1")
 
@@ -547,7 +611,7 @@ class TestHeadPairing:
         # the pair loop held blocks of 2^16 (head, constraint) pairs; the
         # pass holds a few arrays of 2^m entries
         spec = MonomialCodeSpec(12, reed_muller_set(12, 2), reed_muller_set(12, 1))
-        first = _reach_levels(spec.inner.masks, spec.outer.masks, 2)
+        first = _reach_levels(spec.n, spec.inner.masks, spec.outer.masks, 2)
         tracemalloc.start()
         try:
             _head_pairing_check(spec, 3, first, "c")
@@ -579,8 +643,8 @@ class TestComplementForm:
         applied = {"H": 0, "T": 0}
         for spec in self.specs():
             for ell in (1, 2, 3, 4):
-                inner = _reach_levels(spec.inner.masks, spec.outer.masks, ell - 1)
-                outer = _reach_levels(spec.outer.masks, spec.outer.masks, ell - 1)
+                inner = reach_levels_reference(spec.inner.masks, spec.outer.masks, ell - 1)
+                outer = reach_levels_reference(spec.outer.masks, spec.outer.masks, ell - 1)
                 relative = spec.outer.masks - spec.inner.masks
                 for name, fn, raw, expected in (
                     ("H", closed_form_fixing_group, raw_fixing, level_loop_reference(spec, ell, inner, ())),
@@ -614,6 +678,10 @@ class TestComplementForm:
             rows = _ev_rows(m, heads) << s[heads, None]
             got = _ev_howell(m, ell, s)
             assert module_bytes(got) == module_bytes(zmod.howell_form(rows, ell, n=n))
+        # the pair index is shared by every call at this m
+        for index in monomial._pair_index(m)[:3]:
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 1
 
     def test_general_form_matches_module_sum(self):
         answered = 0
@@ -639,7 +707,7 @@ class TestComplementForm:
             for ell in (1, 2, 3, 4, 5):
                 got = outcome(validate_transversal_identity_hypotheses, spec, ell)
                 expected = outcome(transversal_identity_table_reference, spec, ell)
-                assert got == (None if isinstance(expected, dict) else expected)
+                assert got == (None if isinstance(expected, np.ndarray) else expected)
                 stalled += got is not None and got[0] == "power_chain_stalled"
         assert stalled >= 20
 
