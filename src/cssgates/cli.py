@@ -28,7 +28,8 @@ the unshifted pair off exponent tables on a monomial job
 (gates._SpanGroups, the object gate_groups reads too); a y_z moves either
 by the one rule of gates._Groups. A command builds a module only where
 its report prints one; closed-form checks each closed form against the
-exponent tables by memberships and length.
+exponent tables by memberships and length, and action answers each gate
+from one pass of the job's route (gates._Groups.action).
 
 Exit status: 0 on success, 1 on a rejected job or command line (the
 message names the offending field, "arguments" for the command line), 2
@@ -51,8 +52,6 @@ from .gates import (
     _GROUPS,
     _SpanGroups,
     _all_ones,
-    _decomposition,
-    logical_phase,
 )
 from .monomial import (
     HypothesisError,
@@ -263,23 +262,21 @@ def _gates_for_action(job: Job) -> list[tuple[str | None, np.ndarray]]:
 
 
 def _task_action(job: Job) -> dict:
-    code = job.code
-    groups = _pair_groups(job).shifted(code)
+    groups = _pair_groups(job).shifted(job)
     entries = []
     for name, arr in _gates_for_action(job):
-        # one pass of coefficients gives both the factors and the phases
-        decomp = _decomposition(code, job.ell, arr)
+        # one route pass gives the memberships, the factors and the phases
+        members, global_phase, decomp = groups.action(arr)
         phases = decomp.phase_table()
-        in_fixing = groups.contains("H", arr)
-        entry: dict = {"name": name, "gate": arr.tolist(), "in_fixing_group": in_fixing}
-        if in_fixing:
-            entry["global_phase"] = logical_phase(code, job.ell, arr, 0)
+        entry: dict = {"name": name, "gate": arr.tolist(), "in_fixing_group": members["H"]}
+        if members["H"]:
+            entry["global_phase"] = global_phase
             entry["factors"] = [
                 {"J": list(f.qubits), "a": f.phase} for f in decomp.factors
             ]
-            entry["in_transversal"] = groups.contains("T", arr)
-            entry["is_identity"] = groups.contains("Id", arr)
-            if code.num_logical <= _MAX_PHASE_QUBITS:
+            entry["in_transversal"] = members["T"]
+            entry["is_identity"] = members["Id"]
+            if job.num_logical <= _MAX_PHASE_QUBITS:
                 entry["logical_phases"] = phases.tolist()
         entries.append(entry)
     return {"logical_actions": entries}

@@ -53,7 +53,7 @@ from .bincode import (
     _unpack,
     star_family,
 )
-from .zmod import ZModule, dot_mod, howell_form, kernel_perp
+from .zmod import ZModule, _residue_dtype, dot_mod, howell_form, kernel_perp
 
 __all__ = [
     "ConsistencyError",
@@ -236,8 +236,10 @@ def _pair_spans(pair: NestedCodePair, ell: int) -> tuple[ZModule, ZModule, ZModu
 class _Groups:
     """H, T and Id of a code. A route answers for the unshifted pair:
     _generators(name) (a ZModule is taken as canonical, other rows are
-    canonicalised once), _length(name), _contains(name, b), and
-    _id_drop(), the least j >= 0 with 2^j * y_z in Id's constraint span.
+    canonicalised once), _length(name), _contains(name, b), _id_drop(),
+    the least j >= 0 with 2^j * y_z in Id's constraint span, and
+    _action(b), b's three memberships and the blocks (J, a_J) of
+    _controlled_phases for b, from one pass over b.
     shifted moves every answer to a code with a Z shift: a gate relates
     to it as D b relates to the pair, so each group is D times the
     pair's, and b . y_z = 0 cuts Id by the image 2^s Z/2^ell of
@@ -278,6 +280,17 @@ class _Groups:
         moved, phase = conjugate_by_yz(b, self.y_z, self.ell)
         return not (name == "Id" and phase) and self._contains(name, moved)
 
+    def action(self, b) -> tuple[dict[str, bool], int, "LogicalDecomposition"]:
+        """b's memberships in H, T and Id, its global phase b . y_z and the
+        decomposition of its logical action (as decompose_action gives it,
+        with no membership check), from one route pass _action(D b) over
+        the flipped gate."""
+        arr = np.asarray(b, dtype=np.int64) % (1 << self.ell)
+        moved, phase = (arr, 0) if self.y_z is None else conjugate_by_yz(arr, self.y_z, self.ell)
+        members, blocks = self._action(moved)
+        members["Id"] = members["Id"] and not phase
+        return members, phase, LogicalDecomposition(self.ell, self.num_logical, _factors(blocks))
+
 
 class _SpanGroups(_Groups):
     """The groups of a pair, read off its constraint spans: a group holds b
@@ -286,7 +299,7 @@ class _SpanGroups(_Groups):
     the three of _pair_spans, cross-checked there."""
 
     def __init__(self, pair: NestedCodePair, ell: int, spans: dict | None = None):
-        self.n, self.ell = pair.n, ell
+        self.pair, self.n, self.ell, self.num_logical = pair, pair.n, ell, pair.num_logical
         self.spans = spans or dict(zip(_GROUPS, _pair_spans(pair, ell)))
 
     def _generators(self, name: str) -> ZModule:
@@ -301,6 +314,10 @@ class _SpanGroups(_Groups):
     def _id_drop(self) -> int:
         y_z = self.y_z.to_array()
         return next((j for j in range(self.ell) if self.spans["Id"].contains(y_z << j)), self.ell)
+
+    def _action(self, moved: np.ndarray):
+        members = {name: self._contains(name, moved) for name in _GROUPS}
+        return members, _controlled_phases(self.pair, self.ell, moved)
 
 
 def gate_groups(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
@@ -368,28 +385,43 @@ def logical_phase(code: CssCode, ell: int, b, v) -> int:
 _PRODUCT_BLOCK = 1 << 16
 
 
-def _controlled_phases(code: CssCode, ell: int, eff: np.ndarray):
+def _subsets(K: int, ell: int):
+    """Rows of the index tuples J with |J| = h, lexicographic, for h = 1..
+    min(K, ell): each level extends each tuple by every larger index."""
+    index = np.arange(K)[:, None]
+    for h in range(1, min(K, ell) + 1):
+        if h > 1:
+            parent, nxt = np.nonzero(np.arange(K) > index[:, -1:])
+            index = np.concatenate((index[parent], nxt[:, None]), axis=1)
+        yield index
+
+
+def _controlled_phases(pair: NestedCodePair, ell: int, eff: np.ndarray):
     """Blocks (J, a_J), |J| = 1..min(K, ell), lexicographic within a level:
     rows of index tuples J and a_J = (-2)^(|J|-1) (eff . prod_J w_j) mod
     2^ell, eff being b mod 2^ell with its signs flipped on y_z. As x xor y
     = x + y - 2xy exactly over Z, the phase of coset v relative to coset 0
-    is the sum of the a_J over J inside v, for every b. A block is one
-    int64 matmul of _PRODUCT_BLOCK 0/1 entries with eff: sums stay below
-    n * 2^ell, exact in int64.
+    is the sum of the a_J over J inside v, for every b. Level 1 is one
+    int64 matmul of the extension rows with eff, a later block one of
+    _PRODUCT_BLOCK 0/1 entries: sums stay below n * 2^ell, exact in int64.
     """
-    K = code.num_logical
     N = 1 << ell
-    ext = _unpack([w.bits for w in code.pair.beta1_ext], code.n)
-    index = np.arange(K)[:, None]
-    for h in range(1, min(K, ell) + 1):
-        if h > 1:
-            # extend each tuple by every larger index, in lexicographic order
-            parent, nxt = np.nonzero(np.arange(K) > index[:, -1:])
-            index = np.concatenate((index[parent], nxt[:, None]), axis=1)
-        step = max(1, _PRODUCT_BLOCK // (h * code.n))
+    ext = _unpack([w.bits for w in pair.beta1_ext], pair.n)
+    for index in _subsets(pair.num_logical, ell):
+        h = index.shape[1]
+        if h == 1:
+            yield index, ext @ eff % N
+            continue
+        step = max(1, _PRODUCT_BLOCK // (h * pair.n))
         for start in range(0, len(index), step):
             block = index[start : start + step]
             yield block, ext[block].min(axis=1) @ eff % N * pow(-2, h - 1, N) % N
+
+
+def _factors(blocks) -> tuple["ControlledFactor", ...]:
+    """The factors of the nonzero a_J of blocks (J, a_J), J made 1-based."""
+    return tuple(ControlledFactor(tuple(J), a) for index, coeffs in blocks
+                 for J, a in zip((index + 1).tolist(), coeffs.tolist()) if a)
 
 
 @dataclass(frozen=True)
@@ -428,7 +460,7 @@ def phase_profile(code: CssCode, ell: int, b, *, group: ZModule | None = None) -
     return PhaseProfile(
         ell=ell,
         num_logical=code.num_logical,
-        phases=_decomposition(code, ell, arr).phase_table(),
+        phases=_decomposition(code, ell, arr).phase_table().astype(np.int64),
         global_phase=int(code.y_z.to_array() @ arr) % N,
         in_fixing_group=group.contains(arr),
     )
@@ -445,13 +477,28 @@ class ControlledFactor:
 def _subset_sums(a: np.ndarray, m: int, sign: int = 1) -> np.ndarray:
     """In place, a[v] becomes the sum of a[i] over the masks i inside v
     (the zeta transform), or with sign -1 its Moebius inverse, the sum of
-    (-1)^(|v| - |i|) a[i]: one vectorised pass per variable, over the
-    first axis, so a (2^m, r) array has r columns transformed at once,
-    with no temporary array."""
+    (-1)^(|v| - |i|) a[i], over the first axis of a C-contiguous array, so
+    a (2^m, r) array has r columns transformed at once. One vectorised
+    step per variable (Yates 1937): the high m - m // 2 index bits on the
+    natural layout, then the low m // 2 after one transposed copy brings
+    them to the front, which is written back, so every step runs over
+    blocks of at least 2^(m // 2) rows. Only additions and subtractions
+    run, so in an unsigned dtype of width w the result wraps mod 2^w and
+    stays exact mod any 2^ell with ell <= w: reduction mod 2^ell is a ring
+    map from Z/2^w (as in zmod)."""
     op = np.add if sign == 1 else np.subtract
-    for k in range(m):
-        view = a.reshape(1 << (m - 1 - k), 2, -1)
-        op(view[:, 1], view[:, 0], out=view[:, 1])
+    low = m // 2
+
+    def steps(x: np.ndarray, bits: range, top: int) -> None:
+        for k in bits:
+            view = x.reshape(1 << (top - 1 - k), 2, -1)
+            op(view[:, 1], view[:, 0], out=view[:, 1])
+
+    steps(a, range(low, m), m)
+    grid = a.reshape(1 << (m - low), 1 << low, -1)
+    swapped = grid.transpose(1, 0, 2).copy()
+    steps(swapped, range(low), low)
+    grid[...] = swapped.transpose(1, 0, 2)
     return a
 
 
@@ -473,19 +520,23 @@ class LogicalDecomposition:
         return sum(inside) % (1 << self.ell)
 
     def phase_table(self) -> np.ndarray:
-        """phase_at of every basis state, indexed by its bitmask.
+        """phase_at of every basis state, indexed by its bitmask, as
+        residues in the narrowest unsigned dtype of width w >= ell
+        (zmod._residue_dtype).
 
         Each factor's phase sits at the mask of its qubits, and one
         subset-sum pass (_subset_sums) adds it to every mask containing
-        that one: at most 2^20 terms below 2^ell stay exact in int64.
+        that one. The sums wrap mod 2^w, and reduction mod 2^ell is a ring
+        map from Z/2^w, so masking with 2^ell - 1 leaves the exact phases.
         """
         K = self.num_logical
         _check_table_size(K)
-        phases = np.zeros(1 << K, dtype=np.int64)
+        dt = _residue_dtype(self.ell)
+        phases = np.zeros(1 << K, dtype=dt)
         for f in self.factors:
             phases[sum(1 << (q - 1) for q in f.qubits)] = f.phase
         _subset_sums(phases, K)
-        phases %= 1 << self.ell
+        phases &= dt((1 << self.ell) - 1)
         return phases
 
 
@@ -513,10 +564,8 @@ def decompose_action(
 def _decomposition(code: CssCode, ell: int, arr: np.ndarray) -> LogicalDecomposition:
     """The factors of U(arr), arr reduced mod 2^ell, from one pass of
     _controlled_phases; membership in the fixing group is not checked."""
-    blocks = _controlled_phases(code, ell, conjugate_by_yz(arr, code.y_z, ell)[0])
-    factors = tuple(ControlledFactor(tuple(J), a) for index, coeffs in blocks
-                    for J, a in zip((index + 1).tolist(), coeffs.tolist()) if a)
-    return LogicalDecomposition(ell=ell, num_logical=code.num_logical, factors=factors)
+    blocks = _controlled_phases(code.pair, ell, conjugate_by_yz(arr, code.y_z, ell)[0])
+    return LogicalDecomposition(ell=ell, num_logical=code.num_logical, factors=_factors(blocks))
 
 
 def conjugate_by_yz(b, y_z: BitVector, ell: int) -> tuple[np.ndarray, int]:

@@ -41,18 +41,21 @@ its length is the sum of the t(v), and b lies in it exactly when
 2^(ell - t(w)) divides b . ev(w), the sum of b_i over the i containing w,
 for every w. _TableGroups reads the three tables off the reach tables
 and answers memberships with zeta transforms (Bjorklund, Husfeldt, Kaski
-and Koivisto, "Fourier meets Moebius", STOC 2007). A zeta or Moebius
+and Koivisto, "Fourier meets Moebius", STOC 2007), which run on residues
+mod 2^ell in zmod's residue dtype. The same pass gives a gate's logical
+action: the extension vectors are ev(u) for u in outer-minus-inner, and a
+product of ev's is ev of the OR of their masks. An int64 zeta or Moebius
 pass sums at most 2^m terms of magnitude below 2^ell, so its entries stay
-below 2^(m + ell), exact in int64 while m + ell <= 62, which _TableGroups
-checks. A Z shift y_z moves these answers by the one rule of
-gates._Groups, Id's length drop read off one Moebius pass over y_z.
+below 2^(m + ell), exact while m + ell <= 62, which _TableGroups checks.
+A Z shift y_z moves these answers by the one rule of gates._Groups, Id's
+length drop read off one Moebius pass over y_z.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,6 +67,7 @@ from .gates import (
     _Groups,
     _span_mismatch,
     _subset_sums,
+    _subsets,
     css_from_pair,
     phase_profile,
 )
@@ -764,7 +768,8 @@ class _TableGroups(_Groups):
         _check_level_arg(ell)
         if spec.m + ell > 62:
             raise ValueError("exponent tables are exact in int64 only for m + ell <= 62")
-        self.n, self.m, self.ell = spec.n, spec.m, ell
+        self.spec, self.n, self.m, self.ell = spec, spec.n, spec.m, ell
+        self.num_logical = len(spec.outer) - len(spec.inner)
         fixing = _reach_levels(spec.n, spec.inner.masks, spec.outer.masks, ell - 1)
         identity = _reach_levels(spec.n, spec.outer.masks, spec.outer.masks, ell - 1)
         outer = np.zeros(spec.n, dtype=bool)
@@ -797,15 +802,47 @@ class _TableGroups(_Groups):
 
     def members(self, name: str, rows) -> np.ndarray:
         """Whether each row b lies in the unshifted pair's group: whether
-        2^(ell - t(w)) divides b . ev(w), the sum of b_i over the i
-        containing w, for every w. One zeta pass over the reversed columns
-        answers every row, as the complement of u is n - 1 - u."""
-        N = 1 << self.ell
+        2^(ell - t(w)) divides b . ev(w) for every w (_dots, _divides)."""
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != self.n:
             raise ValueError("vector length mismatch")
-        dots = _subset_sums(rows.T[::-1].copy() % N, self.m)[::-1] % N
+        return self._divides(name, self._dots(rows))
+
+    def _dots(self, rows: np.ndarray) -> np.ndarray:
+        """The residues b . ev(w) mod 2^ell, the sum of b_i over the i
+        containing w, for every mask w (axis 0) and row b (axis 1): one
+        zeta pass over the reversed columns, as the complement of u is
+        n - 1 - u, in the residue dtype (exact by _subset_sums)."""
+        cols = rows.T[::-1].astype(_residue_dtype(self.ell), order="C")
+        return _subset_sums(cols, self.m)[::-1]
+
+    def _divides(self, name: str, dots: np.ndarray) -> np.ndarray:
+        """Per column, whether 2^(ell - t(w)) divides dots[w] for every w."""
         return ~(dots & ((1 << (self.ell - self.tables[name][:, None])) - 1)).any(axis=0)
+
+    def _action(self, moved: np.ndarray):
+        """One zeta pass gives the memberships and every a_J: the extension
+        vectors are ev(u_j), u_j the encoding masks, and a product of ev's
+        is ev of the OR of their masks, so a_J = (-2)^(|J| - 1) *
+        dots[OR of the u_j over J] mod 2^ell."""
+        dots = self._dots(moved[None])
+        members = {name: bool(self._divides(name, dots)[0]) for name in _GROUPS}
+        return members, self._coefficients(dots[:, 0])
+
+    def _coefficients(self, dots: np.ndarray):
+        """The blocks (J, a_J) of the nonzero a_J, read off dots."""
+        N = 1 << self.ell
+        for index, ors in self._products:
+            coeffs = dots[ors].astype(np.int64) * pow(-2, index.shape[1] - 1, N) % N
+            keep = np.flatnonzero(coeffs)
+            yield index[keep], coeffs[keep]
+
+    @cached_property
+    def _products(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(J rows, the OR of the encoding masks over each J), per level."""
+        masks = np.array([u.mask for u in self.spec.encoding()], dtype=np.int64)
+        return [(index, np.bitwise_or.reduce(masks[index], axis=1))
+                for index in _subsets(self.num_logical, self.ell)]
 
     def _id_drop(self) -> int:
         """ell - s, s the least valuation of the images 2^(ell - t(v)) *

@@ -680,6 +680,18 @@ def decomposition_reference(code, ell: int, b) -> list:
     return factors
 
 
+def subset_sums_reference(a: np.ndarray, m: int, sign: int = 1) -> np.ndarray:
+    """In place, the zeta transform of a over its first axis (with sign
+    -1 the Moebius inverse), one step per variable from the lowest on the
+    natural layout, so the first steps run over blocks of one row. The
+    reference for gates._subset_sums."""
+    op = np.add if sign == 1 else np.subtract
+    for k in range(m):
+        view = a.reshape(1 << (m - 1 - k), 2, -1)
+        op(view[:, 1], view[:, 0], out=view[:, 1])
+    return a
+
+
 def profile_reference(code, ell: int, b) -> tuple[np.ndarray, int]:
     """(phases relative to coset 0, global phase) from the direct product
     of the 2^K x n table of coset labels y_z xor (chosen extension

@@ -704,21 +704,22 @@ class TestKernelCalls:
 
     @pytest.mark.parametrize("y_z", [None, "1" + "0" * 15])
     def test_one_coefficient_pass_per_member_gate(self, capsys, monkeypatch, y_z):
-        from cssgates import gates
+        from cssgates.monomial import _TableGroups
 
         passes, checks = [], []
-        coefficients, contains = gates._controlled_phases, gates._Groups.contains
+        zeta, divides = _TableGroups._dots, _TableGroups._divides
 
-        def counted_pass(*args):
+        def counted_pass(self, rows):
             passes.append(1)
-            return coefficients(*args)
+            return zeta(self, rows)
 
-        def counted_check(self, name, b):
+        def counted_check(self, name, dots):
             checks.append(name)
-            return contains(self, name, b)
+            return divides(self, name, dots)
 
-        monkeypatch.setattr(gates, "_controlled_phases", counted_pass)
-        monkeypatch.setattr(gates._Groups, "contains", counted_check)
+        # the table route's zeta pass, and its membership tests read off it
+        monkeypatch.setattr(_TableGroups, "_dots", counted_pass)
+        monkeypatch.setattr(_TableGroups, "_divides", counted_check)
         # RM(0) inside RM(1) at m = 4, ell = 2: the span-candidate sieve
         # gives the gates, all in the fixing group of the unshifted code
         job = {**RM_JOB, "ell": 2}

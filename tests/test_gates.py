@@ -34,9 +34,9 @@ from cssgates import (
 )
 from cssgates import gates
 from cssgates.bincode import _product_levels
-from cssgates.gates import _weight_scan, stabilizer_constraints
+from cssgates.gates import ControlledFactor, LogicalDecomposition, _weight_scan, stabilizer_constraints
 from cssgates.monomial import _TableGroups
-from cssgates.zmod import kernel_perp, module_sum
+from cssgates.zmod import _residue_dtype, kernel_perp, module_sum
 
 from helpers import (
     decomposition_reference,
@@ -53,6 +53,7 @@ from helpers import (
     realign_pair,
     scan_cases,
     stabilizer_rows_reference,
+    subset_sums_reference,
     weight_scan_reference,
 )
 
@@ -444,6 +445,86 @@ class TestPhasesAgainstReference:
             phase_profile(code, 1, b, group=everything)
         with pytest.raises(ValueError, match="limited to 20 logical qubits"):
             decompose_action(code, 1, b, group=everything).phase_table()
+
+
+class TestZetaPass:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+    def test_matches_the_reference_in_place(self, dtype, sign):
+        rng = np.random.default_rng(420)
+        for m in range(13):
+            for shape in ((1 << m,), (1 << m, 1), (1 << m, 2), (1 << m, 20)):
+                a = rng.integers(0, 1 << 30, size=shape).astype(dtype)
+                expected = subset_sums_reference(a.copy(), m, sign)
+                out = gates._subset_sums(a, m, sign)
+                assert out is a and out.dtype == dtype
+                assert np.array_equal(a, expected), (m, shape)
+
+    def test_wraps_exactly_in_the_residue_dtype(self):
+        # sums past 2^8 wrap in uint8, and stay exact mod 2^ell <= 8
+        rng = np.random.default_rng(421)
+        a = rng.integers(0, 256, size=1 << 12)
+        wide = subset_sums_reference(a.copy(), 12)
+        narrow = gates._subset_sums(a.astype(np.uint8), 12)
+        assert wide.max() > 1 << 16
+        for ell in (1, 5, 8):
+            assert np.array_equal(narrow.astype(np.int64) % (1 << ell), wide % (1 << ell))
+
+
+def _random_factors(rng: random.Random, K: int, ell: int, count: int) -> tuple:
+    """Factors on distinct random qubit sets of size 1..min(K, ell), in
+    (arity, qubits) order, with random nonzero phases."""
+    sets = {tuple(sorted(rng.sample(range(1, K + 1), rng.randint(1, min(K, ell)))))
+            for _ in range(count if K else 0)}
+    return tuple(ControlledFactor(J, rng.randrange(1, 1 << ell))
+                 for J in sorted(sets, key=lambda J: (len(J), J)))
+
+
+class TestPhaseTable:
+    @pytest.mark.parametrize("K", [0, 1, 5, 13])
+    def test_matches_phase_at_in_the_residue_dtype(self, K):
+        rng = random.Random(422 + K)
+        for ell in (1, 3, 8, 9, 16, 17, 30):
+            dec = LogicalDecomposition(ell, K, _random_factors(rng, K, ell, 24))
+            table = dec.phase_table()
+            assert table.dtype == _residue_dtype(ell) and table.shape == (1 << K,)
+            assert table.tolist() == [dec.phase_at(v) for v in range(1 << K)], ell
+
+    @pytest.mark.parametrize("ell", [3, 17])
+    def test_twenty_qubits_against_the_int64_pass(self, ell):
+        rng = random.Random(423 + ell)
+        dec = LogicalDecomposition(ell, 20, _random_factors(rng, 20, ell, 400))
+        expected = np.zeros(1 << 20, dtype=np.int64)
+        for f in dec.factors:
+            expected[sum(1 << (q - 1) for q in f.qubits)] = f.phase
+        expected = subset_sums_reference(expected, 20) % (1 << ell)
+        table = dec.phase_table()
+        assert table.dtype == _residue_dtype(ell)
+        assert np.array_equal(table, expected)
+        for v in rng.sample(range(1 << 20), 50):
+            assert table[v] == dec.phase_at(v)
+
+
+class TestSpanRouteAction:
+    def test_matches_the_decomposition_and_memberships(self):
+        """One route pass gives what _decomposition, logical_phase and
+        _Groups.contains give, shifted or not, members or not."""
+        rng = random.Random(424)
+        nprng = np.random.default_rng(424)
+        for trial in range(16):
+            code = random_css_with_logicals(rng, trial % 6)
+            if trial % 2:
+                code = _shifted(code, nprng)
+            for ell in (1, 2, 3):
+                N = 1 << ell
+                groups = gates._SpanGroups(code.pair, ell).shifted(code)
+                h = groups.module("H")
+                member = nprng.integers(0, N, size=len(h.gens)) @ h.gens % N
+                for b in (member, nprng.integers(0, N, size=code.n)):
+                    members, global_phase, dec = groups.action(b)
+                    assert members == {name: groups.contains(name, b) for name in ("H", "T", "Id")}
+                    assert global_phase == logical_phase(code, ell, b, 0)
+                    assert dec == gates._decomposition(code, ell, b % N)
 
 
 class TestKernelsPerGroup:

@@ -780,6 +780,62 @@ class TestTableRoute:
             groups.contains("H", np.zeros(mono16_spec.n + 1, dtype=np.int64))
 
 
+class TestTableRouteAction:
+    """One zeta pass per gate gives the memberships, the global phase and
+    the factors (order included) that gates._decomposition,
+    gates.logical_phase and _Groups.contains give."""
+
+    def _check(self, spec, ell, code, rows):
+        groups = _TableGroups(spec, ell).shifted(code)
+        seen = set()
+        for b in rows:
+            members, global_phase, dec = groups.action(b)
+            assert members == {name: groups.contains(name, b) for name in ("H", "T", "Id")}
+            assert global_phase == gates.logical_phase(code, ell, b, 0)
+            assert dec == gates._decomposition(code, ell, np.asarray(b) % (1 << ell)), (spec, ell)
+            seen.add(members["H"])
+        return seen
+
+    def test_matches_the_decomposition_on_random_specs(self):
+        rng = random.Random(130015)
+        nprng = np.random.default_rng(130015)
+        specs = [random_decreasing_spec(rng, 5) for _ in range(100)]
+        specs += [random_spec(rng, 5) for _ in range(60)]
+        seen, sieves = set(), 0
+        for i, spec in enumerate(specs):
+            ell = 1 + i % 4
+            N = 1 << ell
+            y_z = BitVector.from_ints(nprng.integers(0, 2, spec.n).tolist()) if i % 2 else BitVector(spec.n)
+            code = CssCode(spec.induced_pair(), BitVector(spec.n), y_z)
+            h = _TableGroups(spec, ell).shifted(code).module("H").gens
+            rows = [nprng.integers(0, N, spec.n), nprng.integers(0, N, len(h)) @ h % N]
+            try:
+                sieve = decreasing_span_monomials(spec, ell)
+            except HypothesisError:
+                pass
+            else:
+                rows += [evaluate(spec.m, u).to_array() for u in sieve.monomials()]
+                sieves += 1
+            seen |= {(i % 2, inside) for inside in self._check(spec, ell, code, rows)}
+        assert sieves > 50 and seen == {(0, False), (0, True), (1, False), (1, True)}
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_answers_above_twenty_logical_qubits(self, m):
+        # RM(1) inside RM(2): K = 21 and 28, past the 2^20 phase table, which
+        # the route never builds
+        spec = MonomialCodeSpec(m, reed_muller_set(m, 2), reed_muller_set(m, 1))
+        nprng = np.random.default_rng(130016 + m)
+        ell = 3
+        rows = [evaluate(m, u).to_array() for u in decreasing_span_monomials(spec, ell).monomials()]
+        for y_z in (BitVector(spec.n), BitVector.from_ints(nprng.integers(0, 2, spec.n).tolist())):
+            code = CssCode(spec.induced_pair(), BitVector(spec.n), y_z)
+            # the flipped sieve gates fix the shifted code
+            flipped = [gates.conjugate_by_yz(b, y_z, ell)[0] for b in rows]
+            assert code.num_logical > 20 and True in self._check(spec, ell, code, rows + flipped)
+        with pytest.raises(ValueError, match="limited to 20 logical qubits"):
+            _TableGroups(spec, ell).action(rows[0])[2].phase_table()
+
+
 class TestMonomialAction:
     def test_rm_degree_three_coefficients(self, rm_spec):
         act = monomial_action(rm_spec, 2, "x2x3x4")
