@@ -245,13 +245,14 @@ class BinaryCode:
     basis: tuple[BitVector, ...] = ()
 
     def __post_init__(self) -> None:
-        masks = []
-        for row in self.basis:
-            if row.n != self.n:
-                raise ValueError("basis row length differs from code length")
-            masks.append(row.bits)
-        if _rref(masks) != masks:
-            raise ValueError("basis rows are not in reduced echelon form")
+        if any(row.n != self.n for row in self.basis):
+            raise ValueError("basis row length differs from code length")
+        leads = [0] + [row.bits & -row.bits for row in self.basis]
+        if not all(a < b for a, b in zip(leads, leads[1:])):
+            raise ValueError("basis rows are not in reduced echelon form: a zero row or pivots out of order")
+        pivots = sum(leads)
+        if any(row.bits & pivots != lead for row, lead in zip(self.basis, leads[1:])):
+            raise ValueError("basis rows are not in reduced echelon form: a pivot not cleared")
 
     @property
     def k(self) -> int:

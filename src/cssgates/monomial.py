@@ -65,11 +65,11 @@ from .gates import (
     PhaseProfile,
     _GROUPS,
     _Groups,
+    _check_table_size,
     _span_mismatch,
     _subset_sums,
     _subsets,
     css_from_pair,
-    phase_profile,
 )
 from .zmod import MAX_LEVEL, ZModule, _residue_dtype, howell_form
 
@@ -426,7 +426,7 @@ def _ev_howell(m: int, ell: int, s: np.ndarray) -> ZModule:
     negations wrap mod 2^d, and reduction mod 2^ell is a ring map from
     Z/2^d. Each layer sets y_v to minus sigma_v masked to its bits s(v)
     to ell - 1, which is b_v - sigma_v mod 2^ell, and the entries are
-    masked mod 2^ell after the last pass.
+    masked mod 2^ell after the last pass, into generators of that dtype.
     """
     dt = _residue_dtype(ell)
     mask = dt((1 << ell) - 1)
@@ -451,7 +451,7 @@ def _ev_howell(m: int, ell: int, s: np.ndarray) -> ZModule:
         y[on] = -(sums(y)[on] & high[on])
     heads = s < ell
     rank = np.cumsum(heads) - 1
-    gens = np.zeros((int(heads.sum()), 1 << m), dtype=np.int64)
+    gens = np.zeros((int(heads.sum()), 1 << m), dtype=dt)
     keep = heads[w]
     gens[rank[w[keep]], v[keep]] = (sums(y) & mask)[keep]
     return ZModule(1 << m, ell, gens)
@@ -871,26 +871,26 @@ def monomial_action(spec: MonomialCodeSpec, ell: int, u) -> MonomialActionResult
     The coefficient formula is evaluated unconditionally; whether ev(u)
     actually lies in the transversal (or even the fixing) group is
     reported through the flags rather than raised, since the interesting
-    cases are exactly the near-misses.
+    cases are exactly the near-misses; flags and profile are one table pass.
     """
     _check_level_arg(ell)
     mono = Monomial.parse(spec.m, u) if isinstance(u, str) else u
     if mono.m != spec.m:
         raise ValueError("variable counts differ")
-    N = 1 << ell
     coeffs = np.array(
-        [pow(2, spec.m - (mono.mask | e.mask).bit_count(), N) for e in spec.encoding()],
+        [pow(2, spec.m - (mono.mask | e.mask).bit_count(), 1 << ell) for e in spec.encoding()],
         dtype=np.int64,
     )
-    groups = _TableGroups(spec, ell)
-    b = evaluate(spec.m, mono.mask).to_array()
+    _check_table_size(len(spec.outer) - len(spec.inner))
+    members, phase, decomp = _TableGroups(spec, ell).action(evaluate(spec.m, mono.mask).to_array())
     return MonomialActionResult(
         monomial=mono,
         ell=ell,
         coefficients=coeffs,
-        in_fixing_group=groups.contains("H", b),
-        in_transversal_group=groups.contains("T", b),
-        profile=phase_profile(spec.induced_css(), ell, b, group=groups.module("H")),
+        in_fixing_group=members["H"],
+        in_transversal_group=members["T"],
+        profile=PhaseProfile(ell, decomp.num_logical, decomp.phase_table().astype(np.int64),
+                             phase, members["H"]),
     )
 
 

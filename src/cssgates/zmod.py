@@ -27,9 +27,10 @@ in place. Back-substitution follows in a pass of its own.
 Elimination holds the residues in the narrowest unsigned dtype of width
 w >= ell (uint8, uint16 or uint32; MAX_LEVEL = 30) and masks with
 2^ell - 1. Reduction mod 2^ell is a ring map from Z/2^w, so wrap-around
-arithmetic mod 2^w followed by the mask is exact mod 2^ell; generators
-come back as int64. The mod-before-sum dot products keep every term
-below 2^ell and are exact in int64.
+arithmetic mod 2^w followed by the mask is exact mod 2^ell; generators are
+held as residues in that dtype, on which NumPy 2 arithmetic wraps mod 2^w
+(or raises OverflowError for a Python int that does not fit), so callers
+widen to int64 first. Mod-before-sum dot products are exact in int64.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def _residue_dtype(ell: int):
 
 
 def _howell(mat: np.ndarray, ell: int) -> np.ndarray:
-    """Unique Howell-form generator matrix for the row span of mat.
+    """Unique Howell-form generator matrix for the row span of mat, as residues.
 
     Column by column over all pending rows: the touching row of least
     2-adic valuation a is the pivot, scaled by a unit to exactly 2^a.
@@ -143,20 +144,22 @@ def _howell(mat: np.ndarray, ell: int) -> np.ndarray:
         above = q.nonzero()[0]
         if above.size:
             rows[above, col:] = (rows[above, col:] - q[above, None] * piv) & mask
-    return rows.astype(np.int64)
+    return rows
 
 
 class ZModule:
     """Submodule of (Z/2^ell)^n, carried by its Howell-form generators.
 
-    Immutable; howell_form and kernel_perp build one from any rows.
+    Immutable; howell_form and kernel_perp build one from any rows. gens
+    holds residues in _residue_dtype(ell): contains wraps q * row mod 2^w,
+    exact mod 2^ell, and kernel_contains and elements sum in int64.
     """
 
     __slots__ = ("n", "ell", "gens", "_pivots")
 
     def __init__(self, n: int, ell: int, gens: np.ndarray):
         _check_level(ell)
-        gens = np.asarray(gens, dtype=np.int64)
+        gens = np.asarray(gens, dtype=_residue_dtype(ell))
         gens.setflags(write=False)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "ell", int(ell))
@@ -178,7 +181,6 @@ class ZModule:
         return (
             self.n == other.n
             and self.ell == other.ell
-            and self.gens.shape == other.gens.shape
             and bool(np.array_equal(self.gens, other.gens))
         )
 
@@ -206,7 +208,6 @@ class ZModule:
         vec = np.asarray(v, dtype=np.int64) % N
         if vec.shape != (self.n,):
             raise ValueError("vector length mismatch")
-        vec = vec.copy()
         for (col, a), row in zip(self._pivots, self.gens):
             q = int(vec[col]) >> a
             if q:
@@ -237,9 +238,7 @@ class ZModule:
         """
         N = self.modulus
         counts = [1 << (self.ell - a) for _, a in self._pivots]
-        total = 1
-        for c in counts:
-            total *= c
+        total = 1 << self.length
         if total > limit:
             raise ValueError(f"module has {total} elements, above the limit {limit}")
         out = np.zeros((total, self.n), dtype=np.int64)
@@ -275,12 +274,12 @@ def scale_lift(mod: ZModule, to_ell: int) -> ZModule:
 
     Doubling a Howell-form matrix is again Howell form one level up (every
     pivot and every reduction bound doubles), so no reduction is needed and
-    the length is preserved.
+    the length is preserved; rows widen first, as 8 -> 9 crosses a dtype.
     """
     _check_level(to_ell)
     if to_ell != mod.ell + 1:
         raise ValueError("lift goes up exactly one level")
-    return ZModule(mod.n, to_ell, (mod.gens.copy() << 1))
+    return ZModule(mod.n, to_ell, mod.gens.astype(_residue_dtype(to_ell)) << 1)
 
 
 def dot_mod(u, v, ell: int) -> int:
@@ -313,8 +312,8 @@ def kernel_perp(rows, ell: int, *, n: int | None = None) -> ZModule:
     reduced above, so they are already its Howell form.
 
     Each Howell form runs on residues held in the narrowest unsigned dtype
-    of width w >= ell (_residue_dtype, in which [S^T | I_n] is also built)
-    and masked with 2^ell - 1: products and differences
+    of width w >= ell (_residue_dtype, in which [S^T | I_n] is built and
+    the kernel kept) and masked with 2^ell - 1: products and differences
     wrap mod 2^w, and 2^ell divides 2^w, so every masked entry is exact
     mod 2^ell at any level up to MAX_LEVEL.
     """

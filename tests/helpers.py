@@ -12,6 +12,8 @@ from cssgates import (
     BitVector,
     GateClass,
     GeneralClosedForm,
+    Monomial,
+    MonomialActionResult,
     MonomialCodeSpec,
     MonomialSet,
     NestedCodePair,
@@ -40,6 +42,7 @@ from cssgates import gates
 from cssgates.monomial import (
     MAX_LEVEL,
     HypothesisError,
+    _TableGroups,
     _check_level_arg,
     _complement_form,
     _ev_rows,
@@ -816,3 +819,24 @@ def flipped_spans_reference(code, ell: int, spans=None) -> tuple:
     y_z = code.y_z.to_array()
     rows = [spans[0].gens, spans[1].gens, np.vstack([spans[2].gens, y_z])]
     return tuple(howell_form(r * (1 - 2 * y_z), ell, n=code.n) for r in rows)
+
+
+def monomial_action_reference(spec: MonomialCodeSpec, ell: int, u) -> MonomialActionResult:
+    """monomial_action through the kernel-era construction: memberships
+    from the exponent tables, and the profile from gates.phase_profile on
+    the induced code with H's Howell form as its group."""
+    _check_level_arg(ell)
+    mono = Monomial.parse(spec.m, u) if isinstance(u, str) else u
+    N = 1 << ell
+    coeffs = np.array([pow(2, spec.m - (mono.mask | e.mask).bit_count(), N) for e in spec.encoding()],
+                      dtype=np.int64)
+    groups = _TableGroups(spec, ell)
+    b = evaluate(spec.m, mono.mask).to_array()
+    return MonomialActionResult(
+        monomial=mono,
+        ell=ell,
+        coefficients=coeffs,
+        in_fixing_group=groups.contains("H", b),
+        in_transversal_group=groups.contains("T", b),
+        profile=gates.phase_profile(spec.induced_css(), ell, b, group=groups.module("H")),
+    )

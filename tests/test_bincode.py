@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cssgates import (
+    BinaryCode,
     BitVector,
     NestedCodePair,
     aligned_bases,
@@ -182,6 +183,30 @@ class TestRref:
             w for w in range(1 << n) if code.contains(BitVector(n, w))
         }
         assert code.k == len(span).bit_length() - 1
+
+    @pytest.mark.parametrize("rows,defect", [
+        (("1000", "0000"), "a zero row or pivots out of order"),
+        (("0000",), "a zero row or pivots out of order"),
+        (("0100", "1000"), "a zero row or pivots out of order"),
+        (("1000", "1010"), "a zero row or pivots out of order"),
+        (("1100", "0100"), "a pivot not cleared"),
+        (("1001", "0101", "0001"), "a pivot not cleared"),
+    ])
+    def test_code_rejects_each_non_canonical_basis(self, rows, defect):
+        with pytest.raises(ValueError, match=defect):
+            BinaryCode(4, tuple(BitVector.from_string(r) for r in rows))
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_code_accepts_exactly_the_reduced_echelon_bases(self, data):
+        n = data.draw(st.integers(1, 6))
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
+        basis = tuple(BitVector(n, m) for m in masks)
+        if bincode._rref(masks) == masks:
+            assert BinaryCode(n, basis).basis == basis
+        else:
+            with pytest.raises(ValueError, match="reduced echelon form"):
+                BinaryCode(n, basis)
 
 
 class TestDual:

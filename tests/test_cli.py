@@ -585,16 +585,16 @@ class TestKernelCalls:
             assert len(calls) == expected, command
 
 
-    @pytest.mark.parametrize("base,expected", [(EX2_JOB, 5), (MONO16_JOB, 0)])
+    @pytest.mark.parametrize("base,expected", [(EX2_JOB, 3), (MONO16_JOB, 0)])
     def test_eliminations_per_job(self, capsys, monkeypatch, base, expected):
         from cssgates import bincode
 
         calls, rref = [], bincode._rref
         monkeypatch.setattr(bincode, "_rref", lambda masks: calls.append(1) or rref(masks))
         job = {**base, "gate": ",".join("1" * Job(base).n)}
-        # a matrix job reduces C1, C2 and the extension rows (each code
-        # checks its canonical basis once more); a monomial pair is its
-        # evaluation vectors, echelon already
+        # a matrix job reduces C1, C2 and the extension rows once each
+        # (a code checks its canonical basis without elimination); a
+        # monomial pair is its evaluation vectors, echelon already
         for command in COMMANDS:
             calls.clear()
             run_cli(capsys, monkeypatch, [command, "-i", "-"], job)

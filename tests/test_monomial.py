@@ -47,11 +47,13 @@ from cssgates.monomial import (
 )
 
 from helpers import (
+    POOL_SEED,
     flipped_spans_reference,
     general_fixing_reference,
     head_pairing_reference,
     level_loop_reference,
     level_table,
+    monomial_action_reference,
     power_chain_reference,
     random_decreasing_spec,
     random_spec,
@@ -683,6 +685,24 @@ class TestComplementForm:
             with pytest.raises(ValueError, match="read-only"):
                 index[0] = 1
 
+    def test_closed_forms_hold_one_byte_per_entry(self):
+        # T and Id of RM(1) inside RM(2) at m = 9 have 968 rows of 512
+        # residues below 2^3: int64 generators would retain eight times
+        # the entries, and an int64 array written first would peak at
+        # more than five times
+        spec = MonomialCodeSpec(9, reed_muller_set(9, 2), reed_muller_set(9, 1))
+        closed_form_transversal_identity(spec, 3)  # the shared pair index
+        tracemalloc.start()
+        try:
+            modules = closed_form_transversal_identity(spec, 3)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        entries = sum(mod.gens.size for mod in modules)
+        assert all(mod.gens.dtype == np.uint8 for mod in modules)
+        assert entries <= retained < entries * 5 // 4
+        assert peak < 3 * entries
+
     def test_general_form_matches_module_sum(self):
         answered = 0
         for spec in self.specs():
@@ -892,6 +912,42 @@ class TestMonomialAction:
             prof = phase_profile(mono16_css, 3, b, group=h)
             assert np.array_equal(act.profile.phases, prof.phases)
             assert act.profile.in_fixing_group == act.in_fixing_group
+
+    def test_no_howell_form_and_no_elimination(self, monkeypatch, mono16_spec, rm_spec):
+        from cssgates import bincode
+
+        calls = []
+        howell, rref = zmod._howell, bincode._rref
+        monkeypatch.setattr(zmod, "_howell", lambda *a: calls.append("howell") or howell(*a))
+        monkeypatch.setattr(bincode, "_rref", lambda *a: calls.append("rref") or rref(*a))
+        for spec, ell in ((mono16_spec, 3), (rm_spec, 2), (rm_spec, 4)):
+            for u in range(spec.n):
+                monomial_action(spec, ell, Monomial(spec.m, u))
+        assert calls == []
+        # the counters see the Howell form the profile construction made
+        monomial_action_reference(mono16_spec, 3, "1")
+        assert "howell" in calls
+
+    def test_matches_the_phase_profile_construction(self):
+        rng = random.Random(POOL_SEED + 24)
+        specs = [random_spec(rng, 5) for _ in range(80)] + [random_decreasing_spec(rng, 5) for _ in range(40)]
+        for i, spec in enumerate(specs):
+            ell = i % 4 + 1
+            for u in {0, spec.full_mask, *rng.sample(range(spec.n), 2), *spec.outer.masks}:
+                mono = Monomial(spec.m, u)
+                got, want = monomial_action(spec, ell, mono), monomial_action_reference(spec, ell, mono)
+                assert (got.monomial, got.ell, got.in_fixing_group, got.in_transversal_group) == (
+                    want.monomial, want.ell, want.in_fixing_group, want.in_transversal_group)
+                assert np.array_equal(got.coefficients, want.coefficients)
+                for field in ("ell", "num_logical", "global_phase", "in_fixing_group"):
+                    assert getattr(got.profile, field) == getattr(want.profile, field), field
+                assert got.profile.phases.dtype == want.profile.phases.dtype == np.int64
+                assert np.array_equal(got.profile.phases, want.profile.phases)
+
+    def test_more_than_twenty_logical_qubits_raise(self):
+        spec = MonomialCodeSpec(7, reed_muller_set(7, 2), reed_muller_set(7, 1))
+        with pytest.raises(ValueError, match="limited to 20 logical qubits"):
+            monomial_action(spec, 2, "x1x2x3")
 
 
 class TestGeneralForm:

@@ -144,7 +144,7 @@ class TestHowellAgainstReference:
             want = howell_reference(mat, ell)
             got = _howell(mat, ell)
             assert np.array_equal(mat, before)
-            assert got.dtype == np.int64
+            assert got.dtype == zmod._residue_dtype(ell)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
             # only annihilator rows can outnumber the input rows
@@ -175,7 +175,7 @@ class TestHowellStructuredInputs:
         want = howell_reference(mat, ell)
         got = _howell(mat, ell)
         assert np.array_equal(mat, before)
-        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.dtype == zmod._residue_dtype(ell) and got.shape == want.shape
         assert np.array_equal(got, want)
         return got
 
@@ -395,7 +395,8 @@ class TestKernel:
             # random vectors rarely lie in the kernel, so its generators,
             # their multiples and pairwise sums are probed too
             probes = [rng.integers(0, N, size=n), N - 1 - rng.integers(0, 3, size=n)]
-            for g, h in zip(ker.gens, np.roll(ker.gens, 1, axis=0)):
+            gens = ker.gens.astype(np.int64)
+            for g, h in zip(gens, np.roll(gens, 1, axis=0)):
                 probes += [g, (int(rng.integers(0, N)) * g + h) % N, (g + N - 1) % N]
             for b in probes:
                 got = span.kernel_contains(b)
@@ -463,6 +464,134 @@ class TestCombinators:
     def test_dot_mod(self):
         assert dot_mod([1, 2, 3], [3, 2, 1], 2) == (3 + 4 + 3) % 4
         assert dot_mod([7], [7], 3) == 49 % 8
+
+
+# one level at each edge of the residue dtypes, MAX_LEVEL included
+RESIDUE_LEVELS = (1, 8, 9, 16, 17, MAX_LEVEL)
+
+
+def top_rows(rng, ell, m, n):
+    """Random m x n residues, about half of them at and just below 2^ell - 1."""
+    N = 1 << ell
+    top = N - 1 - rng.integers(0, 3, size=(m, n))
+    return np.where(rng.random((m, n)) < 0.5, top, rng.integers(0, N, size=(m, n)))
+
+
+def contains_reference(mod, b) -> bool:
+    """Membership by reduction against the Howell rows in Python ints."""
+    N = mod.modulus
+    vec = [int(x) % N for x in b]
+    for row in mod.gens.tolist():
+        col = next(i for i, x in enumerate(row) if x)
+        q, rest = divmod(vec[col], row[col])
+        if rest:
+            return False
+        vec = [(x - q * g) % N for x, g in zip(vec, row)]
+    return not any(vec)
+
+
+def elements_reference(mod) -> list:
+    """Every sum of c_j * g_j mod 2^ell, c_j in [0, 2^ell / pivot_j), in
+    Python ints, last generator fastest."""
+    N = mod.modulus
+    gens = mod.gens.tolist()
+    ranges = [range(N // next(x for x in row if x)) for row in gens]
+    return [[sum(c * g[i] for c, g in zip(cs, gens)) % N for i in range(mod.n)]
+            for cs in itertools.product(*ranges)]
+
+
+class TestResidueModules:
+    """Every module holds its generators as residues in the narrowest
+    unsigned dtype of its level (zmod._residue_dtype), whichever route
+    built it; the readers widen to int64 where a sum needs the width."""
+
+    @staticmethod
+    def same(got, want):
+        assert got.gens.dtype == zmod._residue_dtype(got.ell)
+        assert got == want and hash(got) == hash(want)
+
+    @pytest.mark.parametrize("ell", RESIDUE_LEVELS)
+    def test_every_route_holds_residues(self, ell):
+        rng = np.random.default_rng(3000 + ell)
+        for trial in range(12):
+            n = int(rng.integers(1, 7))
+            rows = top_rows(rng, ell, int(rng.integers(0, 6)), n)
+            mod = howell_form(rows, ell, n=n)
+            self.same(mod, mod)
+            self.same(howell_form(mod.gens, ell, n=n), mod)
+            self.same(ZModule(n, ell, mod.gens.astype(np.int64)), mod)
+            halves = howell_form(rows[::2], ell, n=n), howell_form(rows[1::2], ell, n=n)
+            self.same(module_sum(*halves), mod)
+            self.same(kernel_perp(kernel_perp(rows, ell, n=n), ell), mod)
+            if ell < MAX_LEVEL:
+                lifted = howell_form(mod.gens.astype(np.int64) << 1, ell + 1, n=n)
+                self.same(scale_lift(mod, ell + 1), lifted)
+
+    @pytest.mark.parametrize("ell", RESIDUE_LEVELS)
+    def test_closed_form_writer_holds_residues(self, ell):
+        # every monomial closed form writes its module through _ev_howell
+        from cssgates.monomial import _ev_howell, _ev_rows
+
+        rng = np.random.default_rng(3100 + ell)
+        for m in (1, 2, 3, 4):
+            s = rng.integers(0, ell + 1, size=1 << m)
+            heads = np.flatnonzero(s < ell)
+            want = howell_form(_ev_rows(m, heads) << s[heads, None], ell, n=1 << m)
+            self.same(_ev_howell(m, ell, s), want)
+
+    @pytest.mark.parametrize("ell", (8, 16))
+    def test_scale_lift_crosses_a_dtype(self, ell):
+        half, N = 1 << (ell - 1), 1 << ell
+        mod = howell_form([[1, 1, N - 1], [0, 2, half]], ell, n=3)
+        lifted = scale_lift(mod, ell + 1)
+        assert mod.gens.tolist() == [[1, 1, N - 1], [0, 2, half]]
+        assert lifted.gens.dtype == zmod._residue_dtype(ell + 1) != mod.gens.dtype
+        assert lifted.gens.tolist() == [[2, 2, 2 * N - 2], [0, 4, N]]
+
+    @pytest.mark.parametrize("ell", (8, 16, MAX_LEVEL))
+    def test_membership_against_python_ints(self, ell):
+        rng = np.random.default_rng(3200 + ell)
+        N = 1 << ell
+        answers, tops = set(), 0
+        for trial in range(30):
+            # every other module is one row over a unit pivot, which keeps
+            # its top residue
+            n = int(rng.integers(2, 7))
+            rows = top_rows(rng, ell, 1 if trial % 2 else int(rng.integers(2, 4)), n)
+            rows[0, :2] = 1, N - 1
+            mod = howell_form(rows, ell, n=n)
+            tops += int((mod.gens == N - 1).any())
+            gens = mod.gens.tolist()
+            member = [sum(int(c) * g[i] for c, g in zip(rng.integers(0, N, len(gens)), gens)) % N
+                      for i in range(n)]
+            probes = [member, [N - 1] * n, rng.integers(0, N, size=n), *mod.gens]
+            probes += [np.array(member) + np.eye(n, dtype=np.int64)[k] for k in range(n)]
+            ker = kernel_perp(mod, ell)
+            probes += list(ker.gens) + [(g.astype(np.int64) + N - 1) % N for g in ker.gens]
+            for b in probes:
+                got = mod.contains(b)
+                assert got == contains_reference(mod, b)
+                dots = [sum(int(x) * g for x, g in zip(b, row)) % N for row in gens]
+                assert mod.kernel_contains(b) == (not any(dots)) == ker.contains(b)
+                answers.add(got)
+        assert answers == {True, False} and tops >= 15
+
+    @pytest.mark.parametrize("ell", (8, 16, MAX_LEVEL))
+    def test_elements_against_python_ints(self, ell):
+        N = 1 << ell
+        if ell <= 16:
+            # a unit pivot over the top residue: 2^ell elements
+            cases = [[[1, N - 1, N - 2]], [[2, N - 1, 0]]]
+        else:
+            # 2^ell elements are beyond enumeration: the top three bits only
+            top = N - (1 << (ell - 3))
+            cases = [[[1 << (ell - 2), top, N - (1 << (ell - 2))]], [[1 << (ell - 3), top, 0], [0, 0, top]]]
+        for rows in cases:
+            mod = howell_form(rows, ell, n=3)
+            got = mod.elements()
+            assert got.dtype == np.int64
+            assert got.tolist() == elements_reference(mod)
+            assert got.max() == N - 1 if ell <= 16 else got.max() >= top
 
 
 class TestTextForm:
