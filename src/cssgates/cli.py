@@ -207,7 +207,7 @@ class Job:
         try:
             self.spec = MonomialCodeSpec(m, sets["M1"], sets["M2"])
         except ValueError as exc:
-            raise JobError("code.M2", str(exc)) from exc
+            raise JobError("code.M2" if sets["M1"].masks else "code.M1", str(exc)) from exc
         # distinct monomials evaluate to independent words, so K = |M1| - |M2|
         self.n, self.num_logical = self.spec.n, len(sets["M1"]) - len(sets["M2"])
 

@@ -11,9 +11,8 @@ For codes spanned by monomial evaluations each gate group is one Howell
 form. A reach table gives level(u), the least number of outer factors
 that reach u from the inner set (fixing group H) or from the outer set
 (identity group I, transversal group T), or ell when ell-1 do not: an
-int64 array over the 2^m masks, exact as ORs of masks stay below 2^m,
-each level one OR outer product in blocks of at most 2^16 entries
-(_reach_levels). The group spans the heads 2^(ell - level(u)) *
+int64 array over the 2^m masks (_reach_levels), one per start set, which
+the spec keeps (MonomialCodeSpec._reach). The group spans the heads 2^(ell - level(u)) *
 ev(full/u) over the u with level(u) >= 1; T adds 2^(ell - 1) *
 ev(full/u) for u in outer-minus-inner. This unrolls the textbook recursion
 mod_k = top_k + 2 mod_(k-1), k = 1..ell, where top_k spans ev(full/u) over
@@ -25,10 +24,10 @@ the span of its scaled rows, annihilator rows included; the Howell form
 is unique, so the generators are the recursion's. The rows are echelon,
 and _ev_howell writes that form off their scales. Every closed form
 checks its hypotheses and raises HypothesisError with a machine-readable
-code when they fail. Each builds its reach table once and validates it,
-each head against every constraint at once by one min-plus zeta pass,
-before the Howell form reads it; the span-candidate sieve is the complement of the
-fixing group's table.
+code when they fail. Each validates its reach table, each head against
+every constraint at once by one min-plus zeta pass, before the Howell
+form reads it; the span-candidate sieve is the complement of the fixing
+group's table.
 
 The groups themselves need no hypothesis. Every constraint of a monomial
 code is some 2^t * ev(w), so each group's constraint span is diagonal in
@@ -54,7 +53,7 @@ length drop read off one Moebius pass over y_z.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -71,7 +70,7 @@ from .gates import (
     _subsets,
     css_from_pair,
 )
-from .zmod import MAX_LEVEL, ZModule, _residue_dtype, howell_form
+from .zmod import MAX_LEVEL, ZModule, _check_level, _residue_dtype, howell_form
 
 __all__ = [
     "HypothesisError",
@@ -258,7 +257,7 @@ def _reach_levels(n: int, start, factors, horizon: int) -> np.ndarray:
     level down with every factor, in blocks of at most _REACH_BLOCK
     entries, and the first level that adds nothing ends the search, as
     later ones only recombine reached masks. ORs of masks below 2^m stay
-    below it, so the int64 indices are exact."""
+    below it, so the int64 indices are exact. A spec keeps its two (_reach)."""
     level = np.full(n, horizon + 1, dtype=np.int64)
     frontier = np.fromiter(start, dtype=np.int64)
     level[frontier] = 0
@@ -322,21 +321,22 @@ def is_decreasing(mset: MonomialSet) -> bool:
 
 @dataclass(frozen=True)
 class MonomialCodeSpec:
-    """Nested monomial generating sets for a CSS code of length 2^m."""
+    """Nested monomial generating sets for a CSS code of length 2^m, owning their reach tables."""
 
     m: int
     outer: MonomialSet
     inner: MonomialSet
+    _reach_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.outer.m != self.m or self.inner.m != self.m:
             raise ValueError("variable counts differ")
-        if not self.inner.issubset(self.outer):
-            raise ValueError("inner monomials must be contained in the outer set")
         if not self.outer.masks:
             raise ValueError("outer set must be nonempty")
         if not self.inner.masks:
             raise ValueError("inner set must be nonempty")
+        if not self.inner.issubset(self.outer):
+            raise ValueError("inner monomials must be contained in the outer set")
 
     @property
     def n(self) -> int:
@@ -360,10 +360,15 @@ class MonomialCodeSpec:
     def induced_css(self) -> CssCode:
         return css_from_pair(self.induced_pair())
 
-
-def _check_level_arg(ell: int) -> None:
-    if not 1 <= ell <= MAX_LEVEL:
-        raise ValueError(f"level must be in [1, {MAX_LEVEL}]")
+    def _reach(self, start: str, horizon: int) -> np.ndarray:
+        """The reach table from the "inner" or "outer" set by up to horizon
+        outer factors (_reach_levels), a fresh array cut from the one kept
+        for the spec's life at the largest horizon read; a deeper read rebuilds."""
+        tables = self._reach_tables
+        if start not in tables or tables[start][0] < horizon:
+            masks = getattr(self, start).masks
+            tables[start] = horizon, _reach_levels(self.n, masks, self.outer.masks, horizon)
+        return np.minimum(tables[start][1], horizon + 1)
 
 
 def _ev_rows(m: int, masks) -> np.ndarray:
@@ -568,22 +573,23 @@ def _power_chain_stalled(t: int, ell: int) -> HypothesisError:
 
 def _fixing_reach(spec: MonomialCodeSpec, ell: int) -> np.ndarray:
     """The inner reach table up to ell-1 outer factors, once the full
-    monomial is outside it and the outer power chain grows at ell-1."""
-    first = _reach_levels(spec.n, spec.inner.masks, spec.outer.masks, ell - 1)
+    monomial is outside it and the outer power chain grows at ell-1 (T's
+    and Id's outer table)."""
+    first = spec._reach("inner", ell - 1)
     if first[spec.full_mask] < ell:
         raise HypothesisError(
             "full_product_reached",
             f"the full monomial is a product of inner times {ell - 1} outer monomials",
             level=ell,
         )
-    if ell >= 2 and _chain_stalls(_reach_levels(spec.n, spec.outer.masks, spec.outer.masks, ell - 2), ell - 1):
+    if ell >= 2 and _chain_stalls(spec._reach("outer", ell - 1), ell - 1):
         raise _power_chain_stalled(ell - 1, ell)
     return first
 
 
 def _fixing_table(spec: MonomialCodeSpec, ell: int) -> np.ndarray:
     """The fixing group's reach table, once every hypothesis holds."""
-    _check_level_arg(ell)
+    _check_level(ell)
     first = _fixing_reach(spec, ell)
     _head_pairing_check(spec, ell, first, "head_outside_kernel")
     return first
@@ -614,13 +620,13 @@ def closed_form_fixing_group(spec: MonomialCodeSpec, ell: int) -> ZModule:
 
 def _transversal_identity_table(spec: MonomialCodeSpec, ell: int) -> np.ndarray:
     """The outer reach table of T and Id, once every hypothesis holds."""
-    _check_level_arg(ell)
+    _check_level(ell)
     full = spec.full_mask
     if full in spec.inner.masks:
         raise HypothesisError(
             "full_in_inner", "the full monomial generates the inner code", level=ell
         )
-    first = _reach_levels(spec.n, spec.outer.masks, spec.outer.masks, ell - 1)
+    first = spec._reach("outer", ell - 1)
     if first[full] < ell and full not in spec.outer.masks:
         raise HypothesisError(
             "full_power_reached",
@@ -692,7 +698,7 @@ def closed_form_fixing_group_general(spec: MonomialCodeSpec) -> GeneralClosedFor
     and the two are not guaranteed to agree (the comparison, with a
     witness on failure, is the point).
     """
-    level = _reach_levels(spec.n, spec.inner.masks, spec.outer.masks, MAX_LEVEL)
+    level = spec._reach("inner", MAX_LEVEL)
     if level[spec.full_mask] > MAX_LEVEL:
         # the first level whose product set equals the one below, or MAX_LEVEL + 1
         raise HypothesisError(
@@ -725,7 +731,7 @@ def decreasing_span_monomials(spec: MonomialCodeSpec, ell: int) -> MonomialSet:
     unscaled layer of the closed form: inside the fixing group, but
     generally missing the doubled tail.
     """
-    _check_level_arg(ell)
+    _check_level(ell)
     if not (is_decreasing(spec.outer) and is_decreasing(spec.inner)):
         raise HypothesisError(
             "not_decreasing",
@@ -765,13 +771,13 @@ class _TableGroups(_Groups):
     """
 
     def __init__(self, spec: MonomialCodeSpec, ell: int):
-        _check_level_arg(ell)
+        _check_level(ell)
         if spec.m + ell > 62:
             raise ValueError("exponent tables are exact in int64 only for m + ell <= 62")
         self.spec, self.n, self.m, self.ell = spec, spec.n, spec.m, ell
         self.num_logical = len(spec.outer) - len(spec.inner)
-        fixing = _reach_levels(spec.n, spec.inner.masks, spec.outer.masks, ell - 1)
-        identity = _reach_levels(spec.n, spec.outer.masks, spec.outer.masks, ell - 1)
+        fixing = spec._reach("inner", ell - 1)
+        identity = spec._reach("outer", ell - 1)
         outer = np.zeros(spec.n, dtype=bool)
         outer[list(spec.outer.masks)] = True
         inner = np.zeros(spec.n, dtype=bool)
@@ -873,7 +879,7 @@ def monomial_action(spec: MonomialCodeSpec, ell: int, u) -> MonomialActionResult
     reported through the flags rather than raised, since the interesting
     cases are exactly the near-misses; flags and profile are one table pass.
     """
-    _check_level_arg(ell)
+    _check_level(ell)
     mono = Monomial.parse(spec.m, u) if isinstance(u, str) else u
     if mono.m != spec.m:
         raise ValueError("variable counts differ")
@@ -903,8 +909,6 @@ def reed_muller_set(m: int, r: int) -> MonomialSet:
 
 def reed_muller_degrees(spec: MonomialCodeSpec) -> tuple[int, int] | None:
     """(q, r) when the monomial sets are nested full degree-bounded families."""
-    if not spec.inner.masks:
-        return None
     q = max(u.bit_count() for u in spec.inner.masks)
     r = max(u.bit_count() for u in spec.outer.masks)
     if spec.inner == reed_muller_set(spec.m, q) and spec.outer == reed_muller_set(spec.m, r):
@@ -915,7 +919,7 @@ def reed_muller_degrees(spec: MonomialCodeSpec) -> tuple[int, int] | None:
 def reed_muller_fixing_monomials(m: int, q: int, r: int, ell: int) -> MonomialSet:
     """Monomial supports generating the top of the fixing group of a
     degree-q inside degree-r pair; needs q + (ell-1) r <= m - 1."""
-    _check_level_arg(ell)
+    _check_level(ell)
     if not 0 <= q <= r:
         raise ValueError("need 0 <= q <= r")
     if q + (ell - 1) * r > m - 1:
@@ -930,7 +934,7 @@ def reed_muller_fixing_monomials(m: int, q: int, r: int, ell: int) -> MonomialSe
 def reed_muller_identity_monomials(m: int, r: int, ell: int) -> MonomialSet:
     """Monomial supports inside the identity group of a degree-r code;
     needs ell * r <= m - 1."""
-    _check_level_arg(ell)
+    _check_level(ell)
     if r < 0:
         raise ValueError("degree must be nonnegative")
     if ell * r > m - 1:

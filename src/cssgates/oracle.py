@@ -19,7 +19,7 @@ import numpy as np
 
 from .bincode import BitVector, _limbs, _lift, _pack, _span_blocks, _span_words
 from .gates import ConsistencyError, CssCode
-from .zmod import MAX_LEVEL, howell_form
+from .zmod import _check_level, howell_form
 
 __all__ = [
     "GateClass",
@@ -70,12 +70,6 @@ class OracleResult:
     gate_class: GateClass
     phases: np.ndarray | None
     witness: dict | None
-
-
-def _check_level(ell: int) -> int:
-    if not 1 <= ell <= MAX_LEVEL:
-        raise ValueError(f"level must be in [1, {MAX_LEVEL}]")
-    return 1 << ell
 
 
 def _outer_blocks(code: CssCode):

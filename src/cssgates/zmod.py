@@ -52,9 +52,11 @@ __all__ = [
 MAX_LEVEL = 30
 
 
-def _check_level(ell: int) -> None:
+def _check_level(ell: int) -> int:
+    """The modulus 2^ell of a level, which must be an integer in [1, MAX_LEVEL]."""
     if not isinstance(ell, (int, np.integer)) or not 1 <= ell <= MAX_LEVEL:
         raise ValueError(f"level must be an integer in [1, {MAX_LEVEL}]")
+    return 1 << ell
 
 
 def _v2(x: int) -> int:

@@ -39,11 +39,11 @@ from cssgates import (
     schur_power,
 )
 from cssgates import gates
+from cssgates.zmod import _check_level
 from cssgates.monomial import (
     MAX_LEVEL,
     HypothesisError,
     _TableGroups,
-    _check_level_arg,
     _complement_form,
     _ev_rows,
     _fixing_reach,
@@ -385,7 +385,7 @@ def general_fixing_reference(spec: MonomialCodeSpec):
 def transversal_identity_table_reference(spec: MonomialCodeSpec, ell: int) -> np.ndarray:
     """The T/Id hypothesis checks with the power chain read off its own
     breadth-first table from {1}, in the same order."""
-    _check_level_arg(ell)
+    _check_level(ell)
     full = spec.full_mask
     if full in spec.inner.masks:
         raise HypothesisError("full_in_inner", "the full monomial generates the inner code", level=ell)
@@ -479,7 +479,7 @@ def sieve_reference(spec: MonomialCodeSpec, ell: int) -> MonomialSet:
     """The span-candidate sieve from the products of maximal elements: the
     u that no complement-quotient of such a product divides. The
     reference for monomial.decreasing_span_monomials."""
-    _check_level_arg(ell)
+    _check_level(ell)
     if not (is_decreasing(spec.outer) and is_decreasing(spec.inner)):
         raise HypothesisError(
             "not_decreasing",
@@ -825,7 +825,7 @@ def monomial_action_reference(spec: MonomialCodeSpec, ell: int, u) -> MonomialAc
     """monomial_action through the kernel-era construction: memberships
     from the exponent tables, and the profile from gates.phase_profile on
     the induced code with H's Howell form as its group."""
-    _check_level_arg(ell)
+    _check_level(ell)
     mono = Monomial.parse(spec.m, u) if isinstance(u, str) else u
     N = 1 << ell
     coeffs = np.array([pow(2, spec.m - (mono.mask | e.mask).bit_count(), N) for e in spec.encoding()],

@@ -98,6 +98,17 @@ class TestJobValidation:
         assert out == ""
         assert err.startswith(f"error: {field}:")
 
+    @pytest.mark.parametrize("outer, inner, error", [
+        ([], [], "code.M1: outer set must be nonempty"),
+        ([], ["1"], "code.M1: outer set must be nonempty"),
+        (["1", "x1"], [], "code.M2: inner set must be nonempty"),
+        (["1", "x1"], ["x2"], "code.M2: inner monomials must be contained in the outer set"),
+    ])
+    def test_monomial_sets_name_their_field(self, capsys, monkeypatch, outer, inner, error):
+        job = {**MONO16_JOB, "code": {**MONO16_JOB["code"], "M1": outer, "M2": inner}}
+        rc, out, err = run_cli(capsys, monkeypatch, ["groups", "--input", "-"], job)
+        assert (rc, out, err) == (1, "", f"error: {error}\n")
+
     def test_invalid_json_is_an_input_error(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("{not json"))
         rc, _, err = run_cli(capsys, monkeypatch, ["groups", "--input", "-"])
@@ -678,6 +689,35 @@ class TestKernelCalls:
         for command in ("groups", "info", "action", "verify", "closed-form"):
             run_json(capsys, monkeypatch, [command, "-i", "-"], job)
             assert calls == [], command
+
+    @pytest.mark.parametrize("base, closed_form", [
+        (MONO16_JOB, 3), (RM_JOB, 3), ({**RM_JOB, "ell": 1}, 3), (GAP_JOB, 3),
+        # the general level 3 lies two above the job's, so the general form
+        # and the report's comparison each deepen the outer table
+        ({"version": 1, "ell": 1, "code": {"type": "monomial", "m": 3, "M1": ["1", "x1", "x2", "x3"],
+                                           "M2": ["x1"]}}, 5),
+    ])
+    def test_reach_tables_per_monomial_job(self, capsys, monkeypatch, base, closed_form):
+        from cssgates import monomial
+
+        calls = []
+        reach = monomial._reach_levels
+
+        def counted(*args):
+            calls.append(1)
+            return reach(*args)
+
+        # every job parses a fresh spec, which builds its inner and outer
+        # tables once for all its readers; closed-form adds the general
+        # form's inner table at MAX_LEVEL and its deeper outer tables
+        monkeypatch.setattr(monomial, "_reach_levels", counted)
+        gate = {"gate": ",".join("0" * Job(base).n)}
+        for command, job, expected in (("groups", base, 2), ("info", base, 2), ("action", base, 2),
+                                       ("action", {**base, **gate}, 2), ("verify", {**base, **gate}, 2),
+                                       ("closed-form", base, closed_form)):
+            calls.clear()
+            run_cli(capsys, monkeypatch, [command, "-i", "-"], job)
+            assert len(calls) == expected, command
 
     @pytest.mark.parametrize("y_z", [None, "0110" * 4])
     def test_monomial_code_is_built_on_first_use(self, capsys, monkeypatch, y_z):

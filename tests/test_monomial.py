@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from types import SimpleNamespace
@@ -12,12 +13,14 @@ from cssgates import (
     Monomial,
     MonomialCodeSpec,
     MonomialSet,
+    amplitude_fix_check,
     closed_form_fixing_group,
     closed_form_fixing_group_general,
     closed_form_transversal_identity,
     coset_phase_check,
     decreasing_span_monomials,
     divisibility_closure,
+    enumerate_group,
     evaluate,
     fixing_group,
     gate_groups,
@@ -53,6 +56,7 @@ from helpers import (
     head_pairing_reference,
     level_loop_reference,
     level_table,
+    make_rm_spec,
     monomial_action_reference,
     power_chain_reference,
     random_decreasing_spec,
@@ -467,7 +471,11 @@ class TestRelativeGenerators:
 
 class TestReachTable:
     """Each closed form reads everything off one reach table: the head
-    pairing pass certifies it and the sieve is its complement."""
+    pairing pass certifies it and the sieve is its complement.
+
+    A spec keeps the tables it has built (MonomialCodeSpec._reach), so a
+    test that patches _reach_levels must use a spec that no other test
+    shares, or a corrupted table stays cached for them."""
 
     @staticmethod
     def pairing_cases(m_max):
@@ -529,27 +537,47 @@ class TestReachTable:
         assert {(1, True), (1, False)} <= set(stalls)
         assert 200 <= sum(s for _, s in stalls) <= len(stalls) - 200
 
-    def test_one_table_per_closed_form(self, monkeypatch, rm_spec):
-        # besides the power chain's outer table one level short, which the
-        # fixing form needs at ell >= 2 only
+    def test_reads_match_a_fresh_search(self):
+        # reads in mixed horizon order are cut from one kept table, and
+        # each is the reader's own array
+        rng = random.Random(20261022)
+        for i in range(200):
+            spec = random_spec(rng, 6) if i % 2 else random_decreasing_spec(rng, 6)
+            for start in ("inner", "outer"):
+                for horizon in (1, 3, 0, 2, zmod.MAX_LEVEL, 1):
+                    expected = _reach_levels(spec.n, getattr(spec, start).masks, spec.outer.masks, horizon)
+                    got = spec._reach(start, horizon)
+                    assert np.array_equal(got, expected), (spec, start, horizon)
+                    got[:] = -1
+                    assert np.array_equal(spec._reach(start, horizon), expected), (spec, start, horizon)
+
+    def test_one_table_per_closed_form(self, monkeypatch, mono16_spec):
+        # a spec keeps its tables, so each case takes a fresh copy that no
+        # other test has read
         calls = []
         table = monomial._reach_levels
 
         def counted(n, start, factors, horizon):
-            calls.append(horizon)
+            calls.append(("inner" if start == spec.inner.masks else "outer", horizon))
             return table(n, start, factors, horizon)
 
         monkeypatch.setattr(monomial, "_reach_levels", counted)
-        for ell in (1, 2, 3):
-            chain = [ell - 2] if ell >= 2 else []
-            for fn, expected in (
-                (closed_form_fixing_group, [ell - 1] + chain),
-                (closed_form_transversal_identity, [ell - 1]),
-                (decreasing_span_monomials, [ell - 1] + chain),
-            ):
-                calls.clear()
-                fn(rm_spec, ell)
-                assert calls == expected, (fn.__name__, ell)
+        readers = (validate_fixing_hypotheses, validate_transversal_identity_hypotheses,
+                   closed_form_fixing_group, closed_form_transversal_identity,
+                   decreasing_span_monomials, _TableGroups)
+        bases = (make_rm_spec(), mono16_spec, spec_of(3, ["1", "x1", "x2", "x3"], ["x1"]))
+        # in either order of the readers
+        for order, base, ell in itertools.product((1, -1), bases, (1, 2, 3)):
+            spec = MonomialCodeSpec(base.m, base.outer, base.inner)
+            calls.clear()
+            for fn in readers[::order]:
+                outcome(fn, spec, ell)
+            assert sorted(calls) == [("inner", ell - 1), ("outer", ell - 1)], (spec, ell, order)
+            # the general form rebuilds each table at most once
+            calls.clear()
+            outcome(closed_form_fixing_group_general, spec)
+            starts = [start for start, _ in calls]
+            assert len(starts) == len(set(starts)), (spec, calls)
 
 
 class TestHeadPairing:
@@ -1006,3 +1034,31 @@ class TestReedMullerHelpers:
         id4 = identity_group(rm_css, 2)
         for u in reed_muller_identity_monomials(4, 1, 2).monomials():
             assert id4.contains(evaluate(4, u).to_array())
+
+
+LEVEL_ENTRIES = {
+    "validate_fixing_hypotheses": lambda spec, code, ell: validate_fixing_hypotheses(spec, ell),
+    "validate_transversal_identity_hypotheses":
+        lambda spec, code, ell: validate_transversal_identity_hypotheses(spec, ell),
+    "closed_form_fixing_group": lambda spec, code, ell: closed_form_fixing_group(spec, ell),
+    "closed_form_transversal_identity": lambda spec, code, ell: closed_form_transversal_identity(spec, ell),
+    "decreasing_span_monomials": lambda spec, code, ell: decreasing_span_monomials(spec, ell),
+    "monomial_action": lambda spec, code, ell: monomial_action(spec, ell, "x1"),
+    "reed_muller_fixing_monomials": lambda spec, code, ell: reed_muller_fixing_monomials(4, 0, 1, ell),
+    "reed_muller_identity_monomials": lambda spec, code, ell: reed_muller_identity_monomials(4, 1, ell),
+    "coset_phase_check": lambda spec, code, ell: coset_phase_check(code, ell, np.zeros(code.n, dtype=np.int64)),
+    "enumerate_group": lambda spec, code, ell: enumerate_group(code, ell),
+    "amplitude_fix_check": lambda spec, code, ell: amplitude_fix_check(code, ell, np.zeros(code.n, dtype=np.int64)),
+}
+
+
+class TestLevelArgument:
+    """Every public monomial and oracle entry that takes ell rejects a
+    level outside [1, MAX_LEVEL], or not an integer, with zmod's one
+    check before any work."""
+
+    @pytest.mark.parametrize("ell", [0, zmod.MAX_LEVEL + 1, 2.5])
+    @pytest.mark.parametrize("entry", list(LEVEL_ENTRIES))
+    def test_rejects_a_bad_level(self, rm_spec, rm_css, entry, ell):
+        with pytest.raises(ValueError, match="^level must be an integer in"):
+            LEVEL_ENTRIES[entry](rm_spec, rm_css, ell)

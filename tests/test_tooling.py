@@ -3,7 +3,8 @@ attributes by name. These tests read it, without importing or changing
 it, and check that every such name still resolves in cssgates, and that
 every Howell route still passes through the one helper it patches, so a
 refactor that drops one fails here rather than in a traced run. The
-package's own exports are checked against its modules' lists too."""
+package's own exports are checked against its modules' lists too, and
+monomial's reach search against its one owner."""
 
 import ast
 import importlib
@@ -95,3 +96,22 @@ def test_package_exports_every_module_list():
     for module in modules:
         for name in module.__all__:
             assert getattr(cssgates, name) is getattr(module, name), name
+
+
+def test_reach_tables_have_one_owner():
+    # a spec's reach tables are built by MonomialCodeSpec._reach alone;
+    # product_set takes arbitrary sets and has no spec
+    source = Path(cssgates.monomial.__file__).read_text(encoding="utf-8")
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_reach_levels":
+                callers.append(scope)
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    assert sorted(callers) == ["MonomialCodeSpec._reach", "product_set"]
