@@ -139,15 +139,17 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return raw.view("<u8")
 
 
-def _lift(words: np.ndarray, n: int) -> np.ndarray:
-    """Limb rows lifted to a len(words) x n int64 matrix of 0/1."""
+def _lift(words: np.ndarray, n: int, dtype=np.int64) -> np.ndarray:
+    """Limb rows lifted to a len(words) x n matrix of 0/1 (int64 unless
+    another dtype is named)."""
     raw = words.view(np.uint8)
-    return np.unpackbits(raw, axis=1, count=n, bitorder="little").astype(np.int64)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little").astype(dtype, copy=False)
 
 
-def _unpack(masks: Sequence[int], n: int) -> np.ndarray:
-    """Int-packed rows lifted to a len(masks) x n int64 matrix of 0/1."""
-    return _lift(_limbs(masks, n), n)
+def _unpack(masks: Sequence[int], n: int, dtype=np.int64) -> np.ndarray:
+    """Int-packed rows lifted to a len(masks) x n matrix of 0/1 (int64
+    unless another dtype is named)."""
+    return _lift(_limbs(masks, n), n, dtype)
 
 
 def _span_words(rows: np.ndarray, op=np.bitwise_xor, first=None) -> np.ndarray:

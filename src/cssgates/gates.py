@@ -22,15 +22,19 @@ systems of T and Id, which take the products themselves.
 A group holds b exactly when b annihilates its span
 (ZModule.kernel_contains), and its length is n * ell minus the span's,
 so memberships and lengths are read off the spans and a kernel is solved
-only where a module is returned: gate_groups solves three, the
-projections one each. The constraints of T and of Id are also derived a
-second, independent way; over Z/2^ell two constraint spans are equal
-exactly when their kernels are, so the two derivations are cross-checked
-by comparing Howell forms of their spans, and a mismatch raises
-ConsistencyError. A nonzero Z shift y_z moves each group by the flip
-D = diag(1 - 2 y_z), and Id also needs b . y_z = 0: that rule is written
-once, in _Groups, over a route that answers for the unshifted pair
-(_SpanGroups off the spans, monomial._TableGroups off exponent tables).
+only where a module is returned, each one zmod.kernel_perp call:
+gate_groups solves H on the whole space, T inside H and Id inside T,
+each with only the rows its span adds (none, and no solve, where it adds
+none); a lone projection solves one on the whole space. The constraints
+of T and of Id are also derived a second, independent way; over Z/2^ell
+two constraint spans are equal exactly when their kernels are, so the
+two derivations are cross-checked by comparing Howell forms of their
+spans, and a mismatch raises ConsistencyError. A nonzero Z shift y_z
+moves each group by the flip D = diag(1 - 2 y_z), and Id also needs
+b . y_z = 0: that rule is written once, in _Groups, over a route that
+answers for the unshifted pair (_SpanGroups off the spans,
+monomial._TableGroups off exponent tables), and it is folded into the
+one kernel_perp call of each module.
 gate_groups, the projections, all_ones_report and the CLI read one
 _SpanGroups; fixing_group builds S_H alone and moves by the same rule.
 """
@@ -137,9 +141,10 @@ def _pair_of(code) -> NestedCodePair:
 def stabilizer_constraints(pair: NestedCodePair, ell: int) -> np.ndarray:
     """Constraint rows whose mod-2^ell kernel is the fixing group.
 
-    One int64 matrix of the rows 2^i * lift(v * p) for every inner basis
-    vector v and every product p of i distinct outer basis vectors,
-    i < ell, deduplicated and without zero rows, in deterministic order.
+    One matrix of the rows 2^i * lift(v * p) for every inner basis vector
+    v and every product p of i distinct outer basis vectors, i < ell,
+    deduplicated and without zero rows, in deterministic order, held in
+    the level's residue dtype (zmod._residue_dtype).
     """
     pair = _pair_of(pair)
     return _stabilizer_rows(pair, _product_levels([v.bits for v in pair.beta1], ell - 1, pair.n))
@@ -148,10 +153,11 @@ def stabilizer_constraints(pair: NestedCodePair, ell: int) -> np.ndarray:
 def _stabilizer_rows(pair: NestedCodePair, levels: list[dict[int, int]]) -> np.ndarray:
     # v * p for every inner v and every product p in levels, not the
     # table's products that end on an inner index: the span cross-checks
-    # need S_H derived independently of the direct systems
+    # need S_H derived independently of the direct systems; levels holds
+    # the products of fewer than ell rows
     rows = {(v.bits & p, i): None
             for i, level in enumerate(levels) for p in level for v in pair.beta2}
-    return _scaled([row for row in rows if row[0]], pair.n)
+    return _scaled([row for row in rows if row[0]], pair.n, len(levels))
 
 
 def _products(levels: list[dict[int, int]], start: int, least_end: int = -1) -> list:
@@ -161,10 +167,13 @@ def _products(levels: list[dict[int, int]], start: int, least_end: int = -1) -> 
             for p, end in levels[r].items() if end >= least_end]
 
 
-def _scaled(rows: list[tuple[int, int]], n: int) -> np.ndarray:
-    """Rows 2^s * lift(p) for the (p, s) pairs, lifted in one pass."""
-    shifts = np.array([s for _, s in rows], dtype=np.int64)
-    return _unpack([p for p, _ in rows], n) << shifts[:, None]
+def _scaled(rows: list[tuple[int, int]], n: int, ell: int) -> np.ndarray:
+    """Rows 2^s * lift(p) for the (p, s) pairs, s < ell, lifted in one pass
+    straight into the residue dtype of ell, which holds 2^s."""
+    dt = _residue_dtype(ell)
+    lifted = _unpack([p for p, _ in rows], n, dt)
+    lifted <<= np.array([s for _, s in rows], dtype=dt)[:, None]
+    return lifted
 
 
 def fixing_group(code, ell: int) -> ZModule:
@@ -178,13 +187,13 @@ def fixing_group(code, ell: int) -> ZModule:
 
 def _transversal_rows_direct(pair: NestedCodePair, levels: list[dict[int, int]]) -> np.ndarray:
     # inner basis at scale 1, then all distinct products of r >= 2 outer
-    # basis vectors at scale 2^(r-1)
-    return _scaled([(v.bits, 0) for v in pair.beta2] + _products(levels, 2), pair.n)
+    # basis vectors at scale 2^(r-1); levels holds products of up to ell
+    return _scaled([(v.bits, 0) for v in pair.beta2] + _products(levels, 2), pair.n, len(levels) - 1)
 
 
 def _identity_rows_direct(pair: NestedCodePair, levels: list[dict[int, int]]) -> np.ndarray:
     # all distinct products of r >= 1 outer basis vectors at scale 2^(r-1)
-    return _scaled(_products(levels, 1), pair.n)
+    return _scaled(_products(levels, 1), pair.n, len(levels) - 1)
 
 
 def _span_mismatch(group: str, direct_length: int, refined_length: int) -> ConsistencyError:
@@ -222,12 +231,12 @@ def _pair_spans(pair: NestedCodePair, ell: int) -> tuple[ZModule, ZModule, ZModu
     n = pair.n
     levels = _product_levels([v.bits for v in pair.beta1], ell, n)
     fixing_span = howell_form(_stabilizer_rows(pair, levels[:ell]), ell, n=n)
-    extras = _scaled(_products(levels, 2, least_end=len(pair.beta2)), n)
+    extras = _scaled(_products(levels, 2, least_end=len(pair.beta2)), n, ell)
     transversal_span = howell_form(np.vstack([fixing_span.gens, extras]), ell, n=n)
     if pair.num_logical:
         direct_t = howell_form(_transversal_rows_direct(pair, levels), ell, n=n)
         _check_span("transversal", direct_t, transversal_span)
-    ext = _unpack([w.bits for w in pair.beta1_ext], n)
+    ext = _unpack([w.bits for w in pair.beta1_ext], n, _residue_dtype(ell))
     identity_span = howell_form(np.vstack([transversal_span.gens, ext]), ell, n=n)
     _check_span("identity", howell_form(_identity_rows_direct(pair, levels), ell, n=n), identity_span)
     return fixing_span, transversal_span, identity_span
@@ -235,11 +244,13 @@ def _pair_spans(pair: NestedCodePair, ell: int) -> tuple[ZModule, ZModule, ZModu
 
 class _Groups:
     """H, T and Id of a code. A route answers for the unshifted pair:
-    _generators(name) (a ZModule is taken as canonical, other rows are
-    canonicalised once), _length(name), _contains(name, b), _id_drop(),
-    the least j >= 0 with 2^j * y_z in Id's constraint span, and
-    _action(b), b's three memberships and the blocks (J, a_J) of
-    _controlled_phases for b, from one pass over b.
+    _restriction(name), the group as {b in span(within) : b . s = 0 for
+    every row s}, with within already moved to the code (by _flip, or a
+    module solved for it) or None for the whole space, and the pair's
+    rows s; _length(name), _contains(name, b), _id_drop(), the least
+    j >= 0 with 2^j * y_z in Id's constraint span, and _action(b), b's
+    three memberships and the blocks (J, a_J) of _controlled_phases for
+    b, from one pass over b.
     shifted moves every answer to a code with a Z shift: a gate relates
     to it as D b relates to the pair, so each group is D times the
     pair's, and b . y_z = 0 cuts Id by the image 2^s Z/2^ell of
@@ -256,19 +267,27 @@ class _Groups:
         moved.y_z = y_z if y_z is not None and y_z.bits else None
         return moved
 
-    def module(self, name: str) -> ZModule:
-        """One Howell form of the generators, with a Z shift of the flipped
-        rows R; for Id of [R y_z | R], whose rows that vanish in column 0 span
-        the b in span(R) with b . y_z = 0 (the argument of kernel_perp)."""
-        gens = self._generators(name)
+    def _flip(self, rows) -> np.ndarray:
+        """The rows (or a module's generators) times D = diag(1 - 2 y_z):
+        negated on the support of y_z, in their own dtype, where a
+        wrap-around negation is exact mod 2^ell."""
+        rows = rows.gens if isinstance(rows, ZModule) else rows
         if self.y_z is None:
-            return howell_form(gens, self.ell, n=self.n)
-        y_z = self.y_z.to_array()
-        rows = (gens.gens if isinstance(gens, ZModule) else gens) * (1 - 2 * y_z)
-        if name != "Id":
-            return howell_form(rows, self.ell, n=self.n)
-        aug = howell_form(np.hstack([(rows @ y_z)[:, None], rows]), self.ell, n=self.n + 1).gens
-        return ZModule(self.n, self.ell, aug[aug[:, 0] == 0, 1:])
+            return rows
+        return np.where(self.y_z.to_array().astype(bool), -rows, rows)
+
+    def module(self, name: str) -> ZModule:
+        """The group's Howell form from one kernel_perp call on the route's
+        _restriction, or one howell_form of within where no row constrains
+        it. With a Z shift the rows are flipped, as D ker S = ker S D, and
+        y_z joins Id's rows, so each module is still one Howell form."""
+        within, rows = self._restriction(name)
+        rows = self._flip(rows)
+        if name == "Id" and self.y_z is not None:
+            rows = np.vstack([rows, self.y_z.to_array().astype(rows.dtype)])
+        if within is not None and not len(rows):
+            return howell_form(within, self.ell, n=self.n)
+        return kernel_perp(rows, self.ell, n=self.n, within=within)
 
     def length(self, name: str) -> int:
         drop = self._id_drop() if name == "Id" and self.y_z is not None else 0
@@ -292,18 +311,51 @@ class _Groups:
         return members, phase, LogicalDecomposition(self.ell, self.num_logical, _factors(blocks))
 
 
+def _new_rows(span: ZModule, smaller: ZModule) -> np.ndarray:
+    """The generators of span whose pivot valuation lies below smaller's at
+    that column (ell where smaller has none): with smaller they span span,
+    so inside smaller's kernel they are the only constraints. A generator
+    g at a pivot equal to smaller's row h there is not needed: g - h leads
+    later, so by the Howell property it lies in the span of the later
+    generators, each of them in smaller or kept, by induction from the
+    last column. Each kept row adds at least one to the length, so there
+    are at most span.length - smaller.length of them."""
+    held = dict(smaller._pivots)
+    keep = [i for i, (col, a) in enumerate(span._pivots) if a < held.get(col, span.ell)]
+    return span.gens[keep]
+
+
 class _SpanGroups(_Groups):
     """The groups of a pair, read off its constraint spans: a group holds b
     exactly when b annihilates its span, its length is n * ell minus the
-    span's, and only a returned module solves a kernel. spans defaults to
-    the three of _pair_spans, cross-checked there."""
+    span's, and only a returned module solves a kernel, once per shift.
+    spans defaults to the three of _pair_spans, cross-checked there."""
 
     def __init__(self, pair: NestedCodePair, ell: int, spans: dict | None = None):
         self.pair, self.n, self.ell, self.num_logical = pair, pair.n, ell, pair.num_logical
         self.spans = spans or dict(zip(_GROUPS, _pair_spans(pair, ell)))
+        self._solved: dict[str, ZModule] = {}
 
-    def _generators(self, name: str) -> ZModule:
-        return kernel_perp(self.spans[name], self.ell, n=self.n)
+    def shifted(self, code) -> "_SpanGroups":
+        moved = super().shifted(code)
+        # the modules solved so far belong to this object's shift
+        moved._solved = {}
+        return moved
+
+    def module(self, name: str) -> ZModule:
+        if name not in self._solved:
+            self._solved[name] = super().module(name)
+        return self._solved[name]
+
+    def _restriction(self, name: str):
+        """From the nearest group above already solved, with the rows that
+        _new_rows keeps of the span, or from the whole space with all of
+        it."""
+        above = {"H": (), "T": ("H",), "Id": ("T", "H")}[name]
+        for start in above:
+            if start in self._solved:
+                return self._solved[start], _new_rows(self.spans[name], self.spans[start])
+        return None, self.spans[name]
 
     def _length(self, name: str) -> int:
         return self.n * self.ell - self.spans[name].length
@@ -321,8 +373,10 @@ class _SpanGroups(_Groups):
 
 
 def gate_groups(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
-    """The fixing, transversal and identity groups: three kernels of the
-    spans of _pair_spans, built and cross-checked once, moved to code."""
+    """The fixing, transversal and identity groups off the spans of
+    _pair_spans, built and cross-checked once, moved to code: H is one
+    kernel on the whole space, T one inside H and Id one inside T, each
+    where its span adds rows (_SpanGroups._restriction)."""
     groups = _SpanGroups(_pair_of(code), ell).shifted(code)
     return tuple(groups.module(name) for name in _GROUPS)
 

@@ -459,7 +459,8 @@ def _ev_howell(m: int, ell: int, s: np.ndarray) -> ZModule:
     gens = np.zeros((int(heads.sum()), 1 << m), dtype=dt)
     keep = heads[w]
     gens[rank[w[keep]], v[keep]] = (sums(y) & mask)[keep]
-    return ZModule(1 << m, ell, gens)
+    cols = np.flatnonzero(heads)
+    return ZModule(1 << m, ell, gens, tuple(zip(cols.tolist(), s[cols].tolist())))
 
 
 def _complement_form(spec: MonomialCodeSpec, ell: int, level: np.ndarray, extras=()) -> ZModule:
@@ -799,6 +800,12 @@ class _TableGroups(_Groups):
         t = self.tables[name]
         heads = np.flatnonzero(t)
         return _dual_rows(self.m, heads) << (self.ell - t[heads, None])
+
+    def _restriction(self, name: str):
+        """The span of _generators, moved to the code by _flip; no row
+        constrains it."""
+        rows = self._generators(name)
+        return self._flip(rows), rows[:0]
 
     def _length(self, name: str) -> int:
         return int(self.tables[name].sum())

@@ -580,7 +580,7 @@ class TestKernelCalls:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(kwargs.get("within"))
             return zmod.kernel_perp(*args, **kwargs)
 
         monkeypatch.setattr(gates, "kernel_perp", counted)
@@ -589,11 +589,15 @@ class TestKernelCalls:
         if y_z is not None:
             job["y_z"] = y_z
         # memberships and lengths are read off the constraint spans, and
-        # only groups returns modules
-        for command, expected in (("groups", 3), ("action", 0), ("verify", 0), ("info", 0)):
+        # only groups returns modules: H on the whole space, then Id
+        # inside T; with one logical qubit every gate of H acts as a
+        # tensor product, so T's span adds no row and T is H itself
+        for command, expected in (("groups", 2), ("action", 0), ("verify", 0), ("info", 0)):
             calls.clear()
             run_json(capsys, monkeypatch, [command, "-i", "-"], job)
             assert len(calls) == expected, command
+            if expected:
+                assert [within is None for within in calls] == [True, False]
 
 
     @pytest.mark.parametrize("base,expected", [(EX2_JOB, 3), (MONO16_JOB, 0)])
@@ -634,11 +638,10 @@ class TestKernelCalls:
         if y_z is not None:
             job["y_z"] = y_z
         # five Howell forms build the pair's spans (S_H, S_T, S_Id and the
-        # two direct systems); a kernel takes one more. A Z shift reuses
-        # the spans and pays one Howell form per returned module
-        expected = {"verify": 5, "info": 5, "action": 5, "groups": 8}
-        if y_z is not None:
-            expected.update(groups=11)
+        # two direct systems); a kernel takes one more, and T, whose span
+        # adds no row over H's here, none. A Z shift reuses the spans and
+        # is folded into each kernel's constraint rows
+        expected = {"verify": 5, "info": 5, "action": 5, "groups": 7}
         for command, count in expected.items():
             calls.clear()
             run_json(capsys, monkeypatch, [command, "-i", "-"], job)
@@ -687,8 +690,11 @@ class TestKernelCalls:
         if y_z:
             job["y_z"] = "0110" * 4
         for command in ("groups", "info", "action", "verify", "closed-form"):
+            calls.clear()
             run_json(capsys, monkeypatch, [command, "-i", "-"], job)
-            assert calls == [], command
+            # a shift cuts Id by b . y_z = 0: one kernel inside the span
+            # of Id's flipped generators
+            assert calls == (["kernel_perp"] if y_z and command == "groups" else []), command
 
     @pytest.mark.parametrize("base, closed_form", [
         (MONO16_JOB, 3), (RM_JOB, 3), ({**RM_JOB, "ell": 1}, 3), (GAP_JOB, 3),

@@ -533,10 +533,11 @@ class TestKernelsPerGroup:
         kernel = gates.kernel_perp
 
         def counted(rows, *args, **kwargs):
-            seen.append(type(rows))
             # the ambient length is always named, so the rows may also
             # arrive as a plain stream, empty or not
             assert kwargs["n"] == code_n
+            rows = np.asarray(rows)
+            seen.append((kwargs.get("within"), len(rows)))
             return kernel(rows, *args, **kwargs)
 
         monkeypatch.setattr(gates, "kernel_perp", counted)
@@ -545,27 +546,60 @@ class TestKernelsPerGroup:
     def test_each_projection_solves_one_kernel(self, monkeypatch, mono16_css):
         seen = self._kernel_inputs(monkeypatch, mono16_css.n)
         groups = gate_groups(mono16_css, 2)
-        assert len(seen) == 3
+        # H on the whole space, T inside H, and Id inside T, constrained
+        # by the extension rows alone
+        assert [within for within, _ in seen] == [None, groups[0], groups[1]]
+        assert seen[2][1] == mono16_css.num_logical
         assert transversal_group(mono16_css, 2) == groups[1]
-        assert len(seen) == 4
         assert identity_group(mono16_css, 2) == groups[2]
-        assert len(seen) == 5
         assert fixing_group(mono16_css, 2) == groups[0]
-        assert len(seen) == 6
-        # an unshifted code hands over its canonical spans as modules
-        assert seen == [ZModule] * 6
+        # a lone projection is one solve on the whole space
+        assert [within for within, _ in seen[3:]] == [None] * 3
 
     def test_shifted_projections_match_the_chain(self, monkeypatch, pair2_css):
         shifted = build_css(pair2_css.pair.c1, pair2_css.pair.c2, y_z=BitVector.from_string("10"))
         seen = self._kernel_inputs(monkeypatch, shifted.n)
         for ell in (1, 2, 3):
+            seen.clear()
             h, t, i = gate_groups(shifted, ell)
             assert fixing_group(shifted, ell) == h
             assert transversal_group(shifted, ell) == t
             assert identity_group(shifted, ell) == i
-        # the kernels are solved on the pair's spans, handed over as
-        # modules, and only then moved to the shifted code
-        assert seen == [ZModule] * 18
+            # the flipped chain: H on the whole space, then T inside H
+            # unless its span adds no row (T is H itself, as here at ell =
+            # 1), and Id inside T with y_z among its rows; then one
+            # whole-space solve per projection
+            chain = [None, h, t] if t.length < h.length else [None, t]
+            assert [within for within, _ in seen] == chain + [None] * 3
+            assert seen[len(chain) - 1][1] >= 1
+
+    def test_requests_in_any_order_match_the_flipped_spans(self):
+        """Each solve starts from the nearest group already solved, and a
+        shifted copy starts afresh: every request order gives the kernels
+        of the flipped spans (flipped_spans_reference) byte for byte, and
+        so do the lone projections."""
+        rng = random.Random(2626)
+        orders = [("H", "T", "Id"), ("Id",), ("T", "Id"), ("Id", "T", "H"), ("H", "Id", "T")]
+        for trial in range(24):
+            code = random_css_with_logicals(rng, 1 + trial % 3)
+            if trial % 2:
+                bits = [rng.randrange(2) for _ in range(code.n)]
+                bits[rng.randrange(code.n)] = 1
+                code = css_from_pair(code.pair, y_z=BitVector.from_ints(bits))
+            for ell in (1, 2, 3, 4):
+                pair_groups = gates._SpanGroups(code.pair, ell)
+                lone = {name: kernel_perp(span, ell, n=code.n)
+                        for name, span in zip(("H", "T", "Id"), flipped_spans_reference(code, ell))}
+                projections = fixing_group(code, ell), transversal_group(code, ell), identity_group(code, ell)
+                assert list(map(_module_bytes, projections)) == list(map(_module_bytes, lone.values()))
+                for order in orders:
+                    groups = pair_groups.shifted(code)
+                    for name in order:
+                        assert _module_bytes(groups.module(name)) == _module_bytes(lone[name]), name
+                # repeated copies, the unshifted one between, share nothing
+                unshifted = kernel_perp(gates._pair_spans(code.pair, ell)[2], ell, n=code.n)
+                assert _module_bytes(pair_groups.shifted(code.pair).module("Id")) == _module_bytes(unshifted)
+                assert _module_bytes(pair_groups.shifted(code).module("Id")) == _module_bytes(lone["Id"])
 
 
 class TestSpanMemberships:

@@ -79,11 +79,22 @@ def test_every_howell_route_reaches_the_one_entry_point(monkeypatch):
     assert calls == [len(mod.gens) + len(other.gens)]
     calls.clear()
     zmod.kernel_perp(rows, 2)
-    # the rows' Howell form S, then [S^T | I_n]
-    assert calls == [3, 4]
+    # rows no more than n are S as they are: one form of [S^T | I_n]
+    assert calls == [4]
+    calls.clear()
+    zmod.kernel_perp(np.vstack([rows, rows]), 2)
+    # rows that outnumber n are canonicalised into S first
+    assert calls == [6, 4]
     calls.clear()
     zmod.kernel_perp(mod, 2)
     assert calls == [4]
+    # a restricted kernel is one form of [W S^T | W]: flipped rows, a
+    # module and flipped generators are taken as they are
+    flip = np.array([1, -1, 1, -1])
+    for within in (mod, mod.gens * flip):
+        calls.clear()
+        zmod.kernel_perp(rows * flip, 2, within=within)
+        assert calls == [len(mod.gens)]
 
 
 def test_package_exports_every_module_list():

@@ -142,8 +142,10 @@ class TestHowellAgainstReference:
             mat = np.asarray(mat % N, dtype=np.int64).reshape(m, n)
             before = mat.copy()
             want = howell_reference(mat, ell)
-            got = _howell(mat, ell)
+            got, pivots = _howell(mat, ell)
             assert np.array_equal(mat, before)
+            # the pivots it placed are the ones the rows show
+            assert pivots == ZModule(n, ell, got)._pivots
             assert got.dtype == zmod._residue_dtype(ell)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
@@ -173,8 +175,9 @@ class TestHowellStructuredInputs:
         mat = np.asarray(mat, dtype=np.int64) % (1 << ell)
         before = mat.copy()
         want = howell_reference(mat, ell)
-        got = _howell(mat, ell)
+        got, pivots = _howell(mat, ell)
         assert np.array_equal(mat, before)
+        assert pivots == ZModule(mat.shape[1], ell, got)._pivots
         assert got.dtype == zmod._residue_dtype(ell) and got.shape == want.shape
         assert np.array_equal(got, want)
         return got
@@ -202,7 +205,7 @@ class TestHowellStructuredInputs:
         N = 1 << ell
         for _ in range(12):
             n = int(rng.integers(2, 13))
-            span = _howell(rng.integers(0, N, size=(int(rng.integers(0, n)), n)) % N, ell)
+            span = _howell(rng.integers(0, N, size=(int(rng.integers(0, n)), n)) % N, ell)[0]
             extra = rng.integers(0, 2, size=(int(rng.integers(1, 6)), n))
             extra <<= rng.integers(0, ell, size=(len(extra), 1))
             self.check(np.vstack([span, extra]), ell)
@@ -216,7 +219,7 @@ class TestHowellStructuredInputs:
             n = int(rng.integers(1, 11))
             rows = rng.integers(0, N, size=(int(rng.integers(0, 8)), n))
             rows <<= rng.integers(0, ell, size=(len(rows), 1))
-            span = _howell(rows % N, ell)
+            span = _howell(rows % N, ell)[0]
             self.check(np.hstack([span.T, np.eye(n, dtype=np.int64)]), ell)
 
     @pytest.mark.parametrize("ell", STRUCTURED_LEVELS)
@@ -369,8 +372,12 @@ class TestKernel:
 
         monkeypatch.setattr(zmod, "_howell", counted)
         assert kernel_perp(mod, 2) == kernel_perp(rows, 2, n=4)
-        # one Howell form of [S^T | I] for the module, two for raw rows
-        assert calls == [4, 3, 4]
+        # one Howell form of [S^T | I] for the module, and for raw rows no
+        # more than n; rows that outnumber n are canonicalised first
+        assert calls == [4, 4]
+        calls.clear()
+        assert kernel_perp(rows + rows, 2, n=4) == kernel_perp(mod, 2)
+        assert calls == [6, 4, 4]
         assert kernel_perp(mod, 2, n=4) == kernel_perp(mod.gens, 2, n=4)
         assert list(map(tuple, mod)) == list(map(tuple, mod.gens))
         with pytest.raises(ValueError):
@@ -406,6 +413,48 @@ class TestKernel:
             with pytest.raises(ValueError):
                 span.kernel_contains(np.zeros(n + 1, dtype=np.int64))
         assert answers == {True, False}
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.data())
+    def test_restricted_kernel_matches_brute_force(self, data):
+        n = data.draw(st.integers(1, 3))
+        ell = data.draw(st.integers(1, 2))
+        N = 1 << ell
+        row = st.lists(st.integers(0, N - 1), min_size=n, max_size=n)
+        rows = data.draw(st.lists(row, max_size=3))
+        within = data.draw(st.lists(row, max_size=3))
+        ker = kernel_perp(rows, ell, n=n, within=within)
+        assert points(ker.elements()) == brute_span(within, ell, n) & brute_kernel(rows, ell, n)
+        assert ker == howell_form(ker.gens, ell, n=n)
+        # a module of within, or its flipped generators, spans the same
+        flip = np.array([(-1) ** i for i in range(n)])
+        span = howell_form(within, ell, n=n)
+        assert kernel_perp(rows, ell, n=n, within=span) == ker
+        flipped = kernel_perp(np.asarray(rows, dtype=np.int64).reshape(-1, n) * flip, ell, n=n,
+                              within=span.gens.astype(np.int64) * flip)
+        assert points(flipped.elements()) == {tuple(int(x) % N for x in flip * v) for v in points(ker.elements())}
+
+    @pytest.mark.parametrize("ell", DTYPE_LEVELS)
+    def test_restricted_kernel_is_exact_at_every_dtype_width(self, ell):
+        # entries at and just below 2^ell - 1, so W S^T needs 2 ell bits
+        # and more per product: against the Howell form of [W S^T | W]
+        # with the dots taken in Python ints, cut by the row loop
+        rng = np.random.default_rng(7000 + ell)
+        N = 1 << ell
+        overflows = 0
+        for _ in range(20):
+            n, h, r = int(rng.integers(1, 17)), int(rng.integers(0, 8)), int(rng.integers(0, 8))
+            W = (N - 1 - rng.integers(0, 3, size=(h, n))) % N * (rng.random((h, n)) < 0.7)
+            S = (N - 1 - rng.integers(0, 3, size=(r, n))) % N * (rng.random((r, n)) < 0.7)
+            exact = [[sum(int(a) * int(b) for a, b in zip(w, s)) for s in S] for w in W]
+            overflows += any(x >= 1 << 63 for dots in exact for x in dots)
+            dots = np.array([[x % N for x in dots] for dots in exact], dtype=np.int64).reshape(h, r)
+            ref = howell_reference(np.hstack([dots, W]), ell)
+            got = kernel_perp(S, ell, n=n, within=W)
+            assert got.gens.dtype == zmod._residue_dtype(ell)
+            assert got.gens.tolist() == ref[~ref[:, :r].any(axis=1), r:].tolist()
+        # the dots leave the int64 range at the top level only
+        assert (overflows > 0) == (ell == MAX_LEVEL)
 
     def test_length_pairing(self):
         rng = random.Random(9)
