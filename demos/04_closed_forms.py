@@ -19,7 +19,7 @@ from cssgates import (
     evaluate,
     fixing_group,
     gate_groups,
-    monomial_action,
+    groups,
     reed_muller_degrees,
     reed_muller_fixing_monomials,
     validate_fixing_hypotheses,
@@ -85,11 +85,13 @@ print("(On the gap spec above the same sieve produces vectors outside H -")
 print(" candidates are a claim to test, not a certificate.)")
 
 show("Per-monomial logical action in closed form")
-act = monomial_action(mono16, 3, "1")
+members, _, dec = groups(mono16, 3).action(evaluate(4, 0).to_array())
+# the single-qubit factors are 2^(m - deg(u OR u_i)) mod 2^ell, here u = 1
+single = {f.qubits: f.phase for f in dec.factors if len(f.qubits) == 1}
 print("gate ev(1), level 3: degree-1 coefficient per logical generator:",
-      act.coefficients.tolist())
-print("in fixing group:", act.in_fixing_group,
-      "| transversal:", act.in_transversal_group)
+      [single.get((i,), 0) for i in range(1, dec.num_logical + 1)])
+print("in fixing group:", members["H"],
+      "| transversal:", members["T"])
 
 show("Reed-Muller degree bounds")
 print("recognized degrees of the RM pair:", reed_muller_degrees(rm))

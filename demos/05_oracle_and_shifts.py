@@ -79,8 +79,8 @@ ones = np.ones(7, dtype=np.int64)
 print("n=7, K =", steane.num_logical, "| all-ones gate at level 2 (S on every qubit)")
 oracle = coset_phase_check(steane, 2, ones)
 print("oracle class:", oracle.gate_class.value)
-h4, t4, _ = gate_groups(steane, 2)
-dec = decompose_action(steane, 2, ones, group=h4)
+_, t4, _ = gate_groups(steane, 2)
+dec = decompose_action(steane, 2, ones)
 (factor,) = dec.factors
 print(f"logical action: omega^{factor.phase} on logical qubit {factor.qubits[0]}"
       f"  (odd -> a genuine phase gate, S^{factor.phase} up to global phase)")

@@ -23,13 +23,13 @@ byte-identical reports.
 The command line is `cssgates COMMAND -i JOB [-o REPORT] [--seed N]
 [--gate B]`, options in any order; COMMANDS names the five commands, and
 only action and verify take --gate. Every command reads the groups of
-the unshifted pair off exponent tables on a monomial job
-(monomial._TableGroups) and off constraint spans on a matrix job
-(gates._SpanGroups, the object gate_groups reads too); a y_z moves either
-by the one rule of gates._Groups. A command builds a module only where
-its report prints one; closed-form checks each closed form against the
-exponent tables by memberships and length, and action answers each gate
-from one pass of the job's route (gates._Groups.action).
+the unshifted pair from gates.groups, the library's one entry point: it
+is handed the spec of a monomial job (exponent tables) or the pair of a
+matrix job (constraint spans), and the job's y_z moves either by the one
+rule of gates._Groups. A command builds a module only where its report
+prints one; closed-form checks each closed form against the exponent
+tables by memberships and length, and action answers each gate from one
+pass of the job's route (gates._Groups.action).
 
 Exit status: 0 on success, 1 on a rejected job or command line (the
 message names the offending field, "arguments" for the command line), 2
@@ -50,15 +50,14 @@ from .gates import (
     ConsistencyError,
     CssCode,
     _GROUPS,
-    _SpanGroups,
     _all_ones,
+    groups,
 )
 from .monomial import (
     HypothesisError,
     Monomial,
     MonomialCodeSpec,
     MonomialSet,
-    _TableGroups,
     closed_form_fixing_group,
     closed_form_fixing_group_general,
     closed_form_transversal_identity,
@@ -233,17 +232,9 @@ def _module_entry(mod: ZModule) -> dict:
     return {"length": mod.length, "generators": mod.gens.tolist()}
 
 
-def _pair_groups(job: Job):
-    """The groups of the job's unshifted pair: exponent tables on a
-    monomial job, constraint spans on a matrix job (see gates._Groups)."""
-    if job.spec is not None:
-        return _TableGroups(job.spec, job.ell)
-    return _SpanGroups(job.code.pair, job.ell)
-
-
 def _task_groups(job: Job) -> dict:
-    groups = _pair_groups(job).shifted(job)
-    return {name: _module_entry(groups.module(name)) for name in _GROUPS}
+    found = groups(job.spec or job.code.pair, job.ell).shifted(job)
+    return {name: _module_entry(found.module(name)) for name in _GROUPS}
 
 
 def _gates_for_action(job: Job) -> list[tuple[str | None, np.ndarray]]:
@@ -262,11 +253,11 @@ def _gates_for_action(job: Job) -> list[tuple[str | None, np.ndarray]]:
 
 
 def _task_action(job: Job) -> dict:
-    groups = _pair_groups(job).shifted(job)
+    found = groups(job.spec or job.code.pair, job.ell).shifted(job)
     entries = []
     for name, arr in _gates_for_action(job):
         # one route pass gives the memberships, the factors and the phases
-        members, global_phase, decomp = groups.action(arr)
+        members, global_phase, decomp = found.action(arr)
         phases = decomp.phase_table()
         entry: dict = {"name": name, "gate": arr.tolist(), "in_fixing_group": members["H"]}
         if members["H"]:
@@ -289,8 +280,8 @@ def _task_verify(job: Job) -> dict:
         result = coset_phase_check(code, job.ell, arr)
     except ValueError as exc:
         raise JobError("code", str(exc)) from exc
-    groups = _pair_groups(job).shifted(code)
-    memberships = {name: groups.contains(name, arr) for name in _GROUPS}
+    found = groups(job.spec or code.pair, job.ell).shifted(code)
+    memberships = {name: found.contains(name, arr) for name in _GROUPS}
     rank = result.gate_class.rank
     expected = {"H": rank >= 1, "T": rank >= 2, "Id": rank >= 3}
     agreement = {name: memberships[name] == expected[name] for name in expected}
@@ -309,17 +300,18 @@ def _task_verify(job: Job) -> dict:
     }}
 
 
-def _mismatch_witness(computed: ZModule, groups: _TableGroups, name: str) -> list[int] | None:
-    """None when computed is the group; else a generator of one outside the
-    other, computed's first. One zeta pass answers the memberships of all
-    of computed's generators, and the group's module is built only when
-    computed is a proper submodule of it."""
-    outside = np.flatnonzero(~groups.members(name, computed.gens))
+def _mismatch_witness(computed: ZModule, tables, name: str) -> list[int] | None:
+    """None when computed is the group of tables, the groups of a spec;
+    else a generator of one outside the other, computed's first. One zeta
+    pass answers the memberships of all of computed's generators, and the
+    group's module is built only when computed is a proper submodule of
+    it."""
+    outside = np.flatnonzero(~tables.members(name, computed.gens))
     if outside.size:
         return computed.gens[outside[0]].tolist()
-    if computed.length == groups.length(name):
+    if computed.length == tables.length(name):
         return None
-    return next(row.tolist() for row in groups.module(name).gens if not computed.contains(row))
+    return next(row.tolist() for row in tables.module(name).gens if not computed.contains(row))
 
 
 def _task_closed_form(job: Job) -> dict:
@@ -328,12 +320,12 @@ def _task_closed_form(job: Job) -> dict:
     spec = job.spec
     ell = job.ell
     # the closed forms describe the pair, whatever y_z is
-    groups = _TableGroups(spec, ell)
+    tables = groups(spec, ell)
     report: dict = {}
 
     def theorem_entry(key: str, outcome: ZModule | HypothesisError) -> None:
         if isinstance(outcome, HypothesisError):
-            entry = _module_entry(groups.module(key))
+            entry = _module_entry(tables.module(key))
             entry.update(
                 fallback=True,
                 reason=outcome.code,
@@ -342,7 +334,7 @@ def _task_closed_form(job: Job) -> dict:
             )
             report[key] = entry
             return
-        if _mismatch_witness(outcome, groups, key) is not None:
+        if _mismatch_witness(outcome, tables, key) is not None:
             raise ConsistencyError(
                 f"closed form for {key} disagrees with the exponent tables"
             )
@@ -367,7 +359,7 @@ def _task_closed_form(job: Job) -> dict:
     except HypothesisError as exc:
         report["general"] = {"reason": exc.code, "reason_level": exc.level}
     else:
-        witness = _mismatch_witness(general.module, _TableGroups(spec, general.ell), "H")
+        witness = _mismatch_witness(general.module, groups(spec, general.ell), "H")
         report["general"] = {
             "level": general.ell,
             "length": general.module.length,
@@ -382,9 +374,9 @@ def _task_closed_form(job: Job) -> dict:
     else:
         rows = np.array([evaluate(spec.m, u).to_array() for u in sieve.monomials()])
         witness = None
-        if not groups.members("H", rows).all():
+        if not tables.members("H", rows).all():
             # a span outside H has a Howell generator outside it
-            witness = _mismatch_witness(howell_form(rows, ell, n=spec.n), groups, "H")
+            witness = _mismatch_witness(howell_form(rows, ell, n=spec.n), tables, "H")
         report["span_candidates"] = {
             "monomials": sieve.tokens(),
             "span_in_H": witness is None,
@@ -404,12 +396,12 @@ def _hypothesis_entry(check) -> dict:
 def _task_info(job: Job) -> dict:
     code = job.code
     pair = code.pair
-    pair_groups = _pair_groups(job)
-    groups = pair_groups.shifted(code)
+    pair_groups = groups(job.spec or pair, job.ell)
     uniform = np.ones(code.n, dtype=np.int64)
     ones = _all_ones(pair, job.ell, [pair_groups.contains(name, uniform) for name in _GROUPS])
+    found = pair_groups.shifted(code)
     info: dict = {
-        "lengths": {name: groups.length(name) for name in _GROUPS},
+        "lengths": {name: found.length(name) for name in _GROUPS},
         "dimensions": {"k1": len(pair.beta1), "k2": len(pair.beta2)},
         "all_ones": {
             "in_H": ones.in_fixing_group,

@@ -35,8 +35,12 @@ b . y_z = 0: that rule is written once, in _Groups, over a route that
 answers for the unshifted pair (_SpanGroups off the spans,
 monomial._TableGroups off exponent tables), and it is folded into the
 one kernel_perp call of each module.
-gate_groups, the projections, all_ones_report and the CLI read one
-_SpanGroups; fixing_group builds S_H alone and moves by the same rule.
+
+groups(code, ell) is the one entry point: it picks the route (a
+MonomialCodeSpec goes to the tables, a pair or a CssCode to the spans)
+and moves a CssCode by its y_z. gate_groups, the three projections,
+phase_profile, decompose_action, all_ones_report and the CLI all read
+it.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from .bincode import (
     _product_levels,
     _span_blocks,
     _unpack,
-    star_family,
 )
 from .zmod import ZModule, _residue_dtype, dot_mod, howell_form, kernel_perp
 
@@ -70,6 +73,7 @@ __all__ = [
     "css_from_pair",
     "stabilizer_constraints",
     "fixing_group",
+    "groups",
     "gate_groups",
     "transversal_group",
     "identity_group",
@@ -174,15 +178,6 @@ def _scaled(rows: list[tuple[int, int]], n: int, ell: int) -> np.ndarray:
     lifted = _unpack([p for p, _ in rows], n, dt)
     lifted <<= np.array([s for _, s in rows], dtype=dt)[:, None]
     return lifted
-
-
-def fixing_group(code, ell: int) -> ZModule:
-    """Exponent vectors whose gate preserves the code space: the kernel
-    of the span of the stabilizer constraints alone, moved to code by the
-    Z-shift rule of _Groups."""
-    pair = _pair_of(code)
-    span = howell_form(stabilizer_constraints(pair, ell), ell, n=pair.n)
-    return _SpanGroups(pair, ell, {"H": span}).shifted(code).module("H")
 
 
 def _transversal_rows_direct(pair: NestedCodePair, levels: list[dict[int, int]]) -> np.ndarray:
@@ -305,6 +300,8 @@ class _Groups:
         with no membership check), from one route pass _action(D b) over
         the flipped gate."""
         arr = np.asarray(b, dtype=np.int64) % (1 << self.ell)
+        if arr.shape != (self.n,):
+            raise ValueError("vector length mismatch")
         moved, phase = (arr, 0) if self.y_z is None else conjugate_by_yz(arr, self.y_z, self.ell)
         members, blocks = self._action(moved)
         members["Id"] = members["Id"] and not phase
@@ -326,14 +323,14 @@ def _new_rows(span: ZModule, smaller: ZModule) -> np.ndarray:
 
 
 class _SpanGroups(_Groups):
-    """The groups of a pair, read off its constraint spans: a group holds b
-    exactly when b annihilates its span, its length is n * ell minus the
-    span's, and only a returned module solves a kernel, once per shift.
-    spans defaults to the three of _pair_spans, cross-checked there."""
+    """The groups of a pair, read off the three constraint spans of
+    _pair_spans, cross-checked there: a group holds b exactly when b
+    annihilates its span, its length is n * ell minus the span's, and only
+    a returned module solves a kernel, once per shift."""
 
-    def __init__(self, pair: NestedCodePair, ell: int, spans: dict | None = None):
+    def __init__(self, pair: NestedCodePair, ell: int):
         self.pair, self.n, self.ell, self.num_logical = pair, pair.n, ell, pair.num_logical
-        self.spans = spans or dict(zip(_GROUPS, _pair_spans(pair, ell)))
+        self.spans = dict(zip(_GROUPS, _pair_spans(pair, ell)))
         self._solved: dict[str, ZModule] = {}
 
     def shifted(self, code) -> "_SpanGroups":
@@ -372,34 +369,42 @@ class _SpanGroups(_Groups):
         return members, _controlled_phases(self.pair, self.ell, moved)
 
 
+def groups(code, ell: int) -> _Groups:
+    """The groups H, T and Id of code at level ell, as one object with
+    module, length, contains and action. A MonomialCodeSpec is read off
+    its exponent tables (monomial._TableGroups); a NestedCodePair or a
+    CssCode off its constraint spans (_SpanGroups), a CssCode moved by
+    its y_z (_Groups.shifted)."""
+    from .monomial import MonomialCodeSpec, _TableGroups  # monomial imports this module
+
+    if isinstance(code, MonomialCodeSpec):
+        return _TableGroups(code, ell)
+    return _SpanGroups(_pair_of(code), ell).shifted(code)
+
+
 def gate_groups(code, ell: int) -> tuple[ZModule, ZModule, ZModule]:
-    """The fixing, transversal and identity groups off the spans of
-    _pair_spans, built and cross-checked once, moved to code: H is one
-    kernel on the whole space, T one inside H and Id one inside T, each
-    where its span adds rows (_SpanGroups._restriction)."""
-    groups = _SpanGroups(_pair_of(code), ell).shifted(code)
-    return tuple(groups.module(name) for name in _GROUPS)
+    """The fixing, transversal and identity groups of code; on the span
+    route H is one kernel on the whole space, T one inside H and Id one
+    inside T, each where its span adds rows (_SpanGroups._restriction)."""
+    return tuple(map(groups(code, ell).module, _GROUPS))
+
+
+def fixing_group(code, ell: int) -> ZModule:
+    """Exponent vectors whose gate preserves the code space."""
+    return groups(code, ell).module("H")
 
 
 def transversal_group(code, ell: int) -> ZModule:
-    """Exponent vectors acting as a tensor product on the logical qubits.
-
-    The kernel of the middle constraint span of gate_groups, which is
-    cross-checked there; one kernel, not three. With no logical qubits
-    every code-preserving gate qualifies.
-    """
-    return _SpanGroups(_pair_of(code), ell).shifted(code).module("T")
+    """Exponent vectors acting as a tensor product on the logical qubits;
+    with no logical qubits every code-preserving gate qualifies."""
+    return groups(code, ell).module("T")
 
 
 def identity_group(code, ell: int) -> ZModule:
-    """Exponent vectors acting as the exact identity on the code space.
-
-    For unshifted codes this depends only on the outer code; a nonzero Z
-    shift additionally forces a zero phase on the shift itself. The
-    kernel of the largest constraint span of gate_groups, which is
-    cross-checked there; one kernel, not three.
-    """
-    return _SpanGroups(_pair_of(code), ell).shifted(code).module("Id")
+    """Exponent vectors acting as the exact identity on the code space:
+    for unshifted codes this depends only on the outer code, and a nonzero
+    Z shift also forces a zero phase on the shift itself."""
+    return groups(code, ell).module("Id")
 
 
 def _as_bitmask(v, num_logical: int) -> int:
@@ -494,30 +499,13 @@ class PhaseProfile:
     in_fixing_group: bool
 
 
-def _check_table_size(num_logical: int) -> None:
-    if num_logical > 20:
-        raise ValueError("profile table limited to 20 logical qubits")
-
-
-def phase_profile(code: CssCode, ell: int, b, *, group: ZModule | None = None) -> PhaseProfile:
-    """Phases of the cosets under U(b) relative to coset 0, and b . y_z.
-
-    By x xor y = x + y - 2xy, phases[v] sums the a_J of _controlled_phases
-    over J inside v: the phase table of the decomposition of b, with no
-    2^K x n label table.
-    """
-    _check_table_size(code.num_logical)
-    N = 1 << ell
-    arr = np.asarray(b, dtype=np.int64) % N
-    if group is None:
-        group = fixing_group(code, ell)
-    return PhaseProfile(
-        ell=ell,
-        num_logical=code.num_logical,
-        phases=_decomposition(code, ell, arr).phase_table().astype(np.int64),
-        global_phase=int(code.y_z.to_array() @ arr) % N,
-        in_fixing_group=group.contains(arr),
-    )
+def phase_profile(code, ell: int, b) -> PhaseProfile:
+    """Phases of the cosets under U(b) relative to coset 0, and b . y_z:
+    the phase table of b's decomposition (_Groups.action), with no 2^K x n
+    label table."""
+    members, phase, decomp = groups(code, ell).action(b)
+    phases = decomp.phase_table().astype(np.int64)
+    return PhaseProfile(ell, decomp.num_logical, phases, phase, members["H"])
 
 
 @dataclass(frozen=True)
@@ -584,7 +572,8 @@ class LogicalDecomposition:
         map from Z/2^w, so masking with 2^ell - 1 leaves the exact phases.
         """
         K = self.num_logical
-        _check_table_size(K)
+        if K > 20:
+            raise ValueError("profile table limited to 20 logical qubits")
         dt = _residue_dtype(self.ell)
         phases = np.zeros(1 << K, dtype=dt)
         for f in self.factors:
@@ -594,32 +583,17 @@ class LogicalDecomposition:
         return phases
 
 
-def decompose_action(
-    code: CssCode, ell: int, b, *, group: ZModule | None = None
-) -> LogicalDecomposition:
-    """Controlled-phase decomposition of the logical action of U(b).
-
-    The coefficient on the factor controlled by J is
-    (-2)^(|J|-1) * (b . lift of the product of the chosen extension
-    vectors), so subsets larger than the level contribute nothing and are
-    skipped. On a code with a nonzero Z shift the coordinate-flipped
-    vector is decomposed instead, which reproduces the phases relative to
-    coset 0 exactly as for unshifted codes. Requires b in the fixing
-    group.
-    """
-    arr = np.asarray(b, dtype=np.int64) % (1 << ell)
-    if group is None:
-        group = fixing_group(code, ell)
-    if not group.contains(arr):
+def decompose_action(code, ell: int, b) -> LogicalDecomposition:
+    """Controlled-phase decomposition of the logical action of U(b), which
+    must fix the code space (_Groups.action). The coefficient on the
+    factor controlled by J is (-2)^(|J|-1) * (b . lift of the product of
+    the chosen extension vectors), so subsets larger than the level
+    contribute nothing; on a code with a Z shift the flipped vector is
+    decomposed, which gives the phases relative to coset 0."""
+    members, _, decomp = groups(code, ell).action(b)
+    if not members["H"]:
         raise ValueError("gate does not preserve the code space")
-    return _decomposition(code, ell, arr)
-
-
-def _decomposition(code: CssCode, ell: int, arr: np.ndarray) -> LogicalDecomposition:
-    """The factors of U(arr), arr reduced mod 2^ell, from one pass of
-    _controlled_phases; membership in the fixing group is not checked."""
-    blocks = _controlled_phases(code.pair, ell, conjugate_by_yz(arr, code.y_z, ell)[0])
-    return LogicalDecomposition(ell=ell, num_logical=code.num_logical, factors=_factors(blocks))
+    return decomp
 
 
 def conjugate_by_yz(b, y_z: BitVector, ell: int) -> tuple[np.ndarray, int]:
@@ -708,7 +682,7 @@ def all_ones_report(code, ell: int) -> AllOnesReport:
 
     The weight corollaries are statements about the underlying nested
     pair, so any X/Z characters are ignored, and the memberships are read
-    off the pair's _SpanGroups. Raises ConsistencyError if a
+    off groups(pair). Raises ConsistencyError if a
     membership contradicts the corresponding weight scan, or if
     membership in the fixing group does not force the inner code into the
     dual of the (ell-1)-th power of the outer code, a parity rule read off
@@ -716,21 +690,23 @@ def all_ones_report(code, ell: int) -> AllOnesReport:
     """
     pair = _pair_of(code)
     ones = np.ones(pair.n, dtype=np.int64)
-    groups = _SpanGroups(pair, ell)
-    return _all_ones(pair, ell, [groups.contains(name, ones) for name in _GROUPS])
+    found = groups(pair, ell)
+    return _all_ones(pair, ell, [found.contains(name, ones) for name in _GROUPS])
 
 
 def _all_ones(pair: NestedCodePair, ell: int, memberships) -> AllOnesReport:
     """all_ones_report of pair, given the uniform gate's memberships in
     the pair's H, T and Id. The inner code lies in the power's dual exactly
     when each inner basis row v has even overlap with each product of
-    r < ell distinct outer basis rows, which span the power for any basis.
-    The empty product (r = 0), the all-ones word, is the whole rule at
-    ell = 1 and adds nothing at ell >= 2: v, orthogonal to the outer code
-    that holds it, is orthogonal to itself and so has even weight."""
+    r < ell distinct outer basis rows, which span the power for any basis;
+    all of them are read off one _product_levels table. The empty product
+    (r = 0), the all-ones word, is the whole rule at ell = 1 and adds
+    nothing at ell >= 2: v, orthogonal to the outer code that holds it, is
+    orthogonal to itself and so has even weight."""
     in_h, in_t, in_id = memberships
 
-    products = [p.bits for r in range(ell) for p in star_family(pair.beta1, r, n=pair.n)]
+    levels = _product_levels([v.bits for v in pair.beta1], ell - 1, pair.n)
+    products = [p for level in levels for p in level]
     containment_ok = not any((v.bits & p).bit_count() & 1 for v in pair.beta2 for p in products)
     if in_h and not containment_ok:
         raise ConsistencyError("uniform gate fixes the code but the power-dual containment fails")

@@ -47,7 +47,10 @@ product of ev's is ev of the OR of their masks. An int64 zeta or Moebius
 pass sums at most 2^m terms of magnitude below 2^ell, so its entries stay
 below 2^(m + ell), exact while m + ell <= 62, which _TableGroups checks.
 A Z shift y_z moves these answers by the one rule of gates._Groups, Id's
-length drop read off one Moebius pass over y_z.
+length drop read off one Moebius pass over y_z. gates.groups(spec, ell)
+is the public way in. A gate ev(u)'s single-qubit factors are then the
+coefficients 2^(m - deg(u OR u_i)) mod 2^ell over the encoding
+monomials u_i, the weights of ev(u) * ev(u_i).
 """
 
 from __future__ import annotations
@@ -61,10 +64,8 @@ import numpy as np
 from .bincode import BitVector, NestedCodePair
 from .gates import (
     CssCode,
-    PhaseProfile,
     _GROUPS,
     _Groups,
-    _check_table_size,
     _span_mismatch,
     _subset_sums,
     _subsets,
@@ -78,10 +79,7 @@ __all__ = [
     "MonomialSet",
     "MonomialCodeSpec",
     "GeneralClosedForm",
-    "MonomialActionResult",
     "evaluate",
-    "product_set",
-    "monomial_power",
     "divisibility_closure",
     "is_decreasing",
     "validate_fixing_hypotheses",
@@ -90,7 +88,6 @@ __all__ = [
     "closed_form_transversal_identity",
     "closed_form_fixing_group_general",
     "decreasing_span_monomials",
-    "monomial_action",
     "reed_muller_set",
     "reed_muller_degrees",
     "reed_muller_fixing_monomials",
@@ -274,32 +271,6 @@ def _reach_levels(n: int, start, factors, horizon: int) -> np.ndarray:
             break
         level[frontier] = k
     return level
-
-
-def product_set(inner: MonomialSet, outer: MonomialSet, s: int) -> MonomialSet:
-    """Square-free products of one inner monomial and up to s outer ones.
-
-    s = 0 returns the inner set itself.
-    """
-    if inner.m != outer.m:
-        raise ValueError("variable counts differ")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    level = _reach_levels(1 << inner.m, inner.masks, outer.masks, s)
-    return MonomialSet.from_masks(inner.m, np.flatnonzero(level <= s))
-
-
-def monomial_power(mset: MonomialSet, t: int) -> MonomialSet:
-    """Products of between 1 and t members; t = 0 gives {1}, t < 0 nothing.
-
-    Once two consecutive powers agree the chain is stalled for good, since
-    further products only combine already-reachable masks.
-    """
-    if t < 0:
-        return MonomialSet(mset.m, frozenset())
-    if t == 0:
-        return MonomialSet(mset.m, frozenset({0}))
-    return product_set(mset, mset, t - 1)
 
 
 def divisibility_closure(mset: MonomialSet) -> MonomialSet:
@@ -864,47 +835,6 @@ class _TableGroups(_Groups):
         dots = _subset_sums(self.y_z.to_array(), self.m, -1) % N
         images = int(np.bitwise_or.reduce((dots << (self.ell - t)) % N))
         return self.ell - ((images & -images).bit_length() - 1) if images else 0
-
-
-@dataclass(frozen=True)
-class MonomialActionResult:
-    """Formula coefficients and membership flags for one monomial gate."""
-
-    monomial: Monomial
-    ell: int
-    coefficients: np.ndarray
-    in_fixing_group: bool
-    in_transversal_group: bool
-    profile: PhaseProfile
-
-
-def monomial_action(spec: MonomialCodeSpec, ell: int, u) -> MonomialActionResult:
-    """Transversal coefficients 2^(m - deg(u * u_i)) of a monomial gate.
-
-    The coefficient formula is evaluated unconditionally; whether ev(u)
-    actually lies in the transversal (or even the fixing) group is
-    reported through the flags rather than raised, since the interesting
-    cases are exactly the near-misses; flags and profile are one table pass.
-    """
-    _check_level(ell)
-    mono = Monomial.parse(spec.m, u) if isinstance(u, str) else u
-    if mono.m != spec.m:
-        raise ValueError("variable counts differ")
-    coeffs = np.array(
-        [pow(2, spec.m - (mono.mask | e.mask).bit_count(), 1 << ell) for e in spec.encoding()],
-        dtype=np.int64,
-    )
-    _check_table_size(len(spec.outer) - len(spec.inner))
-    members, phase, decomp = _TableGroups(spec, ell).action(evaluate(spec.m, mono.mask).to_array())
-    return MonomialActionResult(
-        monomial=mono,
-        ell=ell,
-        coefficients=coeffs,
-        in_fixing_group=members["H"],
-        in_transversal_group=members["T"],
-        profile=PhaseProfile(ell, decomp.num_logical, decomp.phase_table().astype(np.int64),
-                             phase, members["H"]),
-    )
 
 
 def reed_muller_set(m: int, r: int) -> MonomialSet:

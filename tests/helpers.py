@@ -12,8 +12,6 @@ from cssgates import (
     BitVector,
     GateClass,
     GeneralClosedForm,
-    Monomial,
-    MonomialActionResult,
     MonomialCodeSpec,
     MonomialSet,
     NestedCodePair,
@@ -43,7 +41,6 @@ from cssgates.zmod import _check_level
 from cssgates.monomial import (
     MAX_LEVEL,
     HypothesisError,
-    _TableGroups,
     _complement_form,
     _ev_rows,
     _fixing_reach,
@@ -52,7 +49,6 @@ from cssgates.monomial import (
     _power_chain_stalled,
     _reach_levels,
     is_decreasing,
-    product_set,
 )
 
 POOL_SEED = 20260816
@@ -465,6 +461,16 @@ def head_pairing_reference(spec: MonomialCodeSpec, ell: int, first: np.ndarray, 
                 )
 
 
+def product_set_reference(inner: MonomialSet, outer: MonomialSet, s: int) -> MonomialSet:
+    """Square-free products of one inner monomial and up to s outer ones
+    (the inner set itself at s = 0), grown one factor at a time as a set
+    of masks."""
+    products = set(inner.masks)
+    for _ in range(s):
+        products |= {u | f for u in products for f in outer.masks}
+    return MonomialSet(inner.m, frozenset(products))
+
+
 def maximal_elements_reference(mset: MonomialSet) -> MonomialSet:
     """The members no other member strictly contains."""
     masks = sorted(mset.masks, key=lambda u: u.bit_count(), reverse=True)
@@ -488,7 +494,7 @@ def sieve_reference(spec: MonomialCodeSpec, ell: int) -> MonomialSet:
         )
     _fixing_reach(spec, ell)
     full = spec.full_mask
-    top_products = product_set(
+    top_products = product_set_reference(
         maximal_elements_reference(spec.inner), maximal_elements_reference(spec.outer), ell - 1
     )
     quotients = [full ^ w for w in top_products.masks]
@@ -664,6 +670,33 @@ def stabilizer_rows_reference(pair: NestedCodePair, ell: int) -> list:
     return rows
 
 
+def kernel_groups_reference(code, ell: int) -> dict:
+    """H, T and Id of a code as kernels of the constraint systems built
+    one combination at a time: the stabilizer rows for H, the inner basis
+    and the products of r >= 2 outer vectors for T, the products of
+    r >= 1 for Id, each flipped on y_z, with y_z joined to Id's rows."""
+    pair, n = code.pair, code.n
+    systems = {
+        "H": stabilizer_rows_reference(pair, ell),
+        "T": [v.to_array() for v in pair.beta2] + distinct_product_rows(pair, range(2, ell + 1), False),
+        "Id": distinct_product_rows(pair, range(1, ell + 1), False),
+    }
+    y_z = code.y_z.to_array()
+    if code.y_z.bits:
+        systems["Id"].append(y_z)
+    return {name: kernel_perp(howell_form(np.array(rows).reshape(-1, n) * (1 - 2 * y_z), ell, n=n), ell, n=n)
+            for name, rows in systems.items()}
+
+
+def span_decomposition(code, ell: int, b):
+    """The factors of U(b) on the span route's coefficient pass
+    (gates._controlled_phases over the y_z-flipped b), with no membership
+    check: what the table route's one zeta pass must reproduce."""
+    moved, _ = gates.conjugate_by_yz(b, code.y_z, ell)
+    factors = gates._factors(gates._controlled_phases(code.pair, ell, moved))
+    return gates.LogicalDecomposition(ell, code.num_logical, factors)
+
+
 def decomposition_reference(code, ell: int, b) -> list:
     """(qubits, phase) of every nonzero controlled-phase factor of U(b),
     one combination of extension vectors at a time, with no membership
@@ -819,24 +852,3 @@ def flipped_spans_reference(code, ell: int, spans=None) -> tuple:
     y_z = code.y_z.to_array()
     rows = [spans[0].gens, spans[1].gens, np.vstack([spans[2].gens, y_z])]
     return tuple(howell_form(r * (1 - 2 * y_z), ell, n=code.n) for r in rows)
-
-
-def monomial_action_reference(spec: MonomialCodeSpec, ell: int, u) -> MonomialActionResult:
-    """monomial_action through the kernel-era construction: memberships
-    from the exponent tables, and the profile from gates.phase_profile on
-    the induced code with H's Howell form as its group."""
-    _check_level(ell)
-    mono = Monomial.parse(spec.m, u) if isinstance(u, str) else u
-    N = 1 << ell
-    coeffs = np.array([pow(2, spec.m - (mono.mask | e.mask).bit_count(), N) for e in spec.encoding()],
-                      dtype=np.int64)
-    groups = _TableGroups(spec, ell)
-    b = evaluate(spec.m, mono.mask).to_array()
-    return MonomialActionResult(
-        monomial=mono,
-        ell=ell,
-        coefficients=coeffs,
-        in_fixing_group=groups.contains("H", b),
-        in_transversal_group=groups.contains("T", b),
-        profile=gates.phase_profile(spec.induced_css(), ell, b, group=groups.module("H")),
-    )

@@ -29,10 +29,9 @@ from cssgates import (
     dual_basis,
     evaluate,
     fixing_group,
+    groups,
     howell_form,
-    identity_group,
     logical_phase,
-    phase_profile,
     reed_muller_fixing_monomials,
     reed_muller_identity_monomials,
     rref_basis,
@@ -158,25 +157,20 @@ _GROUPS: dict = {}
 def groups_for(code, ell):
     key = (id(code), ell)
     if key not in _GROUPS:
-        _GROUPS[key] = (
-            code,
-            {
-                "H": fixing_group(code, ell),
-                "T": transversal_group(code, ell),
-                "Id": identity_group(code, ell),
-            },
-        )
+        found = groups(code, ell)
+        _GROUPS[key] = (code, {name: found.module(name) for name in ("H", "T", "Id")})
     return _GROUPS[key][1]
 
 
-def reconstruct_phases(code, ell, b, group):
-    """Raw coset exponents rebuilt from the controlled-factor expansion."""
-    N = 1 << ell
-    K = code.num_logical
-    profile = phase_profile(code, ell, b, group=group)
-    dec = decompose_action(code, ell, b, group=group)
+def reconstruct_phases(found, b):
+    """Raw coset exponents rebuilt from the controlled-factor expansion of
+    a member b of the fixing group of found, the groups of a code."""
+    members, global_phase, dec = found.action(b)
+    assert members["H"]
+    N = 1 << dec.ell
+    K = dec.num_logical
     idx = np.arange(1 << K)
-    raw = np.full(1 << K, int(profile.global_phase), dtype=np.int64)
+    raw = np.full(1 << K, global_phase, dtype=np.int64)
     for factor in dec.factors:
         mask = 0
         for q in factor.qubits:
@@ -202,6 +196,7 @@ class TestAcceptance:
         with criterion(capfd, 2, "16-qubit fixture span and gate decompositions"):
             spec = make_mono16_spec()
             css = next(c for n, _, c, e in fixture_combos() if n == "mono16" and e == 3)
+            found = groups(css, 3)
             h8 = groups_for(css, 3)["H"]
             span = howell_form(
                 [evaluate(4, Monomial.parse(4, t)).to_array() for t in ("1", "x1", "x2")],
@@ -211,7 +206,8 @@ class TestAcceptance:
             assert h8.contains_module(span)
             for token, expected in UNIFORM_GATE_FACTORS.items():
                 b = evaluate(4, Monomial.parse(4, token)).to_array()
-                dec = decompose_action(css, 3, b, group=h8)
+                members, _, dec = found.action(b)
+                assert members["H"]
                 got = [(tuple(f.qubits), int(f.phase)) for f in dec.factors]
                 assert got == expected, token
 
@@ -340,10 +336,9 @@ class TestAcceptance:
             cases.append((build_css(even12, rref_basis([BitVector(12, (1 << 12) - 1)], n=12)), 2))
             assert max(code.num_logical for code, _ in cases) == 10
             for code, ell in cases:
-                N = 1 << ell
-                group = fixing_group(code, ell)
-                for b in group.gens:
-                    raw = reconstruct_phases(code, ell, b, group)
+                found = groups(code, ell)
+                for b in found.module("H").gens:
+                    raw = reconstruct_phases(found, b)
                     for v in range(1 << code.num_logical):
                         assert logical_phase(code, ell, b, v) == int(raw[v])
 
@@ -355,7 +350,7 @@ class TestAcceptance:
             assert h4.contains(ones)
             oracle = coset_phase_check(css, 2, ones)
             assert oracle.gate_class is GateClass.TRANSVERSAL
-            dec = decompose_action(css, 2, ones, group=h4)
+            dec = decompose_action(css, 2, ones)
             factors = [(tuple(f.qubits), int(f.phase)) for f in dec.factors]
             assert factors == [((1,), 3)]
             assert factors[0][1] % 2 == 1

@@ -24,6 +24,7 @@ from cssgates import (
     fixing_group,
     gate_groups,
     howell_form,
+    groups,
     identity_group,
     logical_phase,
     phase_profile,
@@ -42,6 +43,7 @@ from helpers import (
     decomposition_reference,
     distinct_product_rows,
     flipped_spans_reference,
+    kernel_groups_reference,
     mixing_counterexample,
     points,
     power_dual_reference,
@@ -50,6 +52,7 @@ from helpers import (
     random_css_with_logicals,
     random_decreasing_spec,
     random_nested_css,
+    random_spec,
     realign_pair,
     scan_cases,
     stabilizer_rows_reference,
@@ -172,18 +175,16 @@ class TestConstraintSystems:
         for code in (mono16_css, shifted):
             for ell in (1, 2, 3):
                 depths.clear()
-                groups = gates._SpanGroups(code.pair, ell).shifted(code)
+                found = groups(code, ell)
                 for name in ("H", "T", "Id"):
-                    groups.module(name), groups.length(name)
+                    found.module(name), found.length(name)
                 assert depths == [ell]
                 depths.clear()
-                fixing_group(code, ell)
-                assert depths == [ell - 1]
-                depths.clear()
                 gate_groups(code, ell)
+                fixing_group(code, ell)
                 transversal_group(code, ell)
                 identity_group(code, ell)
-                assert depths == [ell] * 3
+                assert depths == [ell] * 4
 
     def test_each_span_is_one_howell_form(self, monkeypatch, mono16_css, pair2_css):
         from cssgates import zmod
@@ -264,10 +265,9 @@ class TestRealignment:
 
 class TestDecompose:
     def test_mono16_frozen_factors(self, mono16_css):
-        h8 = fixing_group(mono16_css, 3)
         for token, expected in MONO16_FACTORS.items():
             b = evaluate(4, Monomial.parse(4, token)).to_array()
-            dec = decompose_action(mono16_css, 3, b, group=h8)
+            dec = decompose_action(mono16_css, 3, b)
             assert [(f.qubits, f.phase) for f in dec.factors] == expected
 
     def test_rejects_non_fixing_gate(self, pair2_css):
@@ -286,14 +286,13 @@ class TestDecompose:
             ell = rng.randrange(1, 4)
             h = fixing_group(code, ell)
             for b in h.gens:
-                dec = decompose_action(code, ell, b, group=h)
-                prof = phase_profile(code, ell, b, group=h)
+                dec = decompose_action(code, ell, b)
+                prof = phase_profile(code, ell, b)
                 for v in range(1 << code.num_logical):
                     assert dec.phase_at(v) == prof.phases[v]
 
     def test_phase_at_accepts_bit_sequences(self, pair2_css):
-        h = fixing_group(pair2_css, 2)
-        dec = decompose_action(pair2_css, 2, [2, 2], group=h)
+        dec = decompose_action(pair2_css, 2, [2, 2])
         assert dec.phase_at([1]) == dec.phase_at(1) == 2
 
 
@@ -331,7 +330,7 @@ class TestPhases:
         y_z = rng.integers(0, 2, size=n)
         shifted = css_from_pair(code.pair, y_z=BitVector.from_ints(list(y_z)))
         b = rng.integers(0, 1 << ell, size=n)
-        prof = phase_profile(shifted, ell, b, group=howell_form([], ell, n=n))
+        prof = phase_profile(shifted, ell, b)
         coeffs = (np.arange(1 << K)[:, None] >> np.arange(K)) & 1
         ext = np.array([w.to_array() for w in code.pair.beta1_ext])
         labels = (coeffs @ ext + y_z) % 2
@@ -339,12 +338,6 @@ class TestPhases:
         assert prof.global_phase == direct[0]
         assert prof.phases.dtype == np.int64
         assert np.array_equal(prof.phases, (direct - direct[0]) % (1 << ell))
-
-
-def _everything(n, ell):
-    """The module of all vectors: as the group argument it lets the
-    decomposition run on any b."""
-    return howell_form(np.eye(n, dtype=np.int64), ell, n=n)
 
 
 def _shifted(code, rng):
@@ -357,21 +350,23 @@ class TestPhasesAgainstReference:
     """Factors (order included), phases and global phase against the
     combinations decomposition and the direct label-table product."""
 
-    def _check(self, code, ell, b, group):
+    def _check(self, code, ell, b, found):
+        """found is groups(code, ell)."""
         phases, global_phase = profile_reference(code, ell, b)
-        prof = phase_profile(code, ell, b, group=group)
+        prof = phase_profile(code, ell, b)
         assert prof.phases.dtype == np.int64
         assert np.array_equal(prof.phases, phases)
         assert prof.global_phase == global_phase
+        assert prof.in_fixing_group is found.module("H").contains(b)
         expected = decomposition_reference(code, ell, b)
         if prof.in_fixing_group:
-            dec = decompose_action(code, ell, b, group=group)
+            dec = decompose_action(code, ell, b)
             assert [(f.qubits, f.phase) for f in dec.factors] == expected
         else:
             with pytest.raises(ValueError, match="preserve"):
-                decompose_action(code, ell, b, group=group)
+                decompose_action(code, ell, b)
         # the identity behind the coefficients holds for every b
-        dec = decompose_action(code, ell, b, group=_everything(code.n, ell))
+        dec = found.action(b)[2]
         assert [(f.qubits, f.phase) for f in dec.factors] == expected
         return prof.in_fixing_group
 
@@ -386,10 +381,11 @@ class TestPhasesAgainstReference:
                 code = _shifted(code, nprng)
             for ell in (1, 2, 3, 4, MAX_LEVEL):
                 N = 1 << ell
-                h = fixing_group(code, ell)
+                found = groups(code, ell)
+                h = found.module("H")
                 member = nprng.integers(0, N, size=len(h.gens)) @ h.gens % N
                 for b in (member, nprng.integers(0, N, size=code.n)):
-                    seen.add((bool(trial % 2), self._check(code, ell, b, h)))
+                    seen.add((bool(trial % 2), self._check(code, ell, b, found)))
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
     @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -399,10 +395,11 @@ class TestPhasesAgainstReference:
         nprng = np.random.default_rng(410 + ell)
         N = 1 << ell
         for shifted in (code, _shifted(code, nprng)):
-            h = fixing_group(shifted, ell)
+            found = groups(shifted, ell)
+            h = found.module("H")
             member = nprng.integers(0, N, size=len(h.gens)) @ h.gens % N
-            assert self._check(shifted, ell, member, h)
-            self._check(shifted, ell, nprng.integers(0, N, size=code.n), h)
+            assert self._check(shifted, ell, member, found)
+            self._check(shifted, ell, nprng.integers(0, N, size=code.n), found)
 
     @pytest.mark.parametrize("ell", [1, 2])
     def test_ninety_one_logical_qubits(self, ell):
@@ -413,7 +410,7 @@ class TestPhasesAgainstReference:
         nprng = np.random.default_rng(412 + ell)
         for shifted in (code, _shifted(code, nprng)):
             b = nprng.integers(0, 1 << ell, size=code.n)
-            dec = decompose_action(shifted, ell, b, group=_everything(code.n, ell))
+            dec = groups(shifted, ell).action(b)[2]
             factors = [(f.qubits, f.phase) for f in dec.factors]
             assert factors == decomposition_reference(shifted, ell, b)
             assert max(q for qubits, _ in factors for q in qubits) > 64
@@ -427,7 +424,7 @@ class TestPhasesAgainstReference:
         h = fixing_group(code, 2)
         tracemalloc.start()
         try:
-            prof = phase_profile(code, 2, h.gens[-1], group=h)
+            prof = phase_profile(code, 2, h.gens[-1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -440,11 +437,10 @@ class TestPhasesAgainstReference:
         code = MonomialCodeSpec(7, reed_muller_set(7, 2), reed_muller_set(7, 1)).induced_css()
         assert code.num_logical == 21
         b = np.zeros(code.n, dtype=np.int64)
-        everything = _everything(code.n, 1)
         with pytest.raises(ValueError, match="limited to 20 logical qubits"):
-            phase_profile(code, 1, b, group=everything)
+            phase_profile(code, 1, b)
         with pytest.raises(ValueError, match="limited to 20 logical qubits"):
-            decompose_action(code, 1, b, group=everything).phase_table()
+            groups(code, 1).action(b)[2].phase_table()
 
 
 class TestZetaPass:
@@ -507,8 +503,9 @@ class TestPhaseTable:
 
 class TestSpanRouteAction:
     def test_matches_the_decomposition_and_memberships(self):
-        """One route pass gives what _decomposition, logical_phase and
-        _Groups.contains give, shifted or not, members or not."""
+        """One route pass gives what the combinations decomposition,
+        logical_phase and _Groups.contains give, shifted or not, members
+        or not."""
         rng = random.Random(424)
         nprng = np.random.default_rng(424)
         for trial in range(16):
@@ -517,14 +514,15 @@ class TestSpanRouteAction:
                 code = _shifted(code, nprng)
             for ell in (1, 2, 3):
                 N = 1 << ell
-                groups = gates._SpanGroups(code.pair, ell).shifted(code)
-                h = groups.module("H")
+                found = groups(code, ell)
+                h = found.module("H")
                 member = nprng.integers(0, N, size=len(h.gens)) @ h.gens % N
                 for b in (member, nprng.integers(0, N, size=code.n)):
-                    members, global_phase, dec = groups.action(b)
-                    assert members == {name: groups.contains(name, b) for name in ("H", "T", "Id")}
+                    members, global_phase, dec = found.action(b)
+                    assert members == {name: found.contains(name, b) for name in ("H", "T", "Id")}
                     assert global_phase == logical_phase(code, ell, b, 0)
-                    assert dec == gates._decomposition(code, ell, b % N)
+                    assert (dec.ell, dec.num_logical) == (ell, code.num_logical)
+                    assert [(f.qubits, f.phase) for f in dec.factors] == decomposition_reference(code, ell, b)
 
 
 class TestKernelsPerGroup:
@@ -587,15 +585,15 @@ class TestKernelsPerGroup:
                 bits[rng.randrange(code.n)] = 1
                 code = css_from_pair(code.pair, y_z=BitVector.from_ints(bits))
             for ell in (1, 2, 3, 4):
-                pair_groups = gates._SpanGroups(code.pair, ell)
+                pair_groups = groups(code.pair, ell)
                 lone = {name: kernel_perp(span, ell, n=code.n)
                         for name, span in zip(("H", "T", "Id"), flipped_spans_reference(code, ell))}
                 projections = fixing_group(code, ell), transversal_group(code, ell), identity_group(code, ell)
                 assert list(map(_module_bytes, projections)) == list(map(_module_bytes, lone.values()))
                 for order in orders:
-                    groups = pair_groups.shifted(code)
+                    found = pair_groups.shifted(code)
                     for name in order:
-                        assert _module_bytes(groups.module(name)) == _module_bytes(lone[name]), name
+                        assert _module_bytes(found.module(name)) == _module_bytes(lone[name]), name
                 # repeated copies, the unshifted one between, share nothing
                 unshifted = kernel_perp(gates._pair_spans(code.pair, ell)[2], ell, n=code.n)
                 assert _module_bytes(pair_groups.shifted(code.pair).module("Id")) == _module_bytes(unshifted)
@@ -688,9 +686,9 @@ class TestOneShiftRule:
         drops = set()
         for i, (code, spec) in enumerate(cases):
             ell = 1 + i % 3
-            routes = [gates._SpanGroups(code.pair, ell)]
+            routes = [groups(code.pair, ell)]
             if spec is not None:
-                routes.append(_TableGroups(spec, ell))
+                routes.append(groups(spec, ell))
             random_shift, outer_word = self._shifts(code, rng)
             for y_z in (random_shift, outer_word):
                 shifted = css_from_pair(code.pair, y_z=y_z)
@@ -699,6 +697,85 @@ class TestOneShiftRule:
                 drops.add((ell, drop))
         # random shifts drop up to all of ell from Id
         assert {(ell, drop) for ell in (1, 2, 3) for drop in (0, ell)} <= drops
+
+
+class TestGroupsEntryPoint:
+    """groups(code, ell) answers for a CssCode, a bare pair and a
+    MonomialCodeSpec with the groups of the independent constraint
+    systems (kernel_groups_reference): modules byte for byte, lengths,
+    memberships and action factors; a spec on its exponent tables
+    answers as its induced code does on the spans."""
+
+    @staticmethod
+    def _probes(kernels, n, ell, nprng):
+        N = 1 << ell
+        probes = [nprng.integers(0, N, n)]
+        for kernel in kernels:
+            element = nprng.integers(0, N, len(kernel.gens)) @ kernel.gens % N
+            moved = element.copy()
+            moved[nprng.integers(n)] += N >> 1
+            probes += [element, moved]
+        return probes
+
+    def test_matrix_codes_match_the_reference_systems(self):
+        rng = random.Random(2727)
+        nprng = np.random.default_rng(2727)
+        shifted_seen = set()
+        for trial in range(24):
+            code = random_css_with_logicals(rng, trial % 5)
+            if trial % 2:
+                code = _shifted(code, nprng)
+            for ell in (1, 2, 3, 4):
+                for given, reference in ((code, code), (code.pair, css_from_pair(code.pair))):
+                    found = groups(given, ell)
+                    assert isinstance(found, gates._SpanGroups)
+                    kernels = kernel_groups_reference(reference, ell)
+                    for name, kernel in kernels.items():
+                        assert _module_bytes(found.module(name)) == _module_bytes(kernel), name
+                        assert found.length(name) == kernel.length, name
+                    for b in self._probes(kernels.values(), code.n, ell, nprng):
+                        members, phase, dec = found.action(b)
+                        assert members == {name: kernel.contains(b) for name, kernel in kernels.items()}
+                        assert members == {name: found.contains(name, b) for name in kernels}
+                        assert phase == logical_phase(reference, ell, b, 0)
+                        assert [(f.qubits, f.phase) for f in dec.factors] == (
+                            decomposition_reference(reference, ell, b))
+                    shifted_seen.add(bool(reference.y_z.bits))
+        assert shifted_seen == {False, True}
+
+    def test_monomial_specs_match_their_induced_codes(self):
+        rng = random.Random(2728)
+        nprng = np.random.default_rng(2728)
+        specs = [MonomialCodeSpec(4, reed_muller_set(4, 2), reed_muller_set(4, 1))]
+        specs += [random_decreasing_spec(rng, 5) for _ in range(12)]
+        specs += [random_spec(rng, 5) for _ in range(12)]
+        for i, spec in enumerate(specs):
+            y_z = BitVector.from_ints(nprng.integers(0, 2, spec.n).tolist())
+            shifted = css_from_pair(spec.induced_pair(), y_z=y_z)
+            for ell in (1, 2, 3, 4):
+                tables = groups(spec, ell)
+                assert isinstance(tables, _TableGroups)
+                for found, code in ((tables, spec.induced_css()), (tables.shifted(shifted), shifted)):
+                    spans = groups(code, ell)
+                    kernels = [spans.module(name) for name in gates._GROUPS]
+                    for name in gates._GROUPS:
+                        assert _module_bytes(found.module(name)) == _module_bytes(spans.module(name))
+                        assert found.length(name) == spans.length(name)
+                    for b in self._probes(kernels, spec.n, ell, nprng):
+                        assert found.action(b) == spans.action(b), (spec, ell)
+                        for name in gates._GROUPS:
+                            assert found.contains(name, b) is spans.contains(name, b)
+
+    @pytest.mark.parametrize("length", [2, 4, 9, 16])
+    def test_action_rejects_a_wrong_length_on_both_routes(self, length):
+        spec = MonomialCodeSpec(3, reed_muller_set(3, 1), reed_muller_set(3, 0))
+        shifted = css_from_pair(spec.induced_pair(), y_z=BitVector.from_string("10000000"))
+        for ell in (1, 3):
+            routes = [groups(spec, ell), groups(spec, ell).shifted(shifted),
+                      groups(spec.induced_css(), ell), groups(shifted, ell)]
+            for route in routes:
+                with pytest.raises(ValueError, match="^vector length mismatch$"):
+                    route.action(np.ones(length, dtype=np.int64))
 
 
 class TestShiftedCodes:
@@ -785,7 +862,7 @@ class TestAllOnes:
 
         pair = rm_css.pair
         ones = np.ones(pair.n, dtype=np.int64)
-        memberships = [gates._SpanGroups(pair, 3).contains(g, ones) for g in gates._GROUPS]
+        memberships = [groups(pair, 3).contains(g, ones) for g in gates._GROUPS]
         calls, rref = [], bincode._rref
         monkeypatch.setattr(bincode, "_rref", lambda masks: calls.append(1) or rref(masks))
         report = gates._all_ones(pair, 3, memberships)

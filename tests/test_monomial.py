@@ -24,12 +24,10 @@ from cssgates import (
     evaluate,
     fixing_group,
     gate_groups,
+    groups,
     identity_group,
     is_decreasing,
-    monomial_action,
-    monomial_power,
     phase_profile,
-    product_set,
     reed_muller_degrees,
     reed_muller_fixing_monomials,
     reed_muller_identity_monomials,
@@ -40,7 +38,6 @@ from cssgates import (
 )
 from cssgates import BitVector, CssCode, gates, monomial, zmod
 from cssgates.monomial import (
-    _TableGroups,
     _chain_stalls,
     _ev_howell,
     _ev_rows,
@@ -57,8 +54,8 @@ from helpers import (
     level_loop_reference,
     level_table,
     make_rm_spec,
-    monomial_action_reference,
     power_chain_reference,
+    product_set_reference,
     random_decreasing_spec,
     random_spec,
     raw_fixing,
@@ -67,6 +64,7 @@ from helpers import (
     relative_generator_reference,
     rm_pairs,
     sieve_reference,
+    span_decomposition,
     transversal_identity_table_reference,
 )
 
@@ -130,26 +128,39 @@ class TestEvaluate:
             evaluate(2, 4)
 
 
+def _products(spec: MonomialCodeSpec, start: str, s: int) -> MonomialSet:
+    """The products of one monomial of the start set and up to s outer
+    ones, read off the spec's reach table; both helpers agree on them."""
+    got = MonomialSet.from_masks(spec.m, np.flatnonzero(spec._reach(start, s) <= s))
+    assert got == product_set_reference(getattr(spec, start), spec.outer, s)
+    return got
+
+
 class TestSetCalculus:
+    """The product sets of the paper, read off the inner reach table."""
+
     def test_product_set_stage_one_is_outer(self, mono16_spec):
-        assert product_set(mono16_spec.inner, mono16_spec.outer, 1) == mono16_spec.outer
+        assert _products(mono16_spec, "inner", 1) == mono16_spec.outer
 
     def test_product_set_stage_two(self, mono16_spec):
-        got = product_set(mono16_spec.inner, mono16_spec.outer, 2)
+        got = _products(mono16_spec, "inner", 2)
         extra = ["x1x3", "x1x4", "x2x3", "x2x4", "x3x4", "x1x2x3", "x1x2x4"]
         expected = mono16_spec.outer.union(MonomialSet.from_tokens(4, extra))
         assert got == expected
         assert len(got) == 13
 
     def test_product_set_stage_zero_is_inner(self, mono16_spec):
-        assert product_set(mono16_spec.inner, mono16_spec.outer, 0) == mono16_spec.inner
+        assert _products(mono16_spec, "inner", 0) == mono16_spec.inner
 
     def test_monomial_power_pads_with_repetition(self):
+        # the t-th power of a set is its products with up to t - 1 more
+        # members: the reach table of a spec whose two sets are both it
         s = MonomialSet.from_tokens(3, ["x1", "x2x3"])
-        p2 = monomial_power(s, 2)
+        spec = MonomialCodeSpec(3, s, s)
+        p2 = _products(spec, "inner", 1)
         assert Monomial.parse(3, "x1") in p2  # repetition keeps lower products
         assert Monomial.parse(3, "x1x2x3") in p2
-        assert monomial_power(s, 1) == s
+        assert _products(spec, "inner", 0) == s
 
     def test_divisibility(self, mono16_spec):
         assert is_decreasing(mono16_spec.outer)
@@ -564,7 +575,7 @@ class TestReachTable:
         monkeypatch.setattr(monomial, "_reach_levels", counted)
         readers = (validate_fixing_hypotheses, validate_transversal_identity_hypotheses,
                    closed_form_fixing_group, closed_form_transversal_identity,
-                   decreasing_span_monomials, _TableGroups)
+                   decreasing_span_monomials, groups)
         bases = (make_rm_spec(), mono16_spec, spec_of(3, ["1", "x1", "x2", "x3"], ["x1"]))
         # in either order of the readers
         for order, base, ell in itertools.product((1, -1), bases, (1, 2, 3)):
@@ -788,9 +799,9 @@ class TestTableRoute:
             pair = spec.induced_pair()
             shifted = CssCode(pair, BitVector(spec.n), BitVector.from_ints(rng.integers(0, 2, spec.n).tolist()))
             spans = gates._pair_spans(pair, ell)
-            tables = _TableGroups(spec, ell)
-            for groups, code_spans in ((tables, spans),
-                                       (tables.shifted(shifted), flipped_spans_reference(shifted, ell, spans))):
+            tables = groups(spec, ell)
+            for found, code_spans in ((tables, spans),
+                                      (tables.shifted(shifted), flipped_spans_reference(shifted, ell, spans))):
                 kernels = [zmod.kernel_perp(span, ell, n=spec.n) for span in code_spans]
                 # a random vector, and a random element of each group with
                 # one entry moved by 2^(ell - 1), which may leave the group
@@ -799,10 +810,10 @@ class TestTableRoute:
                 moved[:, rng.integers(spec.n)] += N >> 1
                 vectors = np.vstack([rng.integers(0, N, (1, spec.n)), elements, moved])
                 for name, span, kernel in zip(("H", "T", "Id"), code_spans, kernels):
-                    assert module_bytes(groups.module(name)) == module_bytes(kernel), (spec, ell, name)
-                    assert groups.length(name) == kernel.length
+                    assert module_bytes(found.module(name)) == module_bytes(kernel), (spec, ell, name)
+                    assert found.length(name) == kernel.length
                     for b in vectors:
-                        assert groups.contains(name, b) is span.kernel_contains(b)
+                        assert found.contains(name, b) is span.kernel_contains(b)
 
     def test_members_answer_row_by_row(self):
         """One zeta pass over a matrix gives each row's membership."""
@@ -811,7 +822,7 @@ class TestTableRoute:
             if spec.m == 6:
                 continue
             N = 1 << ell
-            tables = _TableGroups(spec, ell)
+            tables = groups(spec, ell)
             for name in ("H", "T", "Id"):
                 gens = tables.module(name).gens
                 inside = rng.integers(0, N, (3, len(gens))) @ gens % N
@@ -823,24 +834,24 @@ class TestTableRoute:
                 assert got[2:5].all() and tables.members(name, gens[:0]).shape == (0,)
 
     def test_rejects_a_wrong_length(self, mono16_spec):
-        groups = _TableGroups(mono16_spec, 2)
+        tables = groups(mono16_spec, 2)
         with pytest.raises(ValueError, match="vector length mismatch"):
-            groups.contains("H", np.zeros(mono16_spec.n + 1, dtype=np.int64))
+            tables.contains("H", np.zeros(mono16_spec.n + 1, dtype=np.int64))
 
 
 class TestTableRouteAction:
     """One zeta pass per gate gives the memberships, the global phase and
-    the factors (order included) that gates._decomposition,
-    gates.logical_phase and _Groups.contains give."""
+    the factors (order included) that the span route's coefficient pass
+    (span_decomposition), gates.logical_phase and _Groups.contains give."""
 
     def _check(self, spec, ell, code, rows):
-        groups = _TableGroups(spec, ell).shifted(code)
+        tables = groups(spec, ell).shifted(code)
         seen = set()
         for b in rows:
-            members, global_phase, dec = groups.action(b)
-            assert members == {name: groups.contains(name, b) for name in ("H", "T", "Id")}
+            members, global_phase, dec = tables.action(b)
+            assert members == {name: tables.contains(name, b) for name in ("H", "T", "Id")}
             assert global_phase == gates.logical_phase(code, ell, b, 0)
-            assert dec == gates._decomposition(code, ell, np.asarray(b) % (1 << ell)), (spec, ell)
+            assert dec == span_decomposition(code, ell, b), (spec, ell)
             seen.add(members["H"])
         return seen
 
@@ -855,7 +866,7 @@ class TestTableRouteAction:
             N = 1 << ell
             y_z = BitVector.from_ints(nprng.integers(0, 2, spec.n).tolist()) if i % 2 else BitVector(spec.n)
             code = CssCode(spec.induced_pair(), BitVector(spec.n), y_z)
-            h = _TableGroups(spec, ell).shifted(code).module("H").gens
+            h = groups(spec, ell).shifted(code).module("H").gens
             rows = [nprng.integers(0, N, spec.n), nprng.integers(0, N, len(h)) @ h % N]
             try:
                 sieve = decreasing_span_monomials(spec, ell)
@@ -881,23 +892,46 @@ class TestTableRouteAction:
             flipped = [gates.conjugate_by_yz(b, y_z, ell)[0] for b in rows]
             assert code.num_logical > 20 and True in self._check(spec, ell, code, rows + flipped)
         with pytest.raises(ValueError, match="limited to 20 logical qubits"):
-            _TableGroups(spec, ell).action(rows[0])[2].phase_table()
+            groups(spec, ell).action(rows[0])[2].phase_table()
+
+
+def _monomial_action(spec: MonomialCodeSpec, ell: int, token: str):
+    """groups(spec, ell).action of the gate ev(u), u given by its token."""
+    return groups(spec, ell).action(evaluate(spec.m, Monomial.parse(spec.m, token)).to_array())
+
+
+def coefficient_formula(spec: MonomialCodeSpec, ell: int, u: int) -> list[int]:
+    """The paper's transversal coefficients of the gate ev(u): 2^(m -
+    deg(u OR u_i)) mod 2^ell, the weight of ev(u) * ev(u_i), one per
+    encoding monomial u_i."""
+    return [pow(2, spec.m - (u | e.mask).bit_count(), 1 << ell) for e in spec.encoding()]
+
+
+def level_one(dec) -> list[int]:
+    """The phase a_{i} of each single-qubit factor of dec, 0 where none."""
+    phases = {f.qubits: f.phase for f in dec.factors}
+    return [phases.get((i,), 0) for i in range(1, dec.num_logical + 1)]
 
 
 class TestMonomialAction:
+    """The action of a monomial gate ev(u) on the table route: its level-1
+    factors are the paper's coefficients 2^(m - deg(u OR u_i)), whether or
+    not the gate fixes the code."""
+
     def test_rm_degree_three_coefficients(self, rm_spec):
-        act = monomial_action(rm_spec, 2, "x2x3x4")
-        assert act.coefficients.tolist() == [1, 2, 2, 2]
+        _, _, dec = _monomial_action(rm_spec, 2, "x2x3x4")
+        assert level_one(dec) == coefficient_formula(rm_spec, 2, 0b1110) == [1, 2, 2, 2]
+        phases = dec.phase_table()
         for i in range(4):
-            assert act.profile.phases[1 << i] == act.coefficients[i]
+            assert phases[1 << i] == level_one(dec)[i]
 
     def test_rm_degree_three_is_not_even_fixing(self, rm_spec, rm_css):
         """The coefficient formula is indifferent to membership: the gate
         fails the constant-per-coset test (the inner all-ones word picks
         up phase 2), while its double is genuinely transversal."""
-        act = monomial_action(rm_spec, 2, "x2x3x4")
-        assert not act.in_fixing_group
-        assert not act.in_transversal_group
+        members, _, _ = _monomial_action(rm_spec, 2, "x2x3x4")
+        assert not members["H"]
+        assert not members["T"]
         b = evaluate(4, Monomial.parse(4, "x2x3x4")).to_array()
         res = coset_phase_check(rm_css, 2, b)
         assert res.gate_class is GateClass.OUTSIDE
@@ -906,15 +940,15 @@ class TestMonomialAction:
         assert doubled.gate_class is GateClass.TRANSVERSAL
 
     def test_mono16_constant_monomial(self, mono16_spec):
-        act = monomial_action(mono16_spec, 3, "1")
-        assert act.in_fixing_group
-        assert not act.in_transversal_group  # genuinely controlled factors
-        assert act.coefficients.tolist() == [0, 0, 0, 0, 4]
+        members, _, dec = _monomial_action(mono16_spec, 3, "1")
+        assert members["H"]
+        assert not members["T"]  # genuinely controlled factors
+        assert level_one(dec) == coefficient_formula(mono16_spec, 3, 0) == [0, 0, 0, 0, 4]
 
     def test_mono16_unused_variable_outside(self, mono16_spec):
-        act = monomial_action(mono16_spec, 3, "x3")
-        assert not act.in_fixing_group
-        assert not act.in_transversal_group
+        members, _, _ = _monomial_action(mono16_spec, 3, "x3")
+        assert not members["H"]
+        assert not members["T"]
 
 
     def test_one_kernel_and_the_groups_flags(self, monkeypatch, mono16_spec, mono16_css):
@@ -932,14 +966,15 @@ class TestMonomialAction:
         # memberships and H are read off the exponent tables: no kernel
         for token in ("1", "x1", "x3", "x1x2", "x2x3x4"):
             calls.clear()
-            act = monomial_action(mono16_spec, 3, token)
+            members, global_phase, dec = _monomial_action(mono16_spec, 3, token)
+            phases = dec.phase_table()
             assert len(calls) == 0, token
-            b = evaluate(4, act.monomial.mask).to_array()
-            assert act.in_fixing_group is h.contains(b)
-            assert act.in_transversal_group is t.contains(b)
-            prof = phase_profile(mono16_css, 3, b, group=h)
-            assert np.array_equal(act.profile.phases, prof.phases)
-            assert act.profile.in_fixing_group == act.in_fixing_group
+            b = evaluate(4, Monomial.parse(4, token)).to_array()
+            assert members["H"] is h.contains(b)
+            assert members["T"] is t.contains(b)
+            prof = phase_profile(mono16_css, 3, b)
+            assert np.array_equal(phases, prof.phases)
+            assert (global_phase, members["H"]) == (prof.global_phase, prof.in_fixing_group)
 
     def test_no_howell_form_and_no_elimination(self, monkeypatch, mono16_spec, rm_spec):
         from cssgates import bincode
@@ -949,33 +984,41 @@ class TestMonomialAction:
         monkeypatch.setattr(zmod, "_howell", lambda *a: calls.append("howell") or howell(*a))
         monkeypatch.setattr(bincode, "_rref", lambda *a: calls.append("rref") or rref(*a))
         for spec, ell in ((mono16_spec, 3), (rm_spec, 2), (rm_spec, 4)):
+            tables = groups(spec, ell)
             for u in range(spec.n):
-                monomial_action(spec, ell, Monomial(spec.m, u))
+                tables.action(evaluate(spec.m, u).to_array())[2].phase_table()
         assert calls == []
-        # the counters see the Howell form the profile construction made
-        monomial_action_reference(mono16_spec, 3, "1")
+        # the counters see the Howell form of a module
+        groups(mono16_spec, 3).module("H")
         assert "howell" in calls
 
     def test_matches_the_phase_profile_construction(self):
+        """On the table route, on seeded specs: the level-1 factors of ev(u)
+        are the coefficient formula, and the memberships and the profile
+        are those of the induced code's span route."""
         rng = random.Random(POOL_SEED + 24)
         specs = [random_spec(rng, 5) for _ in range(80)] + [random_decreasing_spec(rng, 5) for _ in range(40)]
         for i, spec in enumerate(specs):
             ell = i % 4 + 1
+            tables, spans = groups(spec, ell), groups(spec.induced_css(), ell)
             for u in {0, spec.full_mask, *rng.sample(range(spec.n), 2), *spec.outer.masks}:
-                mono = Monomial(spec.m, u)
-                got, want = monomial_action(spec, ell, mono), monomial_action_reference(spec, ell, mono)
-                assert (got.monomial, got.ell, got.in_fixing_group, got.in_transversal_group) == (
-                    want.monomial, want.ell, want.in_fixing_group, want.in_transversal_group)
-                assert np.array_equal(got.coefficients, want.coefficients)
+                b = evaluate(spec.m, u).to_array()
+                members, global_phase, dec = tables.action(b)
+                assert level_one(dec) == coefficient_formula(spec, ell, u), (spec, ell, u)
+                assert members == {name: spans.contains(name, b) for name in ("H", "T", "Id")}
+                prof = phase_profile(spec, ell, b)
+                want = phase_profile(spec.induced_css(), ell, b)
                 for field in ("ell", "num_logical", "global_phase", "in_fixing_group"):
-                    assert getattr(got.profile, field) == getattr(want.profile, field), field
-                assert got.profile.phases.dtype == want.profile.phases.dtype == np.int64
-                assert np.array_equal(got.profile.phases, want.profile.phases)
+                    assert getattr(prof, field) == getattr(want, field), field
+                assert (prof.global_phase, prof.in_fixing_group) == (global_phase, members["H"])
+                assert prof.phases.dtype == want.phases.dtype == np.int64
+                assert np.array_equal(prof.phases, want.phases)
 
     def test_more_than_twenty_logical_qubits_raise(self):
         spec = MonomialCodeSpec(7, reed_muller_set(7, 2), reed_muller_set(7, 1))
+        b = evaluate(7, Monomial.parse(7, "x1x2x3")).to_array()
         with pytest.raises(ValueError, match="limited to 20 logical qubits"):
-            monomial_action(spec, 2, "x1x2x3")
+            phase_profile(spec, 2, b)
 
 
 class TestGeneralForm:
@@ -1043,7 +1086,7 @@ LEVEL_ENTRIES = {
     "closed_form_fixing_group": lambda spec, code, ell: closed_form_fixing_group(spec, ell),
     "closed_form_transversal_identity": lambda spec, code, ell: closed_form_transversal_identity(spec, ell),
     "decreasing_span_monomials": lambda spec, code, ell: decreasing_span_monomials(spec, ell),
-    "monomial_action": lambda spec, code, ell: monomial_action(spec, ell, "x1"),
+    "groups": lambda spec, code, ell: groups(spec, ell),
     "reed_muller_fixing_monomials": lambda spec, code, ell: reed_muller_fixing_monomials(4, 0, 1, ell),
     "reed_muller_identity_monomials": lambda spec, code, ell: reed_muller_identity_monomials(4, 1, ell),
     "coset_phase_check": lambda spec, code, ell: coset_phase_check(code, ell, np.zeros(code.n, dtype=np.int64)),

@@ -22,7 +22,7 @@ def expected_prints(source: str) -> list[str]:
 
 def test_quickstart_prints_are_checked():
     quickstart = BLOCKS[0]
-    assert "decompose_action" in quickstart
+    assert "groups(" in quickstart
     assert expected_prints(quickstart) == ["True", "TransversalLogical", "[((1,), 3)]"]
 
 

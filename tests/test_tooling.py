@@ -3,8 +3,9 @@ attributes by name. These tests read it, without importing or changing
 it, and check that every such name still resolves in cssgates, and that
 every Howell route still passes through the one helper it patches, so a
 refactor that drops one fails here rather than in a traced run. The
-package's own exports are checked against its modules' lists too, and
-monomial's reach search against its one owner."""
+package's own exports are checked against its modules' lists too,
+monomial's reach search against its one owner, and each group route
+against the one entry point that builds it."""
 
 import ast
 import importlib
@@ -109,10 +110,8 @@ def test_package_exports_every_module_list():
             assert getattr(cssgates, name) is getattr(module, name), name
 
 
-def test_reach_tables_have_one_owner():
-    # a spec's reach tables are built by MonomialCodeSpec._reach alone;
-    # product_set takes arbitrary sets and has no spec
-    source = Path(cssgates.monomial.__file__).read_text(encoding="utf-8")
+def _callers(path: Path, name: str) -> list[str]:
+    """The dotted class and function scopes of path that call name."""
     callers = []
 
     def visit(node, scope):
@@ -120,9 +119,26 @@ def test_reach_tables_have_one_owner():
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_reach_levels":
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
                 callers.append(scope)
             visit(child, inner)
 
-    visit(ast.parse(source), "")
-    assert sorted(callers) == ["MonomialCodeSpec._reach", "product_set"]
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return callers
+
+
+def test_reach_tables_have_one_owner():
+    # a spec's reach tables are built by MonomialCodeSpec._reach alone
+    assert _callers(Path(cssgates.monomial.__file__), "_reach_levels") == ["MonomialCodeSpec._reach"]
+
+
+def test_group_routes_are_built_by_the_one_entry_point():
+    # every caller in the package, the CLI included, takes its groups from
+    # gates.groups; the general closed form reads the fixing group's
+    # generators one level down off the tables directly
+    sources = sorted(Path(cssgates.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    built = {name: sorted(f"{path.stem}.{scope}" for path in sources for scope in _callers(path, name))
+             for name in ("_SpanGroups", "_TableGroups")}
+    assert built == {"_SpanGroups": ["gates.groups"],
+                     "_TableGroups": ["gates.groups", "monomial.closed_form_fixing_group_general"]}
